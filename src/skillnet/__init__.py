@@ -9,7 +9,6 @@ further environment interaction needed.
 from .consolidate import (
     ConsolidationConfig,
     ConsolidationReport,
-    UsageMap,
     VarianceTracker,
     build_batch,
     build_targets,
@@ -43,7 +42,6 @@ from .network import (
     initial_state,
     load_checkpoint,
     save_checkpoint,
-    total_reward,
 )
 from .rollout import evaluate_policy, run_trial
 from .traces import ReplayPolicy, StoreDims, TimestepRecord, TraceFormatError, TraceStore, Trial
@@ -73,7 +71,6 @@ __all__ = [
     "TraceStore",
     "Trial",
     "TrialTargets",
-    "UsageMap",
     "VarianceTracker",
     "apply_regularizer",
     "batch_loss",
@@ -96,7 +93,6 @@ __all__ = [
     "run_curriculum",
     "run_trial",
     "save_checkpoint",
-    "total_reward",
     "try_solve_task",
     "variance_lr_scale",
 ]

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, load_config, with_seed
 from .consolidate import retention_check
-from .curriculum import run_curriculum
+from .curriculum import retention_event, run_curriculum
 from .evolve import Budget, try_solve_task
 from .metrics import MetricsWriter, scrub, validate_event
 from .network import init_network, load_checkpoint, save_checkpoint
@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the configured curriculum end to end")
     run_p.add_argument("--config", required=True, help="experiment config JSON")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="max parallel candidate evaluations")
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on one task")
     eval_p.add_argument("--checkpoint", required=True)
@@ -56,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--config", required=True)
     probe_p.add_argument("--task", required=True, help="task id from the config")
     probe_p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    probe_p.add_argument("--workers", type=int, default=1)
 
     traces_p = sub.add_parser("traces", help="list or dump stored trials")
     traces_p.add_argument("trace_file")
@@ -100,52 +97,47 @@ def cmd_run(args) -> int:
     config.paths.trace_file.parent.mkdir(parents=True, exist_ok=True)
     config.paths.metrics_file.parent.mkdir(parents=True, exist_ok=True)
 
-    with MetricsWriter(config.paths.metrics_file) as writer:
-        writer.emit({
-            "event": "run_start",
-            "master_seed": config.master_seed,
-            "task_ids": [t.task_id for t in config.tasks],
-            "budget_unit": config.budgets.unit,
-            "initial_budget": config.budgets.c0,
-        })
-        final_weights, report = run_curriculum(
-            list(config.tasks), config.budgets.c0, config.budgets.dream_multiplier,
-            weights, store,
-            net_config=net_config, es_config=config.es,
-            consolidation_config=config.consolidation,
-            replay_policy=config.replay,
-            budget_unit=config.budgets.unit,
-            max_total_budget=config.budgets.max_total_budget,
-            dream_steps_per_unit=config.budgets.dream_steps_per_unit,
-            workers=args.workers,
-            seed=config.master_seed,
-            on_event=writer.emit,
-        )
-        solved_tasks = [t for t in config.tasks
-                        if t.task_id in {r.task_id for r in report.solved}]
-        for task in solved_tasks:
-            results = retention_check(final_weights, [task], net_config,
-                                      base_seed=config.master_seed)
-            res = results[task.task_id]
+    # the trace file is written even when the curriculum fails partway, so a
+    # diverged or interrupted run keeps every trial it already paid for
+    try:
+        with MetricsWriter(config.paths.metrics_file) as writer:
             writer.emit({
-                "event": "retention_check",
-                "task_id": task.task_id,
-                "pass_number": report.pass_count,
-                "passed": bool(res.passed),
-                "success_rate": res.success_rate,
-                "mean_return": res.mean_return,
-                "mean_length": res.mean_length,
+                "event": "run_start",
+                "master_seed": config.master_seed,
+                "task_ids": [t.task_id for t in config.tasks],
+                "budget_unit": config.budgets.unit,
+                "initial_budget": config.budgets.c0,
             })
-        writer.emit({
-            "event": "run_end",
-            "solved_task_ids": [r.task_id for r in report.solved],
-            "unsolved_task_ids": report.unsolved_task_ids,
-            "pass_count": report.pass_count,
-            "total_search_spent": report.total_search_spent,
-            "consolidations": report.consolidations,
-        })
-
-    store.save(config.paths.trace_file)
+            final_weights, report = run_curriculum(
+                list(config.tasks), config.budgets.c0, config.budgets.dream_multiplier,
+                weights, store,
+                net_config=net_config, es_config=config.es,
+                consolidation_config=config.consolidation,
+                replay_policy=config.replay,
+                budget_unit=config.budgets.unit,
+                max_total_budget=config.budgets.max_total_budget,
+                dream_steps_per_unit=config.budgets.dream_steps_per_unit,
+                seed=config.master_seed,
+                on_event=writer.emit,
+            )
+            solved_ids = {r.task_id for r in report.solved}
+            results = retention_check(
+                final_weights, [t for t in config.tasks if t.task_id in solved_ids],
+                net_config, base_seed=config.master_seed,
+            )
+            for task_id, res in results.items():
+                writer.emit(retention_event(task_id, res, pass_number=report.pass_count,
+                                            phase="final"))
+            writer.emit({
+                "event": "run_end",
+                "solved_task_ids": [r.task_id for r in report.solved],
+                "unsolved_task_ids": report.unsolved_task_ids,
+                "pass_count": report.pass_count,
+                "total_search_spent": report.total_search_spent,
+                "consolidations": report.consolidations,
+            })
+    finally:
+        store.save(config.paths.trace_file)
     save_checkpoint(config.paths.checkpoint_dir / "final.ckpt", net_config, final_weights)
     print(f"solved {len(report.solved)}/{len(config.tasks)} tasks; "
           f"traces: {config.paths.trace_file}; metrics: {config.paths.metrics_file}")
@@ -178,7 +170,7 @@ def cmd_transfer_probe(args) -> int:
     outcome = try_solve_task(
         warm_weights, fresh_weights, task,
         Budget(config.budgets.unit, config.budgets.c0), es, store,
-        config=config.net, workers=args.workers,
+        config=config.net,
     )
     event = scrub({
         "event": "transfer_probe",

@@ -13,9 +13,9 @@ Superseded and failed trials therefore keep training the predictive pathway
 while their actions are never cloned. No environment interaction happens
 here; everything is driven by the trace store.
 
-Also home to the two protection heuristics: per-weight learning rates from
-end-of-trial weight variance, and a task -> used-weights map that tells the
-caller which solved tasks to re-test after weights move.
+Also home to the per-weight learning-rate heuristic (from end-of-trial
+weight variance) and the retention check that re-tests solved tasks on the
+consolidated network.
 """
 
 from __future__ import annotations
@@ -247,39 +247,6 @@ def variance_lr_scale(tracker: VarianceTracker, base_lr: float, floor: float) ->
     if median <= 0.0:
         return rates
     return base_lr * np.clip(var / median, floor, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# task -> used-weights tracking
-
-
-class UsageMap:
-    """Which weight indices each task's search visibly moved. After
-    consolidation shifts some weights, only tasks whose usage sets intersect
-    the change need re-testing."""
-
-    def __init__(self, change_threshold: float = 1e-8):
-        self.change_threshold = change_threshold
-        self._usage: dict[str, frozenset[int]] = {}
-
-    def record(self, task_id: str, before: np.ndarray, after: np.ndarray) -> frozenset[int]:
-        delta = np.abs(np.asarray(after) - np.asarray(before))
-        used = frozenset(np.flatnonzero(delta > self.change_threshold).tolist())
-        self._usage[task_id] = used
-        return used
-
-    def usage(self, task_id: str) -> frozenset[int]:
-        return self._usage.get(task_id, frozenset())
-
-    def affected_tasks(self, changed) -> set[str]:
-        changed = set(changed)
-        return {task for task, used in self._usage.items() if used & changed}
-
-
-def changed_indices(before: np.ndarray, after: np.ndarray,
-                    threshold: float = 1e-8) -> set[int]:
-    delta = np.abs(np.asarray(after) - np.asarray(before))
-    return set(np.flatnonzero(delta > threshold).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each pass walks the unsolved task list giving every task the same search
 budget c. A solved task is immediately consolidated into the network (dream
 budget proportional to c) and leaves the list. If a whole pass solves
 nothing, c doubles; after any pass with progress, c resets to its original
-value. A total-budget guard makes unsolvable curricula terminate.
+value. A total-budget guard makes unsolvable curricula terminate. After
+every dream, every task solved so far is re-tested on the new weights,
+whichever arm or solver found it.
 
 The network that accumulates everything is only changed by consolidation;
 search arms work on copies and contribute traces.
@@ -18,9 +20,8 @@ import numpy as np
 
 from .consolidate import (
     ConsolidationConfig,
-    UsageMap,
+    RetentionResult,
     VarianceTracker,
-    changed_indices,
     consolidate,
     retention_check,
 )
@@ -54,6 +55,22 @@ def _attempt_seed(seed: int, attempt: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)).generate_state(1)[0])
 
 
+def retention_event(task_id: str, result: RetentionResult, *, pass_number: int,
+                    phase: str) -> dict:
+    """The retention_check metrics event; phase is "after_dream" for the
+    re-test after each consolidation and "final" for the end-of-run sweep."""
+    return {
+        "event": "retention_check",
+        "task_id": task_id,
+        "pass_number": pass_number,
+        "phase": phase,
+        "passed": bool(result.passed),
+        "success_rate": result.success_rate,
+        "mean_return": result.mean_return,
+        "mean_length": result.mean_length,
+    }
+
+
 def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                    initial_weights: np.ndarray, store: TraceStore, *,
                    net_config: NetConfig, es_config: EsConfig,
@@ -63,8 +80,6 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                    max_total_budget: float | None = None,
                    dream_steps_per_unit: float = 1.0,
                    original_weights: np.ndarray | None = None,
-                   retest_affected: bool = True,
-                   workers: int = 1,
                    seed: int = 0,
                    solver=None, consolidator=None, on_event=None):
     """Run the whole curriculum; returns (final_weights, CurriculumReport).
@@ -83,14 +98,12 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 if original_weights is not None else weights.copy())
 
     tracker = VarianceTracker(net_config.n_params)
-    usage = UsageMap()
 
     if solver is None:
         def solver(*, current_weights, original_weights, task, budget, es, store):
             return try_solve_task(current_weights, original_weights, task, budget,
                                   es, store, config=net_config,
-                                  variance_tracker=tracker, usage_map=usage,
-                                  workers=workers)
+                                  variance_tracker=tracker)
 
     if consolidator is None:
         def consolidator(*, weights, store, steps):
@@ -164,7 +177,6 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
             })
 
             dream_steps = max(1, round(dream_multiplier * budget_c * dream_steps_per_unit))
-            pre_dream = weights
             weights, report = consolidator(weights=weights, store=store,
                                            steps=dream_steps)
             consolidations += 1
@@ -177,24 +189,13 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 "final_loss": report.final,
             })
 
-            if retest_affected:
-                changed = changed_indices(pre_dream, weights)
-                affected = usage.affected_tasks(changed) & set(solved_tasks)
-                for task_id in sorted(affected):
-                    results = retention_check(
-                        weights, [solved_tasks[task_id]], net_config,
-                        base_seed=seed,
-                    )
-                    res = results[task_id]
-                    emit({
-                        "event": "retention_check",
-                        "task_id": task_id,
-                        "pass_number": pass_number,
-                        "passed": bool(res.passed),
-                        "success_rate": res.success_rate,
-                        "mean_return": res.mean_return,
-                        "mean_length": res.mean_length,
-                    })
+            results = retention_check(
+                weights, [solved_tasks[t] for t in sorted(solved_tasks)], net_config,
+                base_seed=seed,
+            )
+            for task_id, res in results.items():
+                emit(retention_event(task_id, res, pass_number=pass_number,
+                                     phase="after_dream"))
 
         if out_of_budget:
             break

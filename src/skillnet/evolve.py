@@ -15,7 +15,6 @@ The caller's weight vectors are never mutated; the search works on copies.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,24 +128,10 @@ class _Arm:
     evaluations: int = 0
 
 
-def _rollout_batch(config, candidates, task, n_trials, seeds, workers):
-    """Evaluate candidates (pure rollouts, nothing recorded yet)."""
-
-    def one(idx):
-        net = Network(config, candidates[idx])
-        return [run_trial(net, task, seed=seeds[idx] + i) for i in range(n_trials)]
-
-    if workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(len(candidates))))
-    return [one(i) for i in range(len(candidates))]
-
-
 def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                    task: TaskDescription, budget: Budget, es: EsConfig,
                    store: TraceStore, *, config: NetConfig,
-                   variance_tracker=None, usage_map=None,
-                   workers: int = 1) -> SearchOutcome:
+                   variance_tracker=None) -> SearchOutcome:
     """Race a warm-started and a from-scratch (1+lambda) ES on one task.
 
     Stops at the first arm whose incumbent passes the task's success
@@ -183,7 +168,10 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
         seeds = [int(arm.seed_rng.integers(0, 2**31)) for _ in candidates]
 
         started = time.monotonic()
-        results = _rollout_batch(config, candidates, task, n_trials, seeds, workers)
+        results = []
+        for weights, seed in zip(candidates, seeds):
+            net = Network(config, weights)
+            results.append([run_trial(net, task, seed=seed + i) for i in range(n_trials)])
         elapsed = time.monotonic() - started
 
         cost = 0.0
@@ -240,9 +228,6 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
         for t in to_mark:
             store.mark_relevant(t.trial_id)
             relevant_ids.append(t.trial_id)
-        if usage_map is not None:
-            start = current_weights if solved_arm.name == WARM else original_weights
-            usage_map.record(task.task_id, start, solved_arm.parent)
 
     return SearchOutcome(
         status="solved" if solved_arm is not None else "failed",

@@ -57,6 +57,7 @@ EVENT_SCHEMAS: dict[str, dict] = {
         "event": str,
         "task_id": str,
         "pass_number": int,
+        "phase": str,           # "after_dream" | "final"
         "passed": bool,
         "success_rate": _NUM,
         "mean_return": _NUM,

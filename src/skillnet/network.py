@@ -25,6 +25,8 @@ Flat weight layout (row-major, in this order):
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,7 +113,7 @@ class Network:
     """The network plus its current flat weight vector.
 
     Hidden state lives outside the object (passed to `step`), so a single
-    Network is reusable across trials; clone per worker for parallel use.
+    Network is reusable across trials.
     """
 
     def __init__(self, config: NetConfig, weights: np.ndarray):
@@ -134,9 +136,6 @@ class Network:
 
     def get_weights(self) -> np.ndarray:
         return self.weights.copy()
-
-    def clone(self) -> "Network":
-        return Network(self.config, self.weights)
 
     def step(self, state: np.ndarray, sense: np.ndarray) -> tuple[np.ndarray, StepOutput]:
         """Run micro_steps recurrent updates on a fixed input, then read outputs.
@@ -191,14 +190,6 @@ def init_network(config: NetConfig) -> tuple[Network, np.ndarray]:
     rng = np.random.default_rng(config.seed)
     weights = rng.uniform(-config.init_scale, config.init_scale, size=config.n_params)
     return Network(config, weights), weights.copy()
-
-
-def total_reward(reward: np.ndarray) -> float:
-    """Sum of the reward vector's components for one step."""
-    reward = np.asarray(reward, dtype=np.float64)
-    if not np.all(np.isfinite(reward)):
-        raise ValueError("reward vector contains non-finite entries")
-    return float(reward.sum())
 
 
 def cumulative_reward(rewards) -> np.ndarray:
@@ -390,11 +381,27 @@ def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     return grad, total_loss
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a text file for writing that replaces `path` only once the block
+    completes: it is written as a sibling `.tmp` file and moved into place
+    with os.replace, so a crash never leaves a half-written file at `path`."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
     """Write a two-line checkpoint: a topology header, then the flat weights.
 
     Floats are serialized at full round-trip precision, so reloads are
-    bit-exact.
+    bit-exact. The file is replaced atomically.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (config.n_params,):
@@ -411,7 +418,7 @@ def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
         "seed": config.seed,
         "init_scale": config.init_scale,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"weights": weights.tolist()}) + "\n")
 

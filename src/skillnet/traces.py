@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetConfig, cumulative_reward
+from .network import NetConfig, atomic_write, cumulative_reward
 
 FORMAT_VERSION = 1
 
@@ -271,7 +271,8 @@ class TraceStore:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write the store as JSON Lines, replacing `path` atomically."""
+        with atomic_write(path) as fh:
             header = {
                 "format_version": FORMAT_VERSION,
                 "m": self.dims.obs_dim,

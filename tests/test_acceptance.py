@@ -308,7 +308,6 @@ def test_criterion_06_budget_doubling():
             consolidation_config=ConsolidationConfig(),
             replay_policy=ReplayPolicy(mode="all"),
             max_total_budget=max_total, solver=solver, consolidator=consolidator,
-            retest_affected=False,
         )
         return rep, calls
 

@@ -5,6 +5,7 @@ import numpy as np
 from skillnet.cli import main
 from skillnet.metrics import read_metrics, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
+from skillnet.traces import TraceStore
 
 
 def write_config(tmp_path, **overrides):
@@ -260,6 +261,37 @@ def test_run_runtime_failure_exits_two(tmp_path, capsys):
         code = main(["run", "--config", str(config_path)])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_diverged_run_keeps_its_traces(tmp_path, capsys):
+    # one 3x3 task; at this learning rate the first dream diverges after a
+    # dozen gradient steps, once the search has recorded its trials
+    config = {
+        "master_seed": 1,
+        "net": {"m": 9, "p": 2, "n": 1, "o": 4, "h": 8},
+        "tasks": [{
+            "task_id": "corner_ne",
+            "goal_index": 0,
+            "maze": {"width": 3, "height": 3, "start": [0, 0], "goal_cell": [2, 2]},
+            "criterion": {"min_success_trials": 1},
+        }],
+        "es": {"population": 4, "sigma": 0.2},
+        "budgets": {"c0": 20000, "lambda": 0.002, "unit": "env_steps",
+                    "max_total_budget": 200000},
+        "consolidation": {"base_lr": 1e12, "replay": {"mode": "relevant_only"}},
+        "paths": {"trace_file": "traces.jsonl", "metrics_file": "metrics.jsonl",
+                  "checkpoint_dir": "ckpt"},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(config_path)])
+    assert code == 2
+    assert "consolidation diverged" in capsys.readouterr().err
+    store = TraceStore.load(tmp_path / "traces.jsonl")
+    recorded = sum(e["trials_recorded"] for e in read_metrics(tmp_path / "metrics.jsonl")
+                   if e["event"] == "task_attempt")
+    assert len(store) == recorded > 0
 
 
 def test_missing_checkpoint_is_usage_error(tmp_path, capsys):

@@ -3,11 +3,9 @@ import pytest
 
 from skillnet.consolidate import (
     ConsolidationConfig,
-    UsageMap,
     VarianceTracker,
     build_batch,
     build_targets,
-    changed_indices,
     consolidate,
     retention_check,
     variance_lr_scale,
@@ -310,32 +308,6 @@ def test_scaled_rates_keep_update_direction():
     d_scaled = np.sign(scaled - weights)
     moved = (d_plain != 0) & (d_scaled != 0)
     assert np.array_equal(d_plain[moved], d_scaled[moved])
-
-
-# ---------------------------------------------------------------------------
-# usage map
-
-
-def test_usage_map_threshold():
-    usage = UsageMap(change_threshold=0.1)
-    before = np.zeros(4)
-    after = np.array([0.0, 0.05, 0.2, -0.3])
-    used = usage.record("a", before, after)
-    assert used == frozenset({2, 3})
-
-
-def test_affected_tasks_set_logic():
-    usage = UsageMap()
-    usage.record("a", np.zeros(4), np.array([1.0, 0, 0, 0]))
-    usage.record("b", np.zeros(4), np.array([0, 0, 1.0, 1.0]))
-    assert usage.affected_tasks({1}) == set()
-    assert usage.affected_tasks({0, 2}) == {"a", "b"}
-    assert usage.affected_tasks(set()) == set()
-    assert usage.affected_tasks({2, 3}) == {"b"}
-
-
-def test_changed_indices_helper():
-    assert changed_indices(np.zeros(3), np.array([0.0, 1e-12, 1.0])) == {2}
 
 
 # ---------------------------------------------------------------------------

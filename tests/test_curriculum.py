@@ -1,3 +1,5 @@
+from itertools import takewhile
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,6 @@ def run(tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None, **k
         replay_policy=ReplayPolicy(mode="all"),
         max_total_budget=max_total,
         solver=solver, consolidator=consolidator,
-        retest_affected=False,
         **kw,
     )
     return final, report, consolidator
@@ -159,7 +160,34 @@ def test_events_are_ordered_attempt_then_solve_then_consolidation():
     solver = FakeSolver({"a": 0.0})
     _, report, _ = run([make_task("a")], solver)
     kinds = [e["event"] for e in report.events]
-    assert kinds == ["task_attempt", "solve", "consolidation"]
+    assert kinds == ["task_attempt", "solve", "consolidation", "retention_check"]
+
+
+def test_every_solved_task_retested_after_every_dream():
+    # the winner is the unchanged current net, as when an arm's unperturbed
+    # parent already passes; it is re-tested all the same
+    def parent_wins(*, current_weights, original_weights, task, budget, es, store):
+        outcome = fake_outcome(budget.amount >= thresholds[task.task_id])
+        if outcome.solved:
+            outcome.final_weights = current_weights.copy()
+        return outcome
+
+    thresholds = {"c": 0.0, "a": 0.0, "b": 200.0}
+    tasks = [make_task("c"), make_task("a", goal_index=1), make_task("b", goal_index=1)]
+    _, report, consolidator = run(tasks, parent_wins, c0=100.0)
+    assert len(consolidator.calls) == 3
+    solved = []
+    for i, event in enumerate(report.events):
+        if event["event"] == "solve":
+            solved.append(event["task_id"])
+        if event["event"] != "consolidation":
+            continue
+        checks = list(takewhile(lambda e: e["event"] == "retention_check",
+                                report.events[i + 1:]))
+        assert [c["task_id"] for c in checks] == sorted(solved)
+        assert all(c["phase"] == "after_dream" for c in checks)
+        assert all(c["pass_number"] == event["pass_number"] for c in checks)
+    assert solved == ["c", "a", "b"]
 
 
 def test_empty_curriculum_rejected():
@@ -183,7 +211,7 @@ def test_on_event_callback_receives_all_events():
         net_config=CFG, es_config=EsConfig(),
         consolidation_config=ConsolidationConfig(),
         replay_policy=ReplayPolicy(mode="all"),
-        solver=solver, consolidator=FakeConsolidator(),
-        retest_affected=False, on_event=seen.append,
+        solver=solver, consolidator=FakeConsolidator(), on_event=seen.append,
     )
-    assert [e["event"] for e in seen] == ["task_attempt", "solve", "consolidation"]
+    assert [e["event"] for e in seen] == ["task_attempt", "solve", "consolidation",
+                                          "retention_check"]

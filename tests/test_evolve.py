@@ -392,25 +392,25 @@ def test_budget_validation():
         EsConfig(population=0)
 
 
-def test_workers_do_not_change_results():
+def test_same_seed_search_is_deterministic():
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
 
-    def search(workers):
+    def search():
         store = fresh_store(cfg)
         _, weights = init_network(cfg)
         return try_solve_task(weights, weights, task, Budget("env_steps", 5000),
                               EsConfig(population=4, sigma=0.2, seed=21), store,
-                              config=cfg, workers=workers), store
+                              config=cfg), store
 
-    serial, store_1 = search(workers=1)
-    threaded, store_2 = search(workers=3)
-    assert serial.status == threaded.status
-    assert serial.winner == threaded.winner
-    assert serial.budget_spent == threaded.budget_spent
-    assert serial.all_trial_ids == threaded.all_trial_ids
+    first, store_1 = search()
+    second, store_2 = search()
+    assert first.status == second.status
+    assert first.winner == second.winner
+    assert first.budget_spent == second.budget_spent
+    assert first.all_trial_ids == second.all_trial_ids
     assert len(store_1) == len(store_2)
     for a, b in zip(store_1, store_2):
         assert a == b

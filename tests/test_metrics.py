@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from skillnet.consolidate import RetentionResult
+from skillnet.curriculum import retention_event
 from skillnet.metrics import MetricsWriter, read_metrics, scrub, validate_event
 
 
@@ -46,6 +48,23 @@ def test_bool_is_not_numeric():
 def test_unknown_event_rejected():
     with pytest.raises(ValueError, match="unknown"):
         validate_event({"event": "mystery"})
+
+
+def test_retention_check_events_carry_their_phase():
+    result = RetentionResult(passed=True, success_rate=1.0, mean_return=0.9, mean_length=8.0)
+    for phase in ("after_dream", "final"):
+        event = retention_event("a", result, pass_number=2, phase=phase)
+        validate_event(scrub(event))
+        assert event["phase"] == phase
+
+
+def test_retention_check_without_phase_rejected():
+    result = RetentionResult(passed=False, success_rate=0.0, mean_return=-0.5,
+                             mean_length=36.0)
+    event = retention_event("a", result, pass_number=1, phase="final")
+    del event["phase"]
+    with pytest.raises(ValueError, match="phase"):
+        validate_event(event)
 
 
 def test_scrub_converts_numpy_types():

@@ -14,7 +14,6 @@ from skillnet.network import (
     load_checkpoint,
     pack_weights,
     save_checkpoint,
-    total_reward,
     unpack_weights,
 )
 
@@ -205,10 +204,6 @@ def test_sigmoid_activation_supported():
 
 # ---------------------------------------------------------------------------
 # rewards
-
-
-def test_total_reward_component_sum():
-    assert total_reward(np.array([0.5, -0.2, 0.1])) == pytest.approx(0.4)
 
 
 def test_cumulative_reward_zero_case():
