@@ -28,7 +28,7 @@ from .envs import (
     goal_encoding,
     make_env,
 )
-from .evolve import Budget, EsConfig, SearchOutcome, evaluate_candidate, perturb, try_solve_task
+from .evolve import Budget, EsConfig, SearchOutcome, perturb, try_solve_task
 from .network import (
     NetConfig,
     Network,
@@ -44,7 +44,7 @@ from .network import (
     save_checkpoint,
 )
 from .rollout import evaluate_policy, run_trial
-from .traces import ReplayPolicy, StoreDims, TimestepRecord, TraceFormatError, TraceStore, Trial
+from .traces import ReplayPolicy, StoreDims, TraceFormatError, TraceStore, Trial
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "StoreDims",
     "SuccessCriterion",
     "TaskDescription",
-    "TimestepRecord",
     "TraceFormatError",
     "TraceStore",
     "Trial",
@@ -81,7 +80,6 @@ __all__ = [
     "consolidate",
     "corner_tasks",
     "cumulative_reward",
-    "evaluate_candidate",
     "evaluate_policy",
     "goal_encoding",
     "init_network",

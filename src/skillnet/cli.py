@@ -204,7 +204,7 @@ def cmd_traces(args) -> int:
             return 1
         from .traces import trial_to_json
 
-        print(json.dumps(trial_to_json(trial), indent=2))
+        print(json.dumps(trial_to_json(trial, store.dims), indent=2))
         return 0
     trials = list(store)
     if args.task is not None:

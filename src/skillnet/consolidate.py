@@ -27,7 +27,7 @@ import numpy as np
 
 from .network import NetConfig, Network, TrialTargets, apply_regularizer, batch_loss, bptt_gradient
 from .rollout import evaluate_policy
-from .traces import ReplayPolicy, TraceStore, Trial
+from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,26 @@ def build_targets(trial: Trial, relevant_now: bool, config: NetConfig) -> TrialT
     targets follow the same mask but only when the trial is currently
     relevant; otherwise they are fully masked out.
     """
-    t_len = len(trial.timesteps)
-    senses = np.stack([
-        np.concatenate([ts.obs, ts.goal, ts.reward]) for ts in trial.timesteps
-    ])
-    actions = np.stack([ts.action for ts in trial.timesteps])
-    rewards = np.stack([ts.reward for ts in trial.timesteps])
+    cols = StoreDims.from_net_config(config).columns
+    rows = trial.timesteps
+    t_len = len(rows)
+    senses = rows[:, cols["in"].start : cols["r"].stop]
+    rewards = rows[:, cols["r"]]
 
-    pred_target = np.zeros((t_len, config.pred_width))
-    if t_len > 1:
-        pred_target[:-1] = np.concatenate(
-            [np.stack([ts.obs for ts in trial.timesteps[1:]]), rewards[1:]], axis=1
-        )
+    pred_target = np.zeros_like(rows[:, cols["pred"]])
+    pred_target[:-1] = np.concatenate([rows[1:, cols["in"]], rewards[1:]], axis=1)
     pred_mask = np.ones(t_len)
     pred_mask[-1] = 0.0
 
     # remaining per-channel reward sums and the remaining total return
     tail = np.flip(np.cumsum(np.flip(rewards, 0), axis=0), 0)
-    tail = np.vstack([tail[1:], np.zeros((1, config.reward_dim))])
+    tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
     return_target = np.concatenate([tail, tail.sum(axis=1, keepdims=True)], axis=1)
 
     cloned_mask = pred_mask.copy() if relevant_now else np.zeros(t_len)
     return TrialTargets(
         senses=senses,
-        action_target=actions,
+        action_target=rows[:, cols["out"]],
         pred_target=pred_target,
         return_target=return_target,
         action_mask=cloned_mask,

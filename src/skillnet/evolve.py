@@ -94,25 +94,6 @@ def perturb(weights: np.ndarray, sigma: float, rng: np.random.Generator) -> np.n
     return weights + rng.normal(0.0, sigma, size=weights.shape)
 
 
-def evaluate_candidate(weights: np.ndarray, task: TaskDescription, n_trials: int,
-                       store: TraceStore | None = None, record: bool = True, *,
-                       config: NetConfig, base_seed: int = 0):
-    """Run n_trials episodes with a constant goal input; fitness is the mean
-    final return. With record=True every trial (failures included) lands in
-    the store. Returns (fitness, trial_ids)."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    net = Network(config, weights)
-    trials = [run_trial(net, task, seed=base_seed + i) for i in range(n_trials)]
-    fitness = float(np.mean([t.final_return for t in trials]))
-    trial_ids = []
-    if record:
-        if store is None:
-            raise ValueError("record=True requires a store")
-        trial_ids = [store.append(t) for t in trials]
-    return fitness, trial_ids
-
-
 @dataclass
 class _Arm:
     name: str

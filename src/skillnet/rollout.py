@@ -2,8 +2,9 @@
 record the full trace.
 
 A trial's trace has one row per network step, including a final row for the
-terminal observation (whose action is computed but never executed). The goal
-input stays constant for the whole trial.
+terminal observation (whose action is computed but never executed). Each row
+is the net's input followed by its output, in `StoreDims.columns` order. The
+goal input stays constant for the whole trial.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .envs import TaskDescription, goal_encoding, make_env
 from .network import NetConfig, Network, initial_state
-from .traces import TimestepRecord, Trial
+from .traces import Trial, frozen_rows
 
 
 def run_trial(net: Network, task: TaskDescription, seed: int, env=None) -> Trial:
@@ -27,19 +28,14 @@ def run_trial(net: Network, task: TaskDescription, seed: int, env=None) -> Trial
     while True:
         sense = np.concatenate([obs.obs, goal, obs.reward])
         state, out = net.step(state, sense)
-        rows.append(
-            TimestepRecord(
-                obs=obs.obs, goal=goal, reward=obs.reward,
-                action=out.action, pred=out.pred, return_pred=out.return_pred,
-            )
-        )
+        rows.append(np.concatenate([sense, out.action, out.pred, out.return_pred]))
         total += float(obs.reward.sum())
         if obs.done:
             break
         obs = env.step(out.action)
     return Trial(
         task_id=task.task_id, success=obs.reached, relevant=False,
-        timesteps=rows, final_return=total,
+        timesteps=frozen_rows(rows), final_return=total,
     )
 
 

@@ -12,6 +12,10 @@ following line is one trial object with keys trial_id, task_id, success,
 relevant, final_cr and timesteps, where each timestep has keys
 in/goal/r/out/pred/pr. Floats are serialized at full round-trip precision, so
 save/load is bit-exact.
+
+In memory a trial's timesteps are one read-only float64 array of shape
+(T, m+p+n+o+(m+n)+(n+1)): row t is the net's input [in | goal | r] followed by
+its output [out | pred | pr], in JSON-key column order (`StoreDims.columns`).
 """
 
 from __future__ import annotations
@@ -39,30 +43,11 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
-def _frozen(values, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
+def frozen_rows(values) -> np.ndarray:
+    """A read-only float64 copy of a trial's rows."""
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass
-class TimestepRecord:
-    """One time step of a trace: what the net saw and what it emitted."""
-
-    obs: np.ndarray          # R^m, serialized as "in"
-    goal: np.ndarray         # R^p
-    reward: np.ndarray       # R^n, serialized as "r"
-    action: np.ndarray       # R^o, serialized as "out"
-    pred: np.ndarray         # R^{m+n}
-    return_pred: np.ndarray  # R^{n+1}, serialized as "pr"
-
-    def __eq__(self, other):
-        if not isinstance(other, TimestepRecord):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("obs", "goal", "reward", "action", "pred", "return_pred")
-        )
 
 
 @dataclass
@@ -76,7 +61,7 @@ class Trial:
     task_id: str
     success: bool
     relevant: bool
-    timesteps: list[TimestepRecord]
+    timesteps: np.ndarray    # (T, row_width) rows in StoreDims.columns order
     final_return: float      # serialized as "final_cr"
     trial_id: int = 0        # assigned by the store on append
 
@@ -92,11 +77,8 @@ class Trial:
             and self.success == other.success
             and self.relevant == other.relevant
             and self.final_return == other.final_return
-            and self.timesteps == other.timesteps
+            and np.array_equal(self.timesteps, other.timesteps)
         )
-
-    def rewards(self) -> np.ndarray:
-        return np.stack([ts.reward for ts in self.timesteps])
 
 
 @dataclass(frozen=True)
@@ -136,6 +118,22 @@ class StoreDims:
     def return_pred_dim(self) -> int:
         return self.reward_dim + 1
 
+    @property
+    def columns(self) -> dict[str, slice]:
+        """Each v1 JSON timestep key's column slice in a trial row, in key order."""
+        widths = (("in", self.obs_dim), ("goal", self.goal_dim), ("r", self.reward_dim),
+                  ("out", self.action_dim), ("pred", self.pred_dim),
+                  ("pr", self.return_pred_dim))
+        columns, start = {}, 0
+        for key, width in widths:
+            columns[key] = slice(start, start + width)
+            start += width
+        return columns
+
+    @property
+    def row_width(self) -> int:
+        return self.columns["pr"].stop
+
 
 class TraceStore:
     """In-memory trial store with JSONL persistence.
@@ -173,60 +171,41 @@ class TraceStore:
         return [t for t in self._trials if t.task_id == task_id]
 
     def _validate(self, trial: Trial) -> None:
-        if not trial.timesteps:
+        rows = trial.timesteps
+        if rows.ndim != 2 or rows.shape[1] != self.dims.row_width:
+            raise ValueError(
+                f"timesteps must have shape (T, {self.dims.row_width}), got {rows.shape}"
+            )
+        if len(rows) == 0:
             raise ValueError("trial has no timesteps")
         if trial.relevant and not trial.success:
             raise ValueError("only successful trials may be marked relevant")
-        d = self.dims
-        widths = {
-            "obs": d.obs_dim,
-            "goal": d.goal_dim,
-            "reward": d.reward_dim,
-            "action": d.action_dim,
-            "pred": d.pred_dim,
-            "return_pred": d.return_pred_dim,
-        }
-        for i, ts in enumerate(trial.timesteps):
-            for name, width in widths.items():
-                arr = np.asarray(getattr(ts, name))
-                if arr.shape != (width,):
-                    raise ValueError(
-                        f"timestep {i}: {name} must have shape ({width},), got {arr.shape}"
-                    )
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"timestep {i}: {name} contains non-finite entries")
-        recomputed = float(cumulative_reward(trial.rewards())[-1])
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("timesteps contain non-finite entries")
+        recomputed = float(cumulative_reward(rows[:, self.dims.columns["r"]])[-1])
         if abs(recomputed - trial.final_return) > FINAL_RETURN_TOL:
             raise ValueError(
                 f"final_return {trial.final_return!r} does not match rewards "
                 f"(recomputed {recomputed!r})"
             )
 
+    def _add(self, trial: Trial) -> None:
+        self._trials.append(trial)
+        self._by_id[trial.trial_id] = trial
+        self._next_id = trial.trial_id + 1
+
     def append(self, trial: Trial) -> int:
-        """Persist a trial (copying its arrays) and return its assigned id."""
-        self._validate(trial)
-        frozen_steps = [
-            TimestepRecord(
-                obs=_frozen(ts.obs),
-                goal=_frozen(ts.goal),
-                reward=_frozen(ts.reward),
-                action=_frozen(ts.action),
-                pred=_frozen(ts.pred),
-                return_pred=_frozen(ts.return_pred),
-            )
-            for ts in trial.timesteps
-        ]
+        """Persist a trial (copying its rows) and return its assigned id."""
         stored = Trial(
             task_id=trial.task_id,
             success=trial.success,
             relevant=trial.relevant,
-            timesteps=frozen_steps,
+            timesteps=frozen_rows(trial.timesteps),
             final_return=float(trial.final_return),
             trial_id=self._next_id,
         )
-        self._next_id += 1
-        self._trials.append(stored)
-        self._by_id[stored.trial_id] = stored
+        self._validate(stored)
+        self._add(stored)
         return stored.trial_id
 
     def supersede_task(self, task_id: str) -> int:
@@ -282,7 +261,7 @@ class TraceStore:
             }
             fh.write(json.dumps(header) + "\n")
             for trial in self._trials:
-                fh.write(json.dumps(trial_to_json(trial)) + "\n")
+                fh.write(json.dumps(trial_to_json(trial, self.dims)) + "\n")
 
     @classmethod
     def load(cls, path) -> "TraceStore":
@@ -299,15 +278,20 @@ class TraceStore:
             raise TraceFormatError(
                 1, f"unsupported format_version {header['format_version']!r}"
             )
-        try:
-            dims = StoreDims(
-                obs_dim=header["m"],
-                goal_dim=header["p"],
-                reward_dim=header["n"],
-                action_dim=header["o"],
-            )
-        except KeyError as exc:
-            raise TraceFormatError(1, f"header missing dimension key {exc}") from exc
+        for key in ("m", "p", "n", "o"):
+            if key not in header:
+                raise TraceFormatError(1, f"header missing dimension key {key!r}")
+            value = header[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise TraceFormatError(
+                    1, f"header dimension {key!r} must be an int >= 1, got {value!r}"
+                )
+        dims = StoreDims(
+            obs_dim=header["m"],
+            goal_dim=header["p"],
+            reward_dim=header["n"],
+            action_dim=header["o"],
+        )
         store = cls(dims)
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -317,7 +301,7 @@ class TraceStore:
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(line_no, f"invalid trial JSON: {exc}") from exc
             try:
-                trial = trial_from_json(obj)
+                trial = trial_from_json(obj, dims)
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(line_no, f"malformed trial object: {exc}") from exc
             try:
@@ -328,58 +312,43 @@ class TraceStore:
                 raise TraceFormatError(
                     line_no, f"trial ids must be strictly increasing, got {trial.trial_id}"
                 )
-            trial.timesteps = [
-                TimestepRecord(
-                    obs=_frozen(ts.obs), goal=_frozen(ts.goal), reward=_frozen(ts.reward),
-                    action=_frozen(ts.action), pred=_frozen(ts.pred),
-                    return_pred=_frozen(ts.return_pred),
-                )
-                for ts in trial.timesteps
-            ]
-            store._trials.append(trial)
-            store._by_id[trial.trial_id] = trial
-            store._next_id = trial.trial_id + 1
+            trial.timesteps.setflags(write=False)
+            store._add(trial)
         return store
 
 
-def trial_to_json(trial: Trial) -> dict:
+def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
+    """The v1 JSON object of a trial: each row split at `dims.columns`."""
+    columns = dims.columns.items()
+    timesteps = [{key: row[cols] for key, cols in columns} for row in trial.timesteps.tolist()]
     return {
         "trial_id": trial.trial_id,
         "task_id": trial.task_id,
         "success": trial.success,
         "relevant": trial.relevant,
         "final_cr": trial.final_return,
-        "timesteps": [
-            {
-                "in": ts.obs.tolist(),
-                "goal": ts.goal.tolist(),
-                "r": ts.reward.tolist(),
-                "out": ts.action.tolist(),
-                "pred": ts.pred.tolist(),
-                "pr": ts.return_pred.tolist(),
-            }
-            for ts in trial.timesteps
-        ],
+        "timesteps": timesteps,
     }
 
 
-def trial_from_json(obj: dict) -> Trial:
-    timesteps = [
-        TimestepRecord(
-            obs=np.asarray(ts["in"], dtype=np.float64),
-            goal=np.asarray(ts["goal"], dtype=np.float64),
-            reward=np.asarray(ts["r"], dtype=np.float64),
-            action=np.asarray(ts["out"], dtype=np.float64),
-            pred=np.asarray(ts["pred"], dtype=np.float64),
-            return_pred=np.asarray(ts["pr"], dtype=np.float64),
-        )
-        for ts in obj["timesteps"]
-    ]
+def trial_from_json(obj: dict, dims: StoreDims) -> Trial:
+    """Parse a v1 JSON trial object; each key's values must form a
+    (T, width) block before the blocks are joined into rows."""
+    steps = obj["timesteps"]
+    if not steps:
+        raise ValueError("trial has no timesteps")
+    blocks = []
+    for key, cols in dims.columns.items():
+        block = np.asarray([ts[key] for ts in steps], dtype=np.float64)
+        shape = (len(steps), cols.stop - cols.start)
+        if block.shape != shape:
+            raise ValueError(f"{key!r} values must have shape {shape}, got {block.shape}")
+        blocks.append(block)
     return Trial(
         trial_id=int(obj["trial_id"]),
         task_id=str(obj["task_id"]),
         success=bool(obj["success"]),
         relevant=bool(obj["relevant"]),
-        timesteps=timesteps,
+        timesteps=np.concatenate(blocks, axis=1),
         final_return=float(obj["final_cr"]),
     )

@@ -24,7 +24,7 @@ from skillnet.consolidate import (
 )
 from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription, step_counter
-from skillnet.evolve import Budget, EsConfig, SearchOutcome, evaluate_candidate, try_solve_task
+from skillnet.evolve import Budget, EsConfig, SearchOutcome, try_solve_task
 from skillnet.metrics import validate_event
 from skillnet.network import (
     NetConfig,
@@ -35,7 +35,7 @@ from skillnet.network import (
     save_checkpoint,
 )
 from skillnet.rollout import run_trial
-from skillnet.traces import ReplayPolicy, StoreDims, TimestepRecord, TraceStore, Trial
+from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
 MASTER_SEEDS = (1, 2, 3, 4, 5)
 
@@ -227,8 +227,9 @@ def test_criterion_04_goal_input_dependence(two_task_runs):
         net = Network(run.net_config, run.weights)
         trial_a = run_trial(net, TASK_A, seed=0)
         trial_b = run_trial(net, TASK_B, seed=0)
-        cells_a = [int(ts.obs.argmax()) for ts in trial_a.timesteps]
-        cells_b = [int(ts.obs.argmax()) for ts in trial_b.timesteps]
+        obs = StoreDims.from_net_config(run.net_config).columns["in"]
+        cells_a = trial_a.timesteps[:, obs].argmax(axis=1).tolist()
+        cells_b = trial_b.timesteps[:, obs].argmax(axis=1).tolist()
         ok = trial_a.success and trial_b.success and cells_a != cells_b
         all_ok &= ok
         details.append(f"seed {run.seed}: pathA {len(cells_a)} cells, "
@@ -247,8 +248,7 @@ def test_criterion_05_discard_rule():
     rng = np.random.default_rng(12)
     for _ in range(6):
         w = rng.uniform(-0.5, 0.5, cfg.n_params)
-        evaluate_candidate(w, TASK_A, 1, store, config=cfg,
-                           base_seed=int(rng.integers(2**31)))
+        store.append(run_trial(Network(cfg, w), TASK_A, seed=int(rng.integers(2**31))))
     store_ok = len(store) == 6 and all(not t.success for t in store)
 
     ok = store_ok
@@ -335,9 +335,9 @@ def test_criterion_07_dream_phase_isolation(two_task_runs):
     store = TraceStore(StoreDims.from_net_config(standalone_cfg))
     rng = np.random.default_rng(3)
     for _ in range(3):
-        evaluate_candidate(rng.uniform(-0.5, 0.5, standalone_cfg.n_params), TASK_A, 1,
-                           store, config=standalone_cfg,
-                           base_seed=int(rng.integers(2**31)))
+        w = rng.uniform(-0.5, 0.5, standalone_cfg.n_params)
+        store.append(run_trial(Network(standalone_cfg, w), TASK_A,
+                               seed=int(rng.integers(2**31))))
     before = step_counter.count
     consolidate(init_network(standalone_cfg)[1], store, ReplayPolicy(mode="all"),
                 DREAM, net_config=standalone_cfg, steps=100)
@@ -361,8 +361,7 @@ def test_criterion_08_prediction_improvement():
     rng = np.random.default_rng(0)
     while len(store) < 20:
         w = rng.uniform(-0.5, 0.5, cfg.n_params)
-        evaluate_candidate(w, task, 1, store, config=cfg,
-                           base_seed=int(rng.integers(2**31)))
+        store.append(run_trial(Network(cfg, w), task, seed=int(rng.integers(2**31))))
 
     _, weights = init_network(cfg)
     full_batch = build_batch(store.trials, cfg)
@@ -393,21 +392,21 @@ def test_criterion_09_store_round_trip(tmp_path):
     for i in range(100):
         t_len = int(rng.integers(1, 8))
         rewards = rng.normal(size=(t_len, dims.reward_dim))
-        steps = [
-            TimestepRecord(
-                obs=rng.normal(size=dims.obs_dim),
-                goal=rng.normal(size=dims.goal_dim),
-                reward=rewards[t],
-                action=rng.normal(size=dims.action_dim),
-                pred=rng.normal(size=dims.pred_dim),
-                return_pred=rng.normal(size=dims.return_pred_dim),
-            )
+        rows = np.array([
+            np.concatenate([
+                rng.normal(size=dims.obs_dim),
+                rng.normal(size=dims.goal_dim),
+                rewards[t],
+                rng.normal(size=dims.action_dim),
+                rng.normal(size=dims.pred_dim),
+                rng.normal(size=dims.return_pred_dim),
+            ])
             for t in range(t_len)
-        ]
+        ])
         success = bool(rng.random() < 0.5)
         trial = Trial(task_id=f"task{i % 7}", success=success,
                       relevant=success and rng.random() < 0.5,
-                      timesteps=steps, final_return=float(rewards.sum()))
+                      timesteps=rows, final_return=float(rewards.sum()))
         store.append(trial)
     path = tmp_path / "roundtrip.jsonl"
     store.save(path)

@@ -251,6 +251,18 @@ def test_traces_parse_error_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    main(["run", "--config", str(config_path)])
+    capsys.readouterr()
+    path = tmp_path / "traces.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace('"m": 9', '"m": "9"')
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["traces", str(path)]) == 1
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_run_runtime_failure_exits_two(tmp_path, capsys):
     # a wildly large learning rate makes consolidation diverge mid-run
     config_path = write_config(

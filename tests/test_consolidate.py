@@ -17,8 +17,9 @@ from skillnet.envs import (
     step_counter,
 )
 from skillnet.evolve import Budget, EsConfig, try_solve_task
-from skillnet.network import NetConfig, Network, batch_loss, init_network
-from skillnet.traces import ReplayPolicy, StoreDims, TimestepRecord, TraceStore, Trial
+from skillnet.network import NetConfig, Network, _forward_trial, batch_loss, init_network
+from skillnet.rollout import run_trial
+from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
 CFG = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4, seed=3)
 
@@ -26,19 +27,19 @@ CFG = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4,
 def make_trial(rewards, task_id="t", success=False, relevant=False, rng=None):
     rng = rng or np.random.default_rng(0)
     rewards = np.asarray(rewards, dtype=np.float64).reshape(-1, CFG.reward_dim)
-    steps = [
-        TimestepRecord(
-            obs=rng.normal(size=CFG.obs_dim),
-            goal=rng.normal(size=CFG.goal_dim),
-            reward=rewards[t],
-            action=rng.normal(size=CFG.action_dim),
-            pred=rng.normal(size=CFG.pred_width),
-            return_pred=rng.normal(size=CFG.return_width),
-        )
+    rows = np.array([
+        np.concatenate([
+            rng.normal(size=CFG.obs_dim),
+            rng.normal(size=CFG.goal_dim),
+            rewards[t],
+            rng.normal(size=CFG.action_dim),
+            rng.normal(size=CFG.pred_width),
+            rng.normal(size=CFG.return_width),
+        ])
         for t in range(len(rewards))
-    ]
+    ])
     return Trial(task_id=task_id, success=success, relevant=relevant,
-                 timesteps=steps, final_return=float(rewards.sum()))
+                 timesteps=rows, final_return=float(rewards.sum()))
 
 
 def store_with(trials):
@@ -82,7 +83,8 @@ def test_remaining_reward_targets():
 def test_prediction_targets_are_next_obs_and_reward():
     trial = make_trial([0.0, 0.5], success=False)
     entry = build_targets(trial, relevant_now=False, config=CFG)
-    expected = np.concatenate([trial.timesteps[1].obs, trial.timesteps[1].reward])
+    cols = StoreDims.from_net_config(CFG).columns
+    expected = np.concatenate([trial.timesteps[1, cols["in"]], trial.timesteps[1, cols["r"]]])
     assert np.array_equal(entry.pred_target[0], expected)
     assert np.array_equal(entry.pred_target[1], np.zeros(CFG.pred_width))
 
@@ -99,19 +101,39 @@ def test_vector_reward_remaining_sums_are_per_channel():
     cfg = NetConfig(obs_dim=2, goal_dim=1, reward_dim=2, action_dim=2, hidden_dim=3)
     rng = np.random.default_rng(1)
     rewards = np.array([[-0.01, 0.0], [-0.01, 0.0], [0.0, 1.0]])
-    steps = [
-        TimestepRecord(
-            obs=rng.normal(size=2), goal=rng.normal(size=1), reward=rewards[t],
-            action=rng.normal(size=2), pred=rng.normal(size=4),
-            return_pred=rng.normal(size=3),
-        )
+    rows = np.array([
+        np.concatenate([
+            rng.normal(size=2), rng.normal(size=1), rewards[t],
+            rng.normal(size=2), rng.normal(size=4), rng.normal(size=3),
+        ])
         for t in range(3)
-    ]
-    trial = Trial(task_id="v", success=True, relevant=False, timesteps=steps,
+    ])
+    trial = Trial(task_id="v", success=True, relevant=False, timesteps=rows,
                   final_return=float(rewards.sum()))
     entry = build_targets(trial, relevant_now=True, config=cfg)
     assert np.allclose(entry.return_target[0], [-0.01, 1.0, 0.99])
     assert np.allclose(entry.return_target[1], [0.0, 1.0, 1.0])
+
+
+def test_replayed_senses_reproduce_recorded_outputs():
+    # replaying a recorded trial's input columns must give back, bit for bit,
+    # the output columns the net wrote while acting (odd row width, so rows
+    # start at varying alignments)
+    spec = GridMazeSpec(width=4, height=3, start=(0, 0), goal_cell=(3, 2))
+    task = TaskDescription(task_id="r", goal_index=1, env_spec=spec,
+                           criterion=SuccessCriterion())
+    for micro, activation in ((1, "tanh"), (3, "tanh"), (2, "sigmoid")):
+        cfg = NetConfig(obs_dim=12, goal_dim=3, reward_dim=1, action_dim=4, hidden_dim=6,
+                        micro_steps=micro, activation=activation, seed=4)
+        net, _ = init_network(cfg)
+        store = TraceStore(StoreDims.from_net_config(cfg))
+        assert store.dims.row_width % 2 == 1
+        trial = store.get(store.append(run_trial(net, task, seed=5)))
+        assert len(trial) > 1
+        entry = build_targets(trial, trial.relevant, cfg)
+        outputs, _ = _forward_trial(net, entry.senses)
+        first_out = store.dims.columns["out"].start
+        assert np.array_equal(outputs, trial.timesteps[:, first_out:])
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from skillnet.envs import GridMazeSpec, Observation, SuccessCriterion, TaskDescr
 from skillnet.evolve import (
     Budget,
     EsConfig,
-    evaluate_candidate,
     perturb,
     try_solve_task,
 )
-from skillnet.network import NetConfig, init_network
+from skillnet.network import NetConfig, Network, init_network
+from skillnet.rollout import evaluate_policy, run_trial
 from skillnet.traces import StoreDims, TraceStore
 
 
@@ -123,8 +123,7 @@ def test_zero_weight_fitness_matches_hand_simulation():
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
     weights = np.zeros(cfg.n_params)
-    fitness, ids = evaluate_candidate(weights, task, 1, record=False, config=cfg)
-    assert ids == []
+    fitness = evaluate_policy(weights, cfg, task, 1)["mean_return"]
     assert fitness == pytest.approx(hand_simulated_zero_weight_fitness(spec), abs=1e-12)
 
 
@@ -135,24 +134,20 @@ def test_deterministic_env_gives_identical_trials():
                            criterion=SuccessCriterion())
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
-    _, ids = evaluate_candidate(weights, task, 3, store, config=cfg)
+    net = Network(cfg, weights)
+    ids = [store.append(run_trial(net, task, seed=i)) for i in range(3)]
     trials = [store.get(i) for i in ids]
-    assert trials[0].timesteps == trials[1].timesteps == trials[2].timesteps
-
-
-def test_record_false_leaves_store_untouched():
-    cfg = net_config()
-    store = fresh_store(cfg)
-    _, weights = init_network(cfg)
-    evaluate_candidate(weights, mock_task(True), 2, store, record=False, config=cfg)
-    assert len(store) == 0
+    assert np.array_equal(trials[0].timesteps, trials[1].timesteps)
+    assert np.array_equal(trials[1].timesteps, trials[2].timesteps)
 
 
 def test_recorded_trials_carry_success_flags():
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
-    evaluate_candidate(weights, mock_task(False), 2, store, config=cfg)
+    net = Network(cfg, weights)
+    for i in range(2):
+        store.append(run_trial(net, mock_task(False), seed=i))
     assert len(store) == 2
     assert all(not t.success for t in store)
 
@@ -432,9 +427,10 @@ def test_vector_reward_task_end_to_end():
                              config=cfg)
     assert outcome.solved
     winning = store.get(outcome.relevant_trial_ids[0])
-    assert winning.timesteps[0].reward.shape == (2,)
+    rewards = winning.timesteps[:, store.dims.columns["r"]]
+    assert rewards.shape == (len(winning), 2)
     # the terminal row carries the goal bonus in channel 1
-    assert winning.timesteps[-1].reward[1] == pytest.approx(1.0)
+    assert rewards[-1, 1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

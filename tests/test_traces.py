@@ -1,10 +1,16 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skillnet.traces import (
     ReplayPolicy,
     StoreDims,
-    TimestepRecord,
     TraceFormatError,
     TraceStore,
     Trial,
@@ -15,24 +21,23 @@ DIMS = StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2)
 
 def make_trial(task_id="a", n_steps=3, success=False, relevant=False, rng=None, rewards=None):
     rng = rng or np.random.default_rng(0)
-    steps = []
     if rewards is None:
         rewards = rng.normal(size=(n_steps, DIMS.reward_dim))
-    for t in range(n_steps):
-        steps.append(
-            TimestepRecord(
-                obs=rng.normal(size=DIMS.obs_dim),
-                goal=rng.normal(size=DIMS.goal_dim),
-                reward=np.asarray(rewards[t], dtype=np.float64),
-                action=rng.normal(size=DIMS.action_dim),
-                pred=rng.normal(size=DIMS.pred_dim),
-                return_pred=rng.normal(size=DIMS.return_pred_dim),
-            )
-        )
+    rows = np.array([
+        np.concatenate([
+            rng.normal(size=DIMS.obs_dim),
+            rng.normal(size=DIMS.goal_dim),
+            np.asarray(rewards[t], dtype=np.float64),
+            rng.normal(size=DIMS.action_dim),
+            rng.normal(size=DIMS.pred_dim),
+            rng.normal(size=DIMS.return_pred_dim),
+        ])
+        for t in range(n_steps)
+    ])
     final = float(np.sum(rewards))
     return Trial(
         task_id=task_id, success=success, relevant=relevant,
-        timesteps=steps, final_return=final,
+        timesteps=rows, final_return=final,
     )
 
 
@@ -54,8 +59,8 @@ def test_inconsistent_final_return_rejected():
 def test_dimension_mismatch_rejected():
     store = TraceStore(DIMS)
     trial = make_trial()
-    trial.timesteps[1].obs = np.zeros(DIMS.obs_dim + 1)
-    with pytest.raises(ValueError, match="obs"):
+    trial.timesteps = np.zeros((3, DIMS.row_width + 1))
+    with pytest.raises(ValueError, match="shape"):
         store.append(trial)
 
 
@@ -68,21 +73,22 @@ def test_relevant_requires_success():
 def test_empty_trial_rejected():
     store = TraceStore(DIMS)
     trial = make_trial()
-    trial.timesteps = []
-    with pytest.raises(ValueError):
+    trial.timesteps = np.zeros((0, DIMS.row_width))
+    with pytest.raises(ValueError, match="no timesteps"):
         store.append(trial)
 
 
 def test_append_copies_and_freezes_data():
     store = TraceStore(DIMS)
     trial = make_trial()
-    original_obs = trial.timesteps[0].obs.copy()
+    original = trial.timesteps.copy()
     tid = store.append(trial)
-    trial.timesteps[0].obs[:] = 99.0  # caller mutates its own copy
+    trial.timesteps[0, DIMS.columns["in"]] = 99.0  # caller mutates its own copy
     stored = store.get(tid)
-    assert np.array_equal(stored.timesteps[0].obs, original_obs)
+    assert np.array_equal(stored.timesteps, original)
+    assert stored.timesteps.dtype == np.float64
     with pytest.raises(ValueError):
-        stored.timesteps[0].obs[0] = 1.0
+        stored.timesteps[0, 0] = 1.0
 
 
 def test_supersede_clears_relevant_flags():
@@ -222,6 +228,9 @@ def test_round_trip_preserves_everything_exactly(tmp_path):
     assert len(loaded) == len(store)
     for a, b in zip(store, loaded):
         assert a == b
+        assert b.timesteps.shape == (len(b), DIMS.row_width)
+        assert b.timesteps.dtype == np.float64
+        assert not b.timesteps.flags.writeable
 
 
 def test_truncated_file_error_names_line(tmp_path):
@@ -257,8 +266,8 @@ def test_round_trip_extreme_finite_floats(tmp_path):
     store = TraceStore(DIMS)
     trial = make_trial(n_steps=2, rewards=np.array([[1e300], [-1e300]]))
     values = np.array([5e-324, -1e-308, 1e308, 0.1 + 0.2])
-    trial.timesteps[0].obs = values[: DIMS.obs_dim].copy()
-    trial.timesteps[0].pred = np.array([1e16 + 1.0, -1e-200, 3.0])
+    trial.timesteps[0, DIMS.columns["in"]] = values[: DIMS.obs_dim]
+    trial.timesteps[0, DIMS.columns["pred"]] = [1e16 + 1.0, -1e-200, 3.0]
     store.append(trial)
     path = tmp_path / "traces.jsonl"
     store.save(path)
@@ -287,3 +296,91 @@ def test_appending_after_load_continues_id_sequence(tmp_path):
     store.save(path)
     loaded = TraceStore.load(path)
     assert loaded.append(make_trial(rng=rng)) == 2
+
+
+def test_saved_trial_line_is_exact_v1_text(tmp_path):
+    # pins the v1 key order and the float text: round-trip repr, signed zero,
+    # the smallest subnormal
+    rows = np.array([
+        [0.1 + 0.2, -0.0, 1.0, 0.0, 0.0, 5e-324, -1.5, 0.5, 0.25, -0.0, 1e300, 2.0],
+        [0.0, 1.0, 1.0, 0.0, 1.0, 0.75, 0.0, 1.0, -2.0, 3.0, 0.0, -0.0],
+    ])
+    store = TraceStore(DIMS)
+    store.append(Trial(task_id="g", success=True, relevant=True, timesteps=rows,
+                       final_return=1.0))
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == '{"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2}'
+    assert lines[1] == (
+        '{"trial_id": 1, "task_id": "g", "success": true, "relevant": true, '
+        '"final_cr": 1.0, "timesteps": ['
+        '{"in": [0.30000000000000004, -0.0], "goal": [1.0, 0.0], "r": [0.0], '
+        '"out": [5e-324, -1.5], "pred": [0.5, 0.25, -0.0], "pr": [1e+300, 2.0]}, '
+        '{"in": [0.0, 1.0], "goal": [1.0, 0.0], "r": [1.0], '
+        '"out": [0.75, 0.0], "pred": [1.0, -2.0, 3.0], "pr": [0.0, -0.0]}]}'
+    )
+
+
+def test_misaligned_fields_rejected_with_line_number(tmp_path):
+    # `in` one value short and `goal` one value long: every row still has the
+    # right total width, so only a per-key shape check catches it
+    store = TraceStore(DIMS)
+    rng = np.random.default_rng(10)
+    store.append(make_trial(rng=rng))
+    store.append(make_trial(rng=rng))
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    for ts in obj["timesteps"]:
+        ts["goal"] = ts["in"][-1:] + ts["goal"]
+        ts["in"] = ts["in"][:-1]
+    lines[2] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="'in'") as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", "25"), ("p", 2.0), ("n", True), ("o", 0), ("m", -1), ("p", None),
+])
+def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
+    header = {"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2, key: value}
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(TraceFormatError, match=f"'{key}'") as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 1
+
+
+@st.composite
+def stores(draw):
+    dims = StoreDims(*(draw(st.integers(1, 4)) for _ in range(4)))
+    finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+    store = TraceStore(dims)
+    for i in range(draw(st.integers(0, 4))):
+        t_len = draw(st.integers(1, 6))
+        rows = draw(hnp.arrays(np.float64, (t_len, dims.row_width), elements=finite))
+        rewards = rows[:, dims.columns["r"]]
+        success = draw(st.booleans())
+        store.append(Trial(
+            task_id=f"task{i % 2}", success=success,
+            relevant=success and draw(st.booleans()), timesteps=rows,
+            final_return=float(np.cumsum(rewards.sum(axis=1))[-1]),
+        ))
+    return store
+
+
+@settings(max_examples=60, deadline=None)
+@given(stores())
+def test_save_load_save_is_exact(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+        store.save(first)
+        loaded = TraceStore.load(first)
+        assert loaded.dims == store.dims
+        assert list(loaded) == list(store)
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
