@@ -32,6 +32,7 @@ from .evolve import Budget, EsConfig, SearchOutcome, perturb, try_solve_task
 from .network import (
     NetConfig,
     Network,
+    ReplayBatch,
     StepOutput,
     TrialTargets,
     apply_regularizer,
@@ -59,6 +60,7 @@ __all__ = [
     "NetConfig",
     "Network",
     "Observation",
+    "ReplayBatch",
     "ReplayPolicy",
     "SearchOutcome",
     "SolveRecord",

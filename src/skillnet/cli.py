@@ -86,6 +86,8 @@ def _load_checkpoint_or_usage_error(path):
         return load_checkpoint(path)
     except FileNotFoundError:
         raise ConfigError("checkpoint", f"file not found: {path}") from None
+    except ValueError as exc:
+        raise ConfigError("checkpoint", f"malformed file {path}: {exc}") from None
 
 
 def cmd_run(args) -> int:

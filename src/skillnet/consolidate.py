@@ -25,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetConfig, Network, TrialTargets, apply_regularizer, batch_loss, bptt_gradient
+from .network import (
+    NetConfig,
+    Network,
+    ReplayBatch,
+    TrialTargets,
+    apply_regularizer,
+    batch_loss,
+    bptt_gradient,
+)
 from .rollout import evaluate_policy
 from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
@@ -102,13 +110,15 @@ def build_batch(trials, config: NetConfig) -> list[TrialTargets]:
 
 
 def term_stats(net: Network, batch, term_weights=(1.0, 1.0, 1.0)) -> dict:
-    """Per-term loss sums plus masked-timestep counts over a batch."""
+    """Per-term loss sums plus masked-timestep counts over a batch (a list of
+    TrialTargets or a ReplayBatch)."""
+    batch = ReplayBatch.wrap(net.config, batch)
     total, per_term = batch_loss(net, batch, term_weights)
-    counts = {"action_steps": 0, "pred_steps": 0, "return_steps": 0}
-    for trial in batch:
-        counts["action_steps"] += int(trial.action_mask.sum())
-        counts["pred_steps"] += int(trial.pred_mask.sum())
-        counts["return_steps"] += int(trial.return_mask.sum())
+    counts = {
+        "action_steps": int(batch.action_mask.sum()),
+        "pred_steps": int(batch.pred_mask.sum()),
+        "return_steps": int(batch.return_mask.sum()),
+    }
     return {"total": total, **per_term, **counts}
 
 
@@ -144,22 +154,25 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
     rng = np.random.default_rng(policy.rng_seed)
     net = Network(net_config, weights)
     target_cache: dict[tuple[int, bool], TrialTargets] = {}
+    # the latest selection's (trial_id, relevant) keys and its padded batch;
+    # every mode but uniform_sample selects the same trials at every step
+    cached_keys, cached = None, None
 
-    def select_batch():
+    def select_batch() -> tuple[ReplayBatch, tuple]:
+        nonlocal cached_keys, cached
         trials = store.sample_replay(policy, rng=rng)
         if not trials:
             raise ValueError(f"replay policy {policy.mode!r} selected no trials")
-        batch = []
-        ids = []
-        for trial in trials:
-            key = (trial.trial_id, trial.relevant)
-            if key not in target_cache:
-                target_cache[key] = build_targets(trial, trial.relevant, net_config)
-            batch.append(target_cache[key])
-            ids.append(trial.trial_id)
-        return batch, ids
+        keys = tuple((trial.trial_id, trial.relevant) for trial in trials)
+        if keys != cached_keys:
+            for trial, key in zip(trials, keys):
+                if key not in target_cache:
+                    target_cache[key] = build_targets(trial, trial.relevant, net_config)
+            cached_keys = keys
+            cached = ReplayBatch(net_config, [target_cache[key] for key in keys])
+        return cached, keys
 
-    probe_batch, probe_ids = select_batch()
+    probe_batch, probe_keys = select_batch()
     initial = term_stats(net, probe_batch, config.term_weights)
 
     if config.use_variance_lr and tracker is not None:
@@ -194,7 +207,8 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
 
     final = term_stats(net, probe_batch, config.term_weights)
     report = ConsolidationReport(
-        steps_run=step_idx, initial=initial, final=final, probe_trial_ids=probe_ids
+        steps_run=step_idx, initial=initial, final=final,
+        probe_trial_ids=[trial_id for trial_id, _ in probe_keys],
     )
     return weights, report
 

@@ -24,6 +24,7 @@ Flat weight layout (row-major, in this order):
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -163,18 +164,20 @@ class Network:
 
 
 def unpack_weights(config: NetConfig, weights: np.ndarray):
-    """Split a flat vector into (W_in, W_rec, b_h, W_out, b_out) views."""
+    """Split a flat vector, or each row of a C-contiguous stack of them, into
+    (W_in, W_rec, b_h, W_out, b_out) views."""
     h, i, o = config.hidden_dim, config.input_width, config.output_width
+    lead = weights.shape[:-1]
     idx = 0
-    w_in = weights[idx : idx + h * i].reshape(h, i)
+    w_in = weights[..., idx : idx + h * i].reshape(lead + (h, i))
     idx += h * i
-    w_rec = weights[idx : idx + h * h].reshape(h, h)
+    w_rec = weights[..., idx : idx + h * h].reshape(lead + (h, h))
     idx += h * h
-    b_h = weights[idx : idx + h]
+    b_h = weights[..., idx : idx + h]
     idx += h
-    w_out = weights[idx : idx + o * h].reshape(o, h)
+    w_out = weights[..., idx : idx + o * h].reshape(lead + (o, h))
     idx += o * h
-    b_out = weights[idx : idx + o]
+    b_out = weights[..., idx : idx + o]
     return w_in, w_rec, b_h, w_out, b_out
 
 
@@ -263,55 +266,132 @@ def _validate_trial_targets(cfg: NetConfig, trial: TrialTargets) -> None:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
 
 
-def _forward_trial(net: Network, senses: np.ndarray):
-    """Unrolled forward pass; returns output rows and all micro-step states.
+class ReplayBatch:
+    """A list of TrialTargets, validated once and zero-padded to one length.
 
-    Uses the same per-step matrix-vector products as Network.step so replay
-    activations agree bitwise with what the net computed online.
+    Iterating yields the trials in the order given. Every TrialTargets field
+    is also copied, at construction, into one zero-padded array,
+    (B, T_max, width) or (B, T_max) for the masks, so rows past a trial's
+    end carry zero masks. The padded arrays hold the trials longest first
+    (padded row p is trial `order[p]`, trial b is padded row `rows[b][0]`),
+    which makes the trials still running at timestep t the leading
+    `live[t]` rows; `groups` lists the runs of padded rows whose trials have
+    equal lengths.
+    """
+
+    def __init__(self, config: NetConfig, trials):
+        self.config = config
+        self.trials = list(trials)
+        if not self.trials:
+            raise ValueError("batch is empty")
+        for trial in self.trials:
+            _validate_trial_targets(config, trial)
+        lengths = [len(trial) for trial in self.trials]
+        # trial index held in each padded row
+        self.order = np.array(sorted(range(len(lengths)), key=lambda b: -lengths[b]))
+        padded_lengths = [lengths[b] for b in self.order]
+        t_max = padded_lengths[0]
+        self.live = (np.array(lengths)[:, None] > np.arange(t_max)).sum(axis=0).tolist()
+        # (padded row, length) of each trial, in trial order
+        row_of = np.argsort(self.order)
+        self.rows = [(int(row_of[b]), n) for b, n in enumerate(lengths)]
+        # runs of padded rows with equal lengths: (start, stop, length)
+        self.groups, start = [], 0
+        for t_len, run in itertools.groupby(padded_lengths):
+            stop = start + len(list(run))
+            self.groups.append((start, stop, t_len))
+            start = stop
+        for name in TrialTargets.__dataclass_fields__:
+            first = getattr(self.trials[0], name)
+            padded = np.zeros((len(lengths), t_max) + first.shape[1:])
+            for row, b in enumerate(self.order):
+                padded[row, : lengths[b]] = getattr(self.trials[b], name)
+            setattr(self, name, padded)
+
+    @classmethod
+    def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
+        """`batch` itself if it is a ReplayBatch for `config`, else a new one
+        built from its trials."""
+        if isinstance(batch, cls) and batch.config == config:
+            return batch
+        return cls(config, batch)
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def __iter__(self):
+        return iter(self.trials)
+
+
+def _matvec(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`w @ row` for every row of `rows`, as one BLAS gemv per row.
+
+    Each result is bitwise what `w @ row` gives on its own; one stacked gemm
+    over the rows is not.
+    """
+    return (w @ rows[..., None])[..., 0]
+
+
+def _forward_batch(net: Network, senses: np.ndarray, live):
+    """Unrolled forward pass over padded trials held longest first.
+
+    `senses` is (B, T, input_width) and `live[t]` counts the leading rows still
+    running at step t. Returns the output rows (B, T, output_width) and every
+    micro-step state (B, T, micro_steps, hidden_dim); rows past a trial's end
+    keep zero states. Uses the same matrix-vector products as Network.step,
+    so replay activations agree bitwise with what the net computed online.
     """
     cfg = net.config
-    t_len = senses.shape[0]
     k = cfg.micro_steps
-    states = np.empty((t_len, k, cfg.hidden_dim))
-    outputs = np.empty((t_len, cfg.output_width))
-    state = np.zeros(cfg.hidden_dim)
-    for t in range(t_len):
-        drive = net.w_in @ senses[t] + net.b_h
+    states = np.zeros(senses.shape[:2] + (k, cfg.hidden_dim))
+    drive = _matvec(net.w_in, senses) + net.b_h
+    state = np.zeros((senses.shape[0], cfg.hidden_dim))
+    for t, n in enumerate(live):
+        state = state[:n]
         for j in range(k):
-            state = net._act(drive + net.w_rec @ state)
-            states[t, j] = state
-        outputs[t] = net.w_out @ state + net.b_out
+            state = net._act(drive[:n, t] + _matvec(net.w_rec, state))
+            states[:n, t, j] = state
+    outputs = _matvec(net.w_out, states[:, :, k - 1]) + net.b_out
     return outputs, states
 
 
-def _masked_residuals(cfg: NetConfig, outputs: np.ndarray, trial: TrialTargets, term_weights):
-    """Per-slice masked residuals and the per-term loss contributions."""
+def _forward_trial(net: Network, senses: np.ndarray):
+    """`_forward_batch` on one trial: outputs (T, output_width) and states
+    (T, micro_steps, hidden_dim)."""
+    outputs, states = _forward_batch(net, senses[None], [1] * len(senses))
+    return outputs[0], states[0]
+
+
+def _masked_residuals(cfg: NetConfig, outputs: np.ndarray, batch: ReplayBatch, term_weights):
+    """Per-slice masked residuals over the padded batch, and each trial's
+    three loss terms in trial order, every term summed over its own rows."""
     o, pw = cfg.action_dim, cfg.pred_width
-    wa, wp, wr = term_weights
-    res_a = (outputs[:, :o] - trial.action_target) * trial.action_mask[:, None]
-    res_p = (outputs[:, o : o + pw] - trial.pred_target) * trial.pred_mask[:, None]
-    res_r = (outputs[:, o + pw :] - trial.return_target) * trial.return_mask[:, None]
-    losses = (
-        wa * float(np.sum(res_a * res_a)),
-        wp * float(np.sum(res_p * res_p)),
-        wr * float(np.sum(res_r * res_r)),
+    residuals = (
+        (outputs[..., :o] - batch.action_target) * batch.action_mask[..., None],
+        (outputs[..., o : o + pw] - batch.pred_target) * batch.pred_mask[..., None],
+        (outputs[..., o + pw :] - batch.return_target) * batch.return_mask[..., None],
     )
-    return (res_a, res_p, res_r), losses
+    squares = [res * res for res in residuals]
+    losses = [
+        tuple(w * float(np.add.reduce(sq[row, :t_len], axis=None))
+              for w, sq in zip(term_weights, squares))
+        for row, t_len in batch.rows
+    ]
+    return residuals, losses
 
 
 def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
-    """Forward-only masked squared-error loss over a batch of TrialTargets.
+    """Forward-only masked squared-error loss over a batch of TrialTargets
+    (a list or a ReplayBatch).
 
     Returns (total, per_term) where per_term is a dict with the three slice
     sums, already scaled by term_weights.
     """
-    if not batch:
-        raise ValueError("batch is empty")
+    batch = ReplayBatch.wrap(net.config, batch)
+    outputs, _ = _forward_batch(net, batch.senses, batch.live)
+    _, losses = _masked_residuals(net.config, outputs, batch, term_weights)
     per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
-    for trial in batch:
-        _validate_trial_targets(net.config, trial)
-        outputs, _ = _forward_trial(net, trial.senses)
-        _, (la, lp, lr) = _masked_residuals(net.config, outputs, trial, term_weights)
+    for la, lp, lr in losses:
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
@@ -319,65 +399,65 @@ def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
 
 
 def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
-    """Exact gradient of the total masked squared-error loss over a batch.
+    """Exact gradient of the total masked squared-error loss over a batch of
+    TrialTargets (a list or a ReplayBatch).
 
-    Each trial is unrolled over its full length (micro steps included); the
-    batch gradient is the sum of per-trial gradients. Returns (flat gradient,
-    loss).
+    Every trial is unrolled over its full length (micro steps included), all
+    of them in one pass over time. The batch gradient is the sum of per-trial
+    gradients, added in trial order. Returns (flat gradient, loss).
     """
-    if not batch:
-        raise ValueError("batch is empty")
+    batch = ReplayBatch.wrap(net.config, batch)
     cfg = net.config
-    k = cfg.micro_steps
-    o, pw = cfg.action_dim, cfg.pred_width
+    k, h = cfg.micro_steps, cfg.hidden_dim
+    outputs, states = _forward_batch(net, batch.senses, batch.live)
+    residuals, losses = _masked_residuals(cfg, outputs, batch, term_weights)
+    d_y = np.concatenate([2.0 * w * res for w, res in zip(term_weights, residuals)], axis=2)
 
-    g_w_in = np.zeros_like(net.w_in)
-    g_w_rec = np.zeros_like(net.w_rec)
-    g_b_h = np.zeros_like(net.b_h)
-    g_w_out = np.zeros_like(net.w_out)
-    g_b_out = np.zeros_like(net.b_out)
+    # backward through time over the running trials; a trial's error signal
+    # starts from zero at its last step
+    from_out = _matvec(net.w_out.T, d_y)
+    d_act = net._act_deriv(states)
+    w_rec_t = net.w_rec.T
+    d_z = np.zeros_like(states)
+    d_state = np.zeros((0, h))
+    for t in range(len(batch.live) - 1, -1, -1):
+        n = batch.live[t]
+        if n > len(d_state):
+            d_state = np.concatenate([d_state, np.zeros((n - len(d_state), h))])
+        d_state = d_state + from_out[:n, t]
+        for j in range(k - 1, -1, -1):
+            dz = d_state * d_act[:n, t, j]
+            d_z[:n, t, j] = dz
+            d_state = _matvec(w_rec_t, dz)
+
+    # states entering each micro step: previous micro state, crossing
+    # env-step boundaries back to the zero initial state
+    prev = np.zeros_like(states)
+    prev[:, :, 1:] = states[:, :, :-1]
+    prev[:, 1:, 0] = states[:, :-1, k - 1]
+    senses_rep = np.repeat(batch.senses, k, axis=1)
+
+    # row b of `parts` is trial b's gradient (flat layout), summed over its
+    # own rows: one stacked call per run of equal-length trials makes the
+    # same BLAS call per trial as that trial alone would
+    parts = np.zeros((len(batch), cfg.n_params))
+    p_w_in, p_w_rec, p_b_h, p_w_out, p_b_out = unpack_weights(cfg, parts)
+    for start, stop, t_len in batch.groups:
+        rows, members = slice(start, stop), batch.order[start:stop]
+        dy = d_y[rows, :t_len]
+        dz = d_z[rows, :t_len].reshape(stop - start, t_len * k, h)
+        dz_t = dz.transpose(0, 2, 1)
+        p_w_in[members] = dz_t @ senses_rep[rows, : t_len * k]
+        p_w_rec[members] = dz_t @ prev[rows, :t_len].reshape(stop - start, t_len * k, h)
+        p_b_h[members] = dz.sum(axis=1)
+        p_w_out[members] = dy.transpose(0, 2, 1) @ states[rows, :t_len, k - 1]
+        p_b_out[members] = dy.sum(axis=1)
+    # added up from zero in trial order: a reduction over the outer axis
+    # adds whole rows one after another
+    grad = np.add.reduce(parts, axis=0, initial=0.0)
     total_loss = 0.0
-
-    for trial in batch:
-        _validate_trial_targets(cfg, trial)
-        t_len = len(trial)
-        outputs, states = _forward_trial(net, trial.senses)
-        (res_a, res_p, res_r), losses = _masked_residuals(cfg, outputs, trial, term_weights)
-        total_loss += sum(losses)
-
-        d_y = np.zeros((t_len, cfg.output_width))
-        d_y[:, :o] = 2.0 * term_weights[0] * res_a
-        d_y[:, o : o + pw] = 2.0 * term_weights[1] * res_p
-        d_y[:, o + pw :] = 2.0 * term_weights[2] * res_r
-
-        g_w_out += d_y.T @ states[:, k - 1, :]
-        g_b_out += d_y.sum(axis=0)
-
-        # states entering each micro step: previous micro state, crossing
-        # env-step boundaries back to the zero initial state
-        prev = np.zeros_like(states)
-        prev[:, 1:, :] = states[:, :-1, :]
-        prev[1:, 0, :] = states[:-1, k - 1, :]
-
-        d_z = np.empty_like(states)
-        d_state = np.zeros(cfg.hidden_dim)
-        w_rec_t = net.w_rec.T
-        w_out_t = net.w_out.T
-        deriv = net._act_deriv
-        for t in range(t_len - 1, -1, -1):
-            d_state = d_state + w_out_t @ d_y[t]
-            for j in range(k - 1, -1, -1):
-                dz = d_state * deriv(states[t, j])
-                d_z[t, j] = dz
-                d_state = w_rec_t @ dz
-
-        dz_flat = d_z.reshape(t_len * k, cfg.hidden_dim)
-        senses_rep = np.repeat(trial.senses, k, axis=0)
-        g_w_in += dz_flat.T @ senses_rep
-        g_w_rec += dz_flat.T @ prev.reshape(t_len * k, cfg.hidden_dim)
-        g_b_h += dz_flat.sum(axis=0)
-
-    grad = pack_weights(g_w_in, g_w_rec, g_b_h, g_w_out, g_b_out)
+    for trial_losses in losses:
+        total_loss += sum(trial_losses)
     return grad, total_loss
 
 
@@ -423,28 +503,49 @@ def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
         fh.write(json.dumps({"weights": weights.tolist()}) + "\n")
 
 
+def is_json_int(value) -> bool:
+    """True for a loaded JSON integer: JSON true/false load as Python bools,
+    which are ints too but are not counted."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path) -> tuple[NetConfig, np.ndarray]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    A malformed file raises ValueError: the header's format_version must be
+    the int CHECKPOINT_VERSION and its m, p, n, o, h and micro_steps ints >= 1.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if len(text) < 2:
         raise ValueError(f"checkpoint {path} is truncated")
     header = json.loads(text[0])
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format_version {header.get('format_version')!r}"
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header must be a JSON object")
+    version = header.get("format_version")
+    if not is_json_int(version) or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    header.setdefault("micro_steps", 1)
+    for key in ("m", "p", "n", "o", "h", "micro_steps"):
+        if key not in header:
+            raise ValueError(f"checkpoint header missing {key!r}")
+        if not is_json_int(header[key]) or header[key] < 1:
+            raise ValueError(f"checkpoint header {key!r} must be an int >= 1, "
+                             f"got {header[key]!r}")
+    try:
+        config = NetConfig(
+            obs_dim=header["m"],
+            goal_dim=header["p"],
+            reward_dim=header["n"],
+            action_dim=header["o"],
+            hidden_dim=header["h"],
+            micro_steps=header["micro_steps"],
+            activation=header.get("activation", "tanh"),
+            seed=header.get("seed", 0),
+            init_scale=header.get("init_scale", 0.1),
         )
-    config = NetConfig(
-        obs_dim=header["m"],
-        goal_dim=header["p"],
-        reward_dim=header["n"],
-        action_dim=header["o"],
-        hidden_dim=header["h"],
-        micro_steps=header.get("micro_steps", 1),
-        activation=header.get("activation", "tanh"),
-        seed=header.get("seed", 0),
-        init_scale=header.get("init_scale", 0.1),
-    )
-    weights = np.asarray(json.loads(text[1])["weights"], dtype=np.float64)
+        weights = np.asarray(json.loads(text[1])["weights"], dtype=np.float64)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from None
     if weights.shape != (config.n_params,):
         raise ValueError("checkpoint weights do not match its header topology")
     return config, weights

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetConfig, atomic_write, cumulative_reward
+from .network import NetConfig, atomic_write, cumulative_reward, is_json_int
 
 FORMAT_VERSION = 1
 
@@ -183,7 +183,7 @@ class TraceStore:
         if not np.all(np.isfinite(rows)):
             raise ValueError("timesteps contain non-finite entries")
         recomputed = float(cumulative_reward(rows[:, self.dims.columns["r"]])[-1])
-        if abs(recomputed - trial.final_return) > FINAL_RETURN_TOL:
+        if not abs(recomputed - trial.final_return) <= FINAL_RETURN_TOL:  # NaN fails too
             raise ValueError(
                 f"final_return {trial.final_return!r} does not match rewards "
                 f"(recomputed {recomputed!r})"
@@ -274,15 +274,14 @@ class TraceStore:
             raise TraceFormatError(1, f"invalid header JSON: {exc}") from exc
         if not isinstance(header, dict) or "format_version" not in header:
             raise TraceFormatError(1, "header missing format_version")
-        if header["format_version"] != FORMAT_VERSION:
-            raise TraceFormatError(
-                1, f"unsupported format_version {header['format_version']!r}"
-            )
+        version = header["format_version"]
+        if not is_json_int(version) or version != FORMAT_VERSION:
+            raise TraceFormatError(1, f"unsupported format_version {version!r}")
         for key in ("m", "p", "n", "o"):
             if key not in header:
                 raise TraceFormatError(1, f"header missing dimension key {key!r}")
             value = header[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not is_json_int(value) or value < 1:
                 raise TraceFormatError(
                     1, f"header dimension {key!r} must be an int >= 1, got {value!r}"
                 )
@@ -302,7 +301,7 @@ class TraceStore:
                 raise TraceFormatError(line_no, f"invalid trial JSON: {exc}") from exc
             try:
                 trial = trial_from_json(obj, dims)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(line_no, f"malformed trial object: {exc}") from exc
             try:
                 store._validate(trial)
@@ -333,7 +332,22 @@ def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
 
 def trial_from_json(obj: dict, dims: StoreDims) -> Trial:
     """Parse a v1 JSON trial object; each key's values must form a
-    (T, width) block before the blocks are joined into rows."""
+    (T, width) block before the blocks are joined into rows.
+
+    The scalar fields are checked, not coerced: trial_id must be an int,
+    task_id a string, success and relevant JSON booleans and final_cr a
+    number. Timestep values are only converted to float64.
+    """
+    if not is_json_int(obj["trial_id"]):
+        raise ValueError(f"trial_id must be an int, got {obj['trial_id']!r}")
+    if not isinstance(obj["task_id"], str):
+        raise ValueError(f"task_id must be a string, got {obj['task_id']!r}")
+    for key in ("success", "relevant"):
+        if not isinstance(obj[key], bool):
+            raise ValueError(f"{key} must be a JSON boolean, got {obj[key]!r}")
+    final_cr = obj["final_cr"]
+    if isinstance(final_cr, bool) or not isinstance(final_cr, (int, float)):
+        raise ValueError(f"final_cr must be a number, got {final_cr!r}")
     steps = obj["timesteps"]
     if not steps:
         raise ValueError("trial has no timesteps")
@@ -345,10 +359,10 @@ def trial_from_json(obj: dict, dims: StoreDims) -> Trial:
             raise ValueError(f"{key!r} values must have shape {shape}, got {block.shape}")
         blocks.append(block)
     return Trial(
-        trial_id=int(obj["trial_id"]),
-        task_id=str(obj["task_id"]),
-        success=bool(obj["success"]),
-        relevant=bool(obj["relevant"]),
+        trial_id=obj["trial_id"],
+        task_id=obj["task_id"],
+        success=obj["success"],
+        relevant=obj["relevant"],
         timesteps=np.concatenate(blocks, axis=1),
-        final_return=float(obj["final_cr"]),
+        final_return=float(final_cr),
     )

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from skillnet.cli import main
 from skillnet.metrics import read_metrics, validate_event
@@ -312,6 +313,29 @@ def test_missing_checkpoint_is_usage_error(tmp_path, capsys):
                  "--config", str(config_path), "--task", "corner_ne"])
     assert code == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("m", '"m": 9', '"m": "9"'),
+    ("h", '"h": 12', '"h": 12.0'),
+    ("format_version", '"format_version": 1', '"format_version": true'),
+])
+def test_eval_malformed_checkpoint_header_is_usage_error(tmp_path, capsys, key, old, new):
+    # a malformed checkpoint is the user's input error (exit 1), not a crash
+    config_path = write_config(tmp_path)
+    cfg = NetConfig(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4, hidden_dim=12)
+    ckpt = tmp_path / "x.ckpt"
+    save_checkpoint(ckpt, cfg, init_network(cfg)[1])
+    lines = ckpt.read_text().splitlines()
+    assert old in lines[0]
+    lines[0] = lines[0].replace(old, new)
+    ckpt.write_text("\n".join(lines) + "\n")
+    code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config_path),
+                 "--task", "corner_ne"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint: ")
+    assert key in err
 
 
 def test_missing_trace_file_is_usage_error(tmp_path, capsys):

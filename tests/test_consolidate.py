@@ -274,6 +274,26 @@ def test_no_environment_contact_during_consolidation():
     assert step_counter.count == before
 
 
+def test_fixed_replay_selection_is_padded_and_validated_once(monkeypatch):
+    # relevant_only selects the same trials at every step, so the padded
+    # batch is built, and each trial validated, once per consolidate call
+    import skillnet.network as network
+
+    rng = np.random.default_rng(14)
+    store = TraceStore(StoreDims.from_net_config(CFG))
+    for rewards in ([-0.01, 1.0], [-0.01, -0.01, 1.0], [-0.01, -0.01, -0.01, 1.0]):
+        store.mark_relevant(store.append(make_trial(rewards, success=True, rng=rng)))
+    calls = []
+    validate = network._validate_trial_targets
+    monkeypatch.setattr(network, "_validate_trial_targets",
+                        lambda cfg, trial: calls.append(trial) or validate(cfg, trial))
+    _, weights = init_network(CFG)
+    _, report = consolidate(weights, store, ReplayPolicy(mode="relevant_only"),
+                            ConsolidationConfig(base_lr=0.02), net_config=CFG, steps=50)
+    assert report.steps_run == 50
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # variance heuristic
 

@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillnet.network import (
     NetConfig,
     Network,
+    ReplayBatch,
     TrialTargets,
     apply_regularizer,
     batch_loss,
@@ -370,6 +375,162 @@ def test_bptt_matches_finite_differences_sigmoid():
 
 
 # ---------------------------------------------------------------------------
+# the trial-batched BPTT against the plain per-trial loop
+
+
+def reference_forward_trial(net, senses):
+    """One trial's unrolled forward pass, one timestep at a time."""
+    cfg = net.config
+    t_len, k = senses.shape[0], cfg.micro_steps
+    states = np.empty((t_len, k, cfg.hidden_dim))
+    outputs = np.empty((t_len, cfg.output_width))
+    state = np.zeros(cfg.hidden_dim)
+    for t in range(t_len):
+        drive = net.w_in @ senses[t] + net.b_h
+        for j in range(k):
+            state = net._act(drive + net.w_rec @ state)
+            states[t, j] = state
+        outputs[t] = net.w_out @ state + net.b_out
+    return outputs, states
+
+
+def reference_residuals(cfg, outputs, trial, term_weights):
+    o, pw = cfg.action_dim, cfg.pred_width
+    wa, wp, wr = term_weights
+    res_a = (outputs[:, :o] - trial.action_target) * trial.action_mask[:, None]
+    res_p = (outputs[:, o : o + pw] - trial.pred_target) * trial.pred_mask[:, None]
+    res_r = (outputs[:, o + pw :] - trial.return_target) * trial.return_mask[:, None]
+    losses = (
+        wa * float(np.sum(res_a * res_a)),
+        wp * float(np.sum(res_p * res_p)),
+        wr * float(np.sum(res_r * res_r)),
+    )
+    return (res_a, res_p, res_r), losses
+
+
+def reference_batch_loss(net, batch, term_weights):
+    per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
+    for trial in batch:
+        outputs, _ = reference_forward_trial(net, trial.senses)
+        _, (la, lp, lr) = reference_residuals(net.config, outputs, trial, term_weights)
+        per_term["action"] += la
+        per_term["pred"] += lp
+        per_term["return"] += lr
+    return sum(per_term.values()), per_term
+
+
+def reference_bptt_gradient(net, batch, term_weights):
+    """The per-trial BPTT loop: every trial and timestep on its own."""
+    cfg = net.config
+    k = cfg.micro_steps
+    o, pw = cfg.action_dim, cfg.pred_width
+    g_w_in = np.zeros_like(net.w_in)
+    g_w_rec = np.zeros_like(net.w_rec)
+    g_b_h = np.zeros_like(net.b_h)
+    g_w_out = np.zeros_like(net.w_out)
+    g_b_out = np.zeros_like(net.b_out)
+    total_loss = 0.0
+    for trial in batch:
+        t_len = len(trial)
+        outputs, states = reference_forward_trial(net, trial.senses)
+        (res_a, res_p, res_r), losses = reference_residuals(cfg, outputs, trial, term_weights)
+        total_loss += sum(losses)
+        d_y = np.zeros((t_len, cfg.output_width))
+        d_y[:, :o] = 2.0 * term_weights[0] * res_a
+        d_y[:, o : o + pw] = 2.0 * term_weights[1] * res_p
+        d_y[:, o + pw :] = 2.0 * term_weights[2] * res_r
+        g_w_out += d_y.T @ states[:, k - 1, :]
+        g_b_out += d_y.sum(axis=0)
+        prev = np.zeros_like(states)
+        prev[:, 1:, :] = states[:, :-1, :]
+        prev[1:, 0, :] = states[:-1, k - 1, :]
+        d_z = np.empty_like(states)
+        d_state = np.zeros(cfg.hidden_dim)
+        for t in range(t_len - 1, -1, -1):
+            d_state = d_state + net.w_out.T @ d_y[t]
+            for j in range(k - 1, -1, -1):
+                dz = d_state * net._act_deriv(states[t, j])
+                d_z[t, j] = dz
+                d_state = net.w_rec.T @ dz
+        dz_flat = d_z.reshape(t_len * k, cfg.hidden_dim)
+        g_w_in += dz_flat.T @ np.repeat(trial.senses, k, axis=0)
+        g_w_rec += dz_flat.T @ prev.reshape(t_len * k, cfg.hidden_dim)
+        g_b_h += dz_flat.sum(axis=0)
+    return pack_weights(g_w_in, g_w_rec, g_b_h, g_w_out, g_b_out), total_loss
+
+
+@st.composite
+def replay_cases(draw):
+    """A random net and a batch of 1-5 trials of mixed lengths 1-8."""
+    cfg = NetConfig(
+        obs_dim=draw(st.integers(1, 3)), goal_dim=draw(st.integers(1, 2)),
+        reward_dim=draw(st.integers(1, 2)), action_dim=draw(st.integers(1, 3)),
+        hidden_dim=draw(st.integers(1, 6)), micro_steps=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(["tanh", "sigmoid"])),
+        seed=draw(st.integers(0, 2**16)), init_scale=draw(st.sampled_from([0.1, 0.5, 1.5])),
+    )
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    batch = []
+    for t_len in lengths:
+        masks = [(rng.random(t_len) < 0.7).astype(float) for _ in range(3)]
+        batch.append(TrialTargets(
+            senses=rng.normal(size=(t_len, cfg.input_width)),
+            action_target=rng.normal(size=(t_len, cfg.action_dim)),
+            pred_target=rng.normal(size=(t_len, cfg.pred_width)),
+            return_target=rng.normal(size=(t_len, cfg.return_width)),
+            action_mask=masks[0], pred_mask=masks[1], return_mask=masks[2],
+        ))
+    weights = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)))
+    return cfg, batch, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_cases())
+def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
+    cfg, batch, term_weights = case
+    net, _ = init_network(cfg)
+    ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
+    ref_total, ref_terms = reference_batch_loss(net, batch, term_weights)
+    for given_batch in (batch, ReplayBatch(cfg, batch)):
+        grad, loss = bptt_gradient(net, given_batch, term_weights)
+        assert np.array_equal(grad, ref_grad)
+        assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
+        assert loss == ref_loss
+        total, terms = batch_loss(net, given_batch, term_weights)
+        assert total == ref_total
+        assert terms == ref_terms
+
+
+def test_replay_batch_iterates_trials_in_order_and_pads_with_zero_masks():
+    cfg = small_config()
+    rng = np.random.default_rng(12)
+    trials = [random_targets(cfg, t, rng) for t in (2, 5, 3, 5)]
+    batch = ReplayBatch(cfg, trials)
+    assert list(batch) == trials
+    assert len(batch) == 4 and sum(len(t) for t in batch) == 15
+    assert batch.senses.shape == (4, 5, cfg.input_width)
+    assert batch.live == [4, 4, 3, 2, 2]
+    for row, t_len in batch.rows:
+        assert np.all(batch.pred_mask[row, t_len:] == 0.0)
+        assert np.all(batch.action_mask[row, t_len:] == 0.0)
+        assert np.all(batch.return_mask[row, t_len:] == 0.0)
+    for (row, t_len), trial in zip(batch.rows, trials):
+        assert np.array_equal(batch.senses[row, :t_len], trial.senses)
+
+
+def test_replay_batch_validates_every_trial():
+    cfg = small_config()
+    rng = np.random.default_rng(13)
+    trials = [random_targets(cfg, 3, rng), random_targets(cfg, 2, rng)]
+    trials[1].action_target = trials[1].action_target[:, :1]
+    with pytest.raises(ValueError, match="action_target"):
+        ReplayBatch(cfg, trials)
+    with pytest.raises(ValueError, match="empty"):
+        ReplayBatch(cfg, [])
+
+
+# ---------------------------------------------------------------------------
 # weight packing and checkpoints
 
 
@@ -393,4 +554,27 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     path = tmp_path / "net.ckpt"
     path.write_text('{"format_version": 99}\n{"weights": []}\n')
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("format_version", True),
+    ("format_version", 1.0),
+    ("h", 16.0),
+    ("m", "25"),
+    ("p", True),
+    ("micro_steps", 0),
+    ("n", -1),
+    ("o", None),
+])
+def test_checkpoint_header_types_checked(tmp_path, key, value):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, cfg, w)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    path.write_text(json.dumps(header) + "\n" + lines[1] + "\n")
+    with pytest.raises(ValueError, match=key):
         load_checkpoint(path)

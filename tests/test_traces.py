@@ -355,6 +355,73 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
     assert exc.value.line_no == 1
 
 
+def test_bool_format_version_rejected(tmp_path):
+    # JSON true loads as a Python bool, and True == 1
+    path = tmp_path / "traces.jsonl"
+    path.write_text('{"format_version": true, "m": 2, "p": 2, "n": 1, "o": 2}\n')
+    with pytest.raises(TraceFormatError, match="format_version") as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("success", "no"),
+    ("relevant", 0),
+    ("trial_id", True),
+    ("trial_id", "2"),
+    ("trial_id", 2.0),
+    ("task_id", 7),
+    ("final_cr", True),
+    ("final_cr", "0.5"),
+])
+def test_trial_field_types_checked_not_coerced(tmp_path, key, value):
+    store = TraceStore(DIMS)
+    rng = np.random.default_rng(11)
+    store.append(make_trial(rng=rng))
+    store.append(make_trial(rng=rng))
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj[key] = value
+    lines[2] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=key) as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("value", [float("nan"), pytest.param(10**400, id="huge_int")])
+def test_nan_or_unrepresentable_final_cr_rejected(tmp_path, value):
+    # NaN compares false against the tolerance; a huge JSON integer has no float
+    store = TraceStore(DIMS)
+    store.append(make_trial(rng=np.random.default_rng(12)))
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["final_cr"] = value
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 2
+
+
+def test_int_final_cr_still_loads(tmp_path):
+    # a whole-number return written as a JSON integer is a number, not a coercion
+    store = TraceStore(DIMS)
+    store.append(make_trial(rewards=np.array([[1.0], [0.0]]), n_steps=2))
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["final_cr"] = 1
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    assert TraceStore.load(path).get(1).final_return == 1.0
+
+
 @st.composite
 def stores(draw):
     dims = StoreDims(*(draw(st.integers(1, 4)) for _ in range(4)))
