@@ -44,7 +44,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rollout import evaluate_policy, run_trial
+from .rollout import evaluate_policy, run_trial, run_trials
 from .traces import ReplayPolicy, StoreDims, TraceFormatError, TraceStore, Trial
 
 __version__ = "0.1.0"
@@ -92,6 +92,7 @@ __all__ = [
     "retention_check",
     "run_curriculum",
     "run_trial",
+    "run_trials",
     "save_checkpoint",
     "try_solve_task",
     "variance_lr_scale",

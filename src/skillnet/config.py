@@ -11,6 +11,7 @@ See the README for the full schema and a worked example.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,8 @@ def _require(section: dict, key: str, path: str, types, what="value"):
     allowed = types if isinstance(types, tuple) else (types,)
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         raise ConfigError(fieldpath, f"must be a {what}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(fieldpath, f"must be a finite {what}, got {value}")
     return value
 
 

@@ -6,9 +6,12 @@ corner-goal tasks; an action-slip probability turns it stochastic, and a
 small two-channel chain environment exercises vector-valued rewards.
 
 Environments are duck-typed: anything with `obs_dim`, `reward_dim`,
-`deterministic`, `reset(seed)` and `step(action)` works. All built-in
-environments bump the module-level `step_counter` on every transition, which
-lets tests prove that consolidation never touches an environment.
+`deterministic`, `reset(seed)` and `step(action)` works. Rollouts step a task's
+episodes in lockstep through `make_env_batch`: a maze through the vectorized
+`GridMazeBatch`, any other environment through `EnvBatch`, which steps one
+single-episode environment per episode. All built-in environments bump the
+module-level `step_counter` on every transition, which lets tests prove that
+consolidation never touches an environment.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ class GridMazeSpec:
                 raise ValueError(f"{name} {(x, y)} is outside the {self.width}x{self.height} grid")
         if tuple(self.start) == tuple(self.goal_cell):
             raise ValueError("start and goal_cell must differ")
+        for name in ("step_reward", "goal_reward"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.slip_prob <= 1.0):
             raise ValueError(f"slip_prob must be in [0, 1], got {self.slip_prob}")
         if self.episode_cap is not None and self.episode_cap < 1:
@@ -157,6 +163,101 @@ class GridMaze:
         reward = self.spec.goal_reward if reached else self.spec.step_reward
         self._done = reached or self._steps >= self.spec.effective_cap
         return self._observe(reward, reached)
+
+
+class GridMazeBatch:
+    """Lockstep episodes of one maze, one per seed, each bit for bit the
+    episode GridMaze runs with that seed.
+
+    Episodes are cell indices in an int array. A step is one argmax over the
+    first four action units and two table lookups: the next cell for each
+    (cell, direction) and the net's sense row [one-hot cell | goal | reward]
+    for each cell. Slip draws come from one default_rng(seed) per episode,
+    in GridMaze.step's order.
+    """
+
+    def __init__(self, spec: GridMazeSpec, goal: np.ndarray, seeds):
+        width, n_cells = spec.width, spec.width * spec.height
+        cells = np.arange(n_cells)
+        xs, ys = cells % width, cells // width
+        self._next = np.empty((n_cells, len(DIRECTIONS)), dtype=np.intp)
+        for d, name in enumerate(DIRECTIONS):
+            dx, dy = _MOVES[name]
+            nx, ny = xs + dx, ys + dy
+            inside = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < spec.height)
+            self._next[:, d] = np.where(inside, ny * width + nx, cells)
+        self._rows = np.zeros((n_cells, n_cells + len(goal) + 1))
+        self._rows[cells, cells] = 1.0
+        self._rows[:, n_cells:-1] = goal
+        self._rows[:, -1] = spec.step_reward
+        self._goal = spec.goal_cell[1] * width + spec.goal_cell[0]
+        self._rows[self._goal, -1] = spec.goal_reward
+        self._start = spec.start[1] * width + spec.start[0]
+        self._cap = spec.effective_cap
+        self._slip = spec.slip_prob
+        self._seeds = list(seeds)
+        self._cells = self._steps = self._rngs = None
+
+    def reset(self):
+        """(senses, rewards, done, reached) at the start of every episode."""
+        n = len(self._seeds)
+        self._cells = np.full(n, self._start)
+        self._steps = 0
+        self._rngs = [np.random.default_rng(s) for s in self._seeds] if self._slip > 0 else []
+        senses = self._rows[self._cells]
+        senses[:, -1] = 0.0
+        return senses, [0.0] * n, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+    def step(self, actions: np.ndarray):
+        """Advance every live episode by its row of `actions` (at least four
+        action units each)."""
+        step_counter.count += len(actions)
+        d = actions[:, :4].argmax(axis=1)
+        for j, rng in enumerate(self._rngs):
+            if rng.random() < self._slip:
+                d[j] = rng.integers(4)
+        self._cells = self._next[self._cells, d]
+        self._steps += 1
+        reached = self._cells == self._goal
+        done = reached if self._steps < self._cap else np.ones(len(d), dtype=bool)
+        senses = self._rows.take(self._cells, axis=0)
+        return senses, senses[:, -1].tolist(), done, reached
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the episodes whose entry in `mask` is False."""
+        self._cells = self._cells[mask]
+        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
+
+
+class EnvBatch:
+    """Lockstep episodes over single-episode environments, one per seed:
+    the path for every environment that has no vectorized form."""
+
+    def __init__(self, envs, goal: np.ndarray, seeds):
+        self._envs = list(envs)
+        self._goal = goal
+        self._seeds = list(seeds)
+
+    def _collect(self, observations):
+        senses = np.array([np.concatenate([ob.obs, self._goal, ob.reward])
+                           for ob in observations], dtype=np.float64)
+        rewards = [float(ob.reward.sum()) for ob in observations]
+        done = np.array([ob.done for ob in observations], dtype=bool)
+        reached = np.array([ob.reached for ob in observations], dtype=bool)
+        return senses, rewards, done, reached
+
+    def reset(self):
+        """(senses, rewards, done, reached) at the start of every episode."""
+        return self._collect([env.reset(seed=seed)
+                              for env, seed in zip(self._envs, self._seeds)])
+
+    def step(self, actions: np.ndarray):
+        """Advance every live episode by its row of `actions`."""
+        return self._collect([env.step(a) for env, a in zip(self._envs, actions)])
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the episodes whose entry in `mask` is False."""
+        self._envs = [env for env, k in zip(self._envs, mask) if k]
 
 
 @dataclass(frozen=True)
@@ -251,14 +352,30 @@ def goal_encoding(task: TaskDescription, goal_dim: int) -> np.ndarray:
     return vec
 
 
-def make_env(task: TaskDescription):
-    """Build the task's environment, applying any per-trial step limit from
-    the success criterion as the episode cap."""
+def _capped_spec(task: TaskDescription):
+    """The task's env spec with any per-trial step limit from the success
+    criterion applied as the episode cap."""
     spec = task.env_spec
     cap = task.criterion.max_steps_per_trial
     if cap is not None and hasattr(spec, "episode_cap"):
         spec = replace(spec, episode_cap=cap)
-    return spec.build()
+    return spec
+
+
+def make_env(task: TaskDescription):
+    """Build the task's environment, applying any per-trial step limit from
+    the success criterion as the episode cap."""
+    return _capped_spec(task).build()
+
+
+def make_env_batch(task: TaskDescription, goal: np.ndarray, seeds):
+    """Lockstep episodes of the task's environment, one per seed: a
+    GridMazeBatch for a maze, an EnvBatch over `make_env` environments for
+    anything else."""
+    spec = _capped_spec(task)
+    if isinstance(spec, GridMazeSpec):
+        return GridMazeBatch(spec, goal, seeds)
+    return EnvBatch([spec.build() for _ in seeds], goal, seeds)
 
 
 def check_success(trials, criterion: SuccessCriterion) -> bool:

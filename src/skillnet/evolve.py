@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import TaskDescription, check_success
-from .network import NetConfig, Network
-from .rollout import run_trial, trial_env_steps
+from .network import NetConfig
+# run_trial is not called here; the benchmark's tracer (perfbench/tracing.py)
+# looks it up on this module by name, so the import stays
+from .rollout import run_trial, run_trials, trial_env_steps  # noqa: F401
 from .traces import TraceStore, Trial
 
 BUDGET_UNITS = ("env_steps", "evaluations", "wall_seconds")
@@ -149,10 +151,11 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
         seeds = [int(arm.seed_rng.integers(0, 2**31)) for _ in candidates]
 
         started = time.monotonic()
-        results = []
-        for weights, seed in zip(candidates, seeds):
-            net = Network(config, weights)
-            results.append([run_trial(net, task, seed=seed + i) for i in range(n_trials)])
+        # candidate-major: candidate c's trial i runs with seed seeds[c] + i
+        episodes = run_trials(config, np.repeat(candidates, n_trials, axis=0), task,
+                              [seed + i for seed in seeds for i in range(n_trials)])
+        results = [episodes[c * n_trials : (c + 1) * n_trials]
+                   for c in range(len(candidates))]
         elapsed = time.monotonic() - started
 
         cost = 0.0

@@ -66,6 +66,13 @@ def test_run_missing_net_h_names_field(tmp_path, capsys):
     assert "net.h" in err
 
 
+def test_run_nan_budget_exits_1_naming_field(tmp_path, capsys):
+    config_path = write_config(tmp_path, budgets={"c0": float("nan"), "lambda": 0.04})
+    assert "NaN" in config_path.read_text()
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "budgets.c0" in capsys.readouterr().err
+
+
 def test_run_rejects_duplicate_paths(tmp_path, capsys):
     config_path = write_config(
         tmp_path,

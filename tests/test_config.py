@@ -125,3 +125,41 @@ def test_with_seed_overrides_master_and_net_seed(tmp_path):
     assert reseeded.master_seed == 42
     assert reseeded.net.seed == 42
     assert config.master_seed == 3  # original untouched
+
+
+# every numeric field, as (section path, key, dotted name in the error)
+NUMERIC_FIELDS = [
+    ((), "master_seed", "master_seed"),
+    *((("net",), key, f"net.{key}")
+      for key in ("m", "p", "n", "o", "h", "micro_steps", "seed", "init_scale")),
+    *((("tasks", 0, "maze"), key, f"tasks[0].maze.{key}")
+      for key in ("width", "height", "step_reward", "goal_reward", "episode_cap",
+                  "slip_prob")),
+    *((("tasks", 0, "criterion"), key, f"tasks[0].criterion.{key}")
+      for key in ("min_success_trials", "success_rate_threshold", "max_steps_per_trial")),
+    *((("es",), key, f"es.{key}") for key in ("population", "sigma")),
+    *((("budgets",), key, f"budgets.{key}")
+      for key in ("c0", "lambda", "max_total_budget", "dream_steps_per_unit")),
+    *((("consolidation",), key, f"consolidation.{key}")
+      for key in ("base_lr", "momentum", "action_weight", "pred_weight", "return_weight",
+                  "reg_interval", "reg_strength", "variance_lr_floor")),
+    *((("consolidation", "replay"), key, f"consolidation.replay.{key}")
+      for key in ("k", "rng_seed")),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("section,key,fieldpath", NUMERIC_FIELDS,
+                         ids=[f[2] for f in NUMERIC_FIELDS])
+def test_non_finite_numbers_rejected_by_field(tmp_path, section, key, fieldpath, value):
+    config = base_config()
+    config["tasks"][0]["criterion"] = {}
+    config["es"] = {}
+    config["consolidation"] = {"replay": {"mode": "recent", "k": 2}}
+    target = config
+    for part in section:
+        target = target[part]
+    target[key] = value
+    path = write(tmp_path, config)
+    assert ("NaN" if value != value else "Infinity") in path.read_text()
+    expect_error(tmp_path, config, fieldpath)

@@ -162,6 +162,13 @@ def test_invalid_specs_rejected():
         GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), slip_prob=1.5)
 
 
+@pytest.mark.parametrize("field", ["step_reward", "goal_reward"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_maze_rewards_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), **{field: value})
+
+
 def test_determinism_same_seed_same_actions():
     spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 3), slip_prob=0.3)
     actions = [act("NEEN"[i % 4]) for i in range(10)]

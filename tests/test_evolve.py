@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -471,3 +472,31 @@ def test_seeded_corner_search_regression():
         assert outcome.winner == FIXTURE["winner"]
         assert outcome.budget_spent == FIXTURE["budget_spent"]
         assert outcome.relevant_trial_ids == FIXTURE["relevant_trial_ids"]
+
+
+def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_path):
+    """Golden values recorded from the one-episode-at-a-time search loop, for
+    a race that draws slips and runs K=3 seeds (seed + i) per candidate."""
+    cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)
+    spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 2), slip_prob=0.3)
+    task = TaskDescription(task_id="slip", goal_index=1, env_spec=spec,
+                           criterion=SuccessCriterion(min_success_trials=3))
+    _, original = init_network(cfg)
+    current = np.random.default_rng(11).normal(0.0, 0.1, cfg.n_params)
+    store = fresh_store(cfg)
+    outcome = try_solve_task(current, original, task, Budget("env_steps", 700),
+                             EsConfig(population=4, sigma=0.5, seed=7), store, config=cfg)
+    path = tmp_path / "traces.jsonl"
+    store.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "685780f36cc923dba77b42b356f6bf5c9c751160bc4deb1d9f966cf46b4f64ed")
+    assert (outcome.status, outcome.winner) == ("solved", "scratch")
+    assert hashlib.sha256(outcome.final_weights.tobytes()).hexdigest() == (
+        "4acab02daffa5f727a9040bece93710a9b3518d1520d10a1d7723eea892ec0fd")
+    assert outcome.relevant_trial_ids == [25, 26, 27]
+    assert outcome.all_trial_ids == list(range(1, 31))
+    assert outcome.budget_spent == {"warm": 708.0, "scratch": 794.0}
+    assert outcome.batch_costs == {"warm": [107.0, 601.0], "scratch": [192.0, 602.0]}
+    assert outcome.best_fitness == {"warm": [0.3166666666666665, 0.3166666666666665],
+                                    "scratch": [-0.3033333333333337, 0.87]}
+    assert outcome.evaluations == {"warm": 5, "scratch": 5}

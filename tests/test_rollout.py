@@ -1,0 +1,262 @@
+"""Lockstep rollouts (`run_trials`) against the single-episode loop they
+replace, which lives on here as `reference_run_trial`."""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skillnet.envs import (
+    GridMazeSpec,
+    Observation,
+    SuccessCriterion,
+    TaskDescription,
+    VectorRewardChainSpec,
+    goal_encoding,
+    make_env,
+    step_counter,
+)
+from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network, initial_state
+from skillnet.rollout import evaluate_policy, run_trial, run_trials
+from skillnet.traces import Trial, frozen_rows
+
+
+def reference_run_trial(net: Network, task: TaskDescription, seed: int) -> Trial:
+    """One episode, one `Network.step` and one env step at a time."""
+    cfg = net.config
+    env = make_env(task)
+    goal = goal_encoding(task, cfg.goal_dim)
+    obs = env.reset(seed=seed)
+    state = initial_state(cfg)
+    rows = []
+    total = 0.0
+    while True:
+        sense = np.concatenate([obs.obs, goal, obs.reward])
+        state, out = net.step(state, sense)
+        rows.append(np.concatenate([sense, out.action, out.pred, out.return_pred]))
+        total += float(obs.reward.sum())
+        if obs.done:
+            break
+        obs = env.step(out.action)
+    return Trial(
+        task_id=task.task_id, success=obs.reached, relevant=False,
+        timesteps=frozen_rows(rows), final_return=total,
+    )
+
+
+@dataclass(frozen=True)
+class CountdownSpec:
+    """Duck-typed env whose episode length follows the seed: seed % 4 steps,
+    so an episode can end at reset. Two reward channels; the observation
+    depends on the actions taken."""
+
+    obs_dim: int = 3
+    deterministic: bool = True
+
+    def build(self):
+        return CountdownEnv(self)
+
+
+class CountdownEnv:
+    def __init__(self, spec):
+        self.obs_dim = spec.obs_dim
+        self.reward_dim = 2
+        self.deterministic = True
+        self._left = 0
+        self._seed = 0
+
+    def _obs(self, obs, reward):
+        return Observation(obs=obs, reward=np.array(reward), done=self._left == 0,
+                           reached=self._left == 0 and self._seed % 2 == 0)
+
+    def reset(self, seed=0):
+        self._seed = seed
+        self._left = seed % 4
+        return self._obs(np.zeros(self.obs_dim), [0.0, 0.0])
+
+    def step(self, action):
+        step_counter.increment()
+        self._left -= 1
+        obs = np.tanh(np.asarray(action[: self.obs_dim]) * 3.0)
+        return self._obs(obs, [float(action[0]), 0.1 * self._left])
+
+
+def assert_same_trials(cfg, weights, task, seeds):
+    """run_trials against one reference episode per (weights row, seed)."""
+    before = step_counter.count
+    expected = [reference_run_trial(Network(cfg, w), task, s) for w, s in zip(weights, seeds)]
+    reference_steps = step_counter.count - before
+    before = step_counter.count
+    got = run_trials(cfg, weights, task, seeds)
+    assert step_counter.count - before == reference_steps
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.timesteps.tobytes() == e.timesteps.tobytes()
+        assert type(g.success) is bool
+        assert g.success == e.success
+        assert g.final_return == e.final_return
+        assert g.task_id == task.task_id and not g.relevant
+        assert not g.timesteps.flags.writeable
+
+
+@st.composite
+def net_configs(draw, obs_dim, reward_dim, min_actions):
+    return NetConfig(
+        obs_dim=obs_dim, goal_dim=draw(st.integers(1, 3)), reward_dim=reward_dim,
+        action_dim=draw(st.integers(min_actions, min_actions + 2)),
+        hidden_dim=draw(st.integers(1, 8)), micro_steps=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+
+
+@st.composite
+def weight_stacks(draw, cfg, n_episodes):
+    """Episodes share some weight rows and differ in others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    distinct = rng.normal(0.0, scale, size=(draw(st.integers(1, n_episodes)), cfg.n_params))
+    pick = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n_episodes,
+                         max_size=n_episodes))
+    return distinct[pick]
+
+
+@st.composite
+def maze_cases(draw):
+    width, height = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    start = draw(st.sampled_from(cells))
+    goal = draw(st.sampled_from([c for c in cells if c != start]))
+    cap = draw(st.integers(1, 30))
+    cap_from_criterion = draw(st.booleans())
+    spec = GridMazeSpec(width=width, height=height, start=start, goal_cell=goal,
+                        slip_prob=draw(st.sampled_from([0.0, 0.3])),
+                        episode_cap=None if cap_from_criterion else cap)
+    cfg = draw(net_configs(width * height, 1, 4))
+    criterion = SuccessCriterion(max_steps_per_trial=cap if cap_from_criterion else None)
+    task = TaskDescription(task_id="maze", goal_index=draw(st.integers(0, cfg.goal_dim - 1)),
+                           env_spec=spec, criterion=criterion)
+    n_episodes = draw(st.integers(1, 9))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=n_episodes,
+                          max_size=n_episodes))
+    return cfg, draw(weight_stacks(cfg, n_episodes)), task, seeds
+
+
+@given(maze_cases())
+@settings(max_examples=150, deadline=None)
+def test_lockstep_maze_matches_single_episode_loop(case):
+    assert_same_trials(*case)
+
+
+@st.composite
+def adapter_cases(draw):
+    if draw(st.booleans()):
+        length = draw(st.integers(2, 6))
+        spec = VectorRewardChainSpec(length=length, episode_cap=draw(st.integers(1, 30)))
+        cfg = draw(net_configs(length, 2, 2))
+    else:
+        spec = CountdownSpec()
+        cfg = draw(net_configs(spec.obs_dim, 2, 3))
+    task = TaskDescription(task_id="adapter", goal_index=0, env_spec=spec,
+                           criterion=SuccessCriterion())
+    n_episodes = draw(st.integers(1, 9))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=n_episodes, max_size=n_episodes))
+    return cfg, draw(weight_stacks(cfg, n_episodes)), task, seeds
+
+
+@given(adapter_cases())
+@settings(max_examples=100, deadline=None)
+def test_lockstep_adapter_matches_single_episode_loop(case):
+    assert_same_trials(*case)
+
+
+# ---------------------------------------------------------------------------
+# checks
+
+
+def maze_task(slip_prob=0.0, **crit):
+    spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), slip_prob=slip_prob)
+    return TaskDescription(task_id="m", goal_index=0, env_spec=spec,
+                           criterion=SuccessCriterion(**crit))
+
+
+def maze_config(**overrides):
+    fields = dict(obs_dim=9, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=4)
+    fields.update(overrides)
+    return NetConfig(**fields)
+
+
+def test_run_trials_checks_weight_stack():
+    cfg = maze_config()
+    with pytest.raises(ValueError, match="shape"):
+        run_trials(cfg, np.zeros((2, cfg.n_params)), maze_task(), [0])
+    with pytest.raises(ValueError, match="shape"):
+        run_trials(cfg, np.zeros(cfg.n_params), maze_task(), [0])
+    bad = np.zeros((2, cfg.n_params))
+    bad[1, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_trials(cfg, bad, maze_task(), [0, 1])
+    assert run_trials(cfg, np.zeros((0, cfg.n_params)), maze_task(), []) == []
+
+
+def test_run_trials_checks_net_fits_maze():
+    for cfg in (maze_config(action_dim=3), maze_config(obs_dim=8, reward_dim=2)):
+        with pytest.raises(ValueError, match="maze"):
+            run_trials(cfg, np.zeros((1, cfg.n_params)), maze_task(), [0])
+    cfg = maze_config(obs_dim=10)
+    with pytest.raises(ValueError, match="sense must have shape"):
+        run_trials(cfg, np.zeros((1, cfg.n_params)), maze_task(), [0])
+
+
+@dataclass(frozen=True)
+class NanAfterOneStepSpec:
+    obs_dim: int = 2
+    deterministic: bool = True
+
+    def build(self):
+        return NanAfterOneStepEnv()
+
+
+class NanAfterOneStepEnv:
+    obs_dim, reward_dim, deterministic = 2, 1, True
+
+    def reset(self, seed=0):
+        return Observation(obs=np.zeros(2), reward=np.zeros(1), done=False)
+
+    def step(self, action):
+        return Observation(obs=np.array([np.nan, 0.0]), reward=np.zeros(1), done=False)
+
+
+def test_run_trials_rejects_non_finite_senses():
+    cfg = maze_config(obs_dim=2)
+    task = TaskDescription(task_id="nan", goal_index=0, env_spec=NanAfterOneStepSpec(),
+                           criterion=SuccessCriterion())
+    with pytest.raises(ValueError, match="non-finite"):
+        run_trials(cfg, np.zeros((3, cfg.n_params)), task, [0, 1, 2])
+
+
+def test_run_trial_is_one_episode_of_run_trials():
+    cfg = maze_config()
+    weights = np.random.default_rng(1).normal(size=cfg.n_params)
+    task = maze_task(slip_prob=0.3)
+    assert run_trial(Network(cfg, weights), task, seed=4) == \
+        run_trials(cfg, weights[None], task, [4])[0]
+
+
+# ---------------------------------------------------------------------------
+# golden: values the single-episode loop produced, recorded before the
+# lockstep path replaced it; the benchmark's workloads all use K=1 and no slip
+
+
+def test_evaluate_policy_on_slip_maze_matches_recorded_values():
+    cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)
+    spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 2), slip_prob=0.3)
+    task = TaskDescription(task_id="slip", goal_index=1, env_spec=spec,
+                           criterion=SuccessCriterion(min_success_trials=3))
+    _, weights = init_network(cfg)
+    before = step_counter.count
+    stats = evaluate_policy(weights, cfg, task, n_trials=4, base_seed=5)
+    assert step_counter.count - before == 246
+    assert stats == {"n_trials": 4, "success_rate": 0.25, "mean_return": -0.3625000000000003,
+                     "mean_length": 61.5, "successes": [True, False, False, False]}
