@@ -9,12 +9,10 @@ further environment interaction needed.
 from .consolidate import (
     ConsolidationConfig,
     ConsolidationReport,
-    VarianceTracker,
     build_batch,
     build_targets,
     consolidate,
     retention_check,
-    variance_lr_scale,
 )
 from .curriculum import CurriculumReport, SolveRecord, run_curriculum
 from .envs import (
@@ -72,7 +70,6 @@ __all__ = [
     "TraceStore",
     "Trial",
     "TrialTargets",
-    "VarianceTracker",
     "apply_regularizer",
     "batch_loss",
     "bptt_gradient",
@@ -95,5 +92,4 @@ __all__ = [
     "run_trials",
     "save_checkpoint",
     "try_solve_task",
-    "variance_lr_scale",
 ]

@@ -6,7 +6,7 @@ Subcommands:
   eval            evaluate a checkpoint on one configured task
   transfer-probe  race a checkpoint against a fresh net on one task and
                   report both arms' budgets
-  traces          list or dump trials from a trace file
+  traces          list, dump or export trials from a trace file
 
 Exit codes: 0 success, 1 configuration/usage error (the message names the
 field), 2 runtime failure.
@@ -26,7 +26,7 @@ from .evolve import Budget, try_solve_task
 from .metrics import MetricsWriter, scrub, validate_event
 from .network import init_network, load_checkpoint, save_checkpoint
 from .rollout import evaluate_policy
-from .traces import StoreDims, TraceFormatError, TraceStore
+from .traces import StoreDims, TraceFormatError, TraceStore, trial_to_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,14 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--task", required=True, help="task id from the config")
     probe_p.add_argument("--seed", type=int, default=None, help="override master_seed")
 
-    traces_p = sub.add_parser("traces", help="list or dump stored trials")
+    traces_p = sub.add_parser("traces", help="list, dump or export stored trials")
     traces_p.add_argument("trace_file")
     traces_p.add_argument("--task", default=None, help="filter by task id")
     traces_p.add_argument("--success", action="store_true", help="only successful trials")
     traces_p.add_argument("--failed", action="store_true", help="only failed trials")
     traces_p.add_argument("--relevant", action="store_true", help="only relevant trials")
     traces_p.add_argument("--dump", type=int, default=None, metavar="TRIAL_ID",
-                          help="print one trial's full JSON")
+                          help="print one trial's full v1 JSON")
+    traces_p.add_argument("--export-v1", default=None, metavar="OUT",
+                          help="write the whole store to OUT as v1 JSON Lines")
     return parser
 
 
@@ -94,13 +96,12 @@ def cmd_run(args) -> int:
     config = _load(args.config, args.seed)
     net_config = config.net
     _, weights = init_network(net_config)
-    store = TraceStore(StoreDims.from_net_config(net_config))
     config.paths.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     config.paths.trace_file.parent.mkdir(parents=True, exist_ok=True)
     config.paths.metrics_file.parent.mkdir(parents=True, exist_ok=True)
-
-    # the trace file is written even when the curriculum fails partway, so a
-    # diverged or interrupted run keeps every trial it already paid for
+    # every trial is on disk once it is appended, so a run that diverges, is
+    # interrupted or is killed outright keeps every trial it already paid for
+    store = TraceStore.create(config.paths.trace_file, StoreDims.from_net_config(net_config))
     try:
         with MetricsWriter(config.paths.metrics_file) as writer:
             writer.emit({
@@ -140,6 +141,7 @@ def cmd_run(args) -> int:
             })
     finally:
         store.save(config.paths.trace_file)
+        store.close()
     save_checkpoint(config.paths.checkpoint_dir / "final.ckpt", net_config, final_weights)
     print(f"solved {len(report.solved)}/{len(config.tasks)} tasks; "
           f"traces: {config.paths.trace_file}; metrics: {config.paths.metrics_file}")
@@ -198,14 +200,18 @@ def cmd_traces(args) -> int:
         store = TraceStore.load(args.trace_file)
     except FileNotFoundError:
         raise ConfigError("trace_file", f"file not found: {args.trace_file}") from None
+    if store.torn_tail_offset is not None:
+        print(f"warning: {args.trace_file}: dropped a torn last record at byte "
+              f"{store.torn_tail_offset}", file=sys.stderr)
+    if args.export_v1 is not None:
+        store.export_v1(args.export_v1)
+        return 0
     if args.dump is not None:
         try:
             trial = store.get(args.dump)
         except KeyError:
             print(f"error: no trial with id {args.dump}", file=sys.stderr)
             return 1
-        from .traces import trial_to_json
-
         print(json.dumps(trial_to_json(trial, store.dims), indent=2))
         return 0
     trials = list(store)

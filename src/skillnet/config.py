@@ -2,8 +2,9 @@
 
 Required sections: master_seed, net, tasks, budgets, paths. Optional
 sections with defaults: es, consolidation. Validation errors always name
-the offending field by its dotted path (e.g. "net.h"). Relative paths
-resolve against the config file's directory.
+the offending field by its dotted path (e.g. "net.h"); a key the schema does
+not have is an error too, so a misspelt field never silently means its
+default. Relative paths resolve against the config file's directory.
 
 See the README for the full schema and a worked example.
 """
@@ -58,6 +59,12 @@ class ExperimentConfig:
     paths: PathsConfig
 
 
+def _known(section: dict, path: str, keys: tuple[str, ...]) -> None:
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _require(section: dict, key: str, path: str, types, what="value"):
     fieldpath = f"{path}.{key}" if path else key
     if key not in section:
@@ -96,6 +103,8 @@ def _cell(value, path: str) -> tuple[int, int]:
 
 def _parse_net(raw: dict, master_seed: int) -> NetConfig:
     net = _section(raw, "net")
+    _known(net, "net", ("m", "p", "n", "o", "h", "micro_steps", "activation", "seed",
+                        "init_scale"))
     kwargs = dict(
         obs_dim=_require(net, "m", "net", int, "positive integer"),
         goal_dim=_require(net, "p", "net", int, "positive integer"),
@@ -119,12 +128,15 @@ def _parse_task(entry: dict, index: int, net: NetConfig) -> TaskDescription:
     path = f"tasks[{index}]"
     if not isinstance(entry, dict):
         raise ConfigError(path, "must be an object")
+    _known(entry, path, ("task_id", "goal_index", "maze", "criterion"))
     task_id = _require(entry, "task_id", path, str, "string")
     goal_index = _require(entry, "goal_index", path, int, "integer")
     maze = entry.get("maze")
     if not isinstance(maze, dict):
         raise ConfigError(f"{path}.maze", "missing required section")
     mpath = f"{path}.maze"
+    _known(maze, mpath, ("width", "height", "start", "goal_cell", "step_reward",
+                         "goal_reward", "episode_cap", "slip_prob"))
     try:
         spec = GridMazeSpec(
             width=_require(maze, "width", mpath, int, "positive integer"),
@@ -145,6 +157,8 @@ def _parse_task(entry: dict, index: int, net: NetConfig) -> TaskDescription:
     cpath = f"{path}.criterion"
     if not isinstance(crit_raw, dict):
         raise ConfigError(cpath, "must be an object")
+    _known(crit_raw, cpath, ("min_success_trials", "success_rate_threshold",
+                             "max_steps_per_trial"))
     try:
         criterion = SuccessCriterion(
             min_success_trials=_optional(crit_raw, "min_success_trials", 1, cpath, int,
@@ -178,6 +192,7 @@ def _parse_task(entry: dict, index: int, net: NetConfig) -> TaskDescription:
 
 def _parse_es(raw: dict) -> EsConfig:
     es = _section(raw, "es", required=False)
+    _known(es, "es", ("population", "sigma", "elitism"))
     try:
         return EsConfig(
             population=_optional(es, "population", 8, "es", int, "positive integer"),
@@ -191,6 +206,7 @@ def _parse_es(raw: dict) -> EsConfig:
 
 def _parse_budgets(raw: dict) -> BudgetsConfig:
     b = _section(raw, "budgets")
+    _known(b, "budgets", ("c0", "lambda", "unit", "max_total_budget", "dream_steps_per_unit"))
     unit = _optional(b, "unit", "env_steps", "budgets", str, "string")
     if unit not in BUDGET_UNITS:
         raise ConfigError("budgets.unit", f"must be one of {BUDGET_UNITS}")
@@ -212,9 +228,13 @@ def _parse_budgets(raw: dict) -> BudgetsConfig:
 
 def _parse_consolidation(raw: dict) -> tuple[ConsolidationConfig, ReplayPolicy]:
     c = _section(raw, "consolidation", required=False)
+    _known(c, "consolidation", ("base_lr", "momentum", "action_weight", "pred_weight",
+                                "return_weight", "reg_interval", "reg_strength", "reg_kind",
+                                "replay"))
     replay_raw = c.get("replay") or {}
     if not isinstance(replay_raw, dict):
         raise ConfigError("consolidation.replay", "must be an object")
+    _known(replay_raw, "consolidation.replay", ("mode", "k", "rng_seed"))
     mode = _optional(replay_raw, "mode", "relevant_only", "consolidation.replay", str, "string")
     if mode not in REPLAY_MODES:
         raise ConfigError("consolidation.replay.mode", f"must be one of {REPLAY_MODES}")
@@ -236,9 +256,6 @@ def _parse_consolidation(raw: dict) -> tuple[ConsolidationConfig, ReplayPolicy]:
             reg_interval=_optional(c, "reg_interval", 0, "consolidation", int, "integer"),
             reg_strength=_optional(c, "reg_strength", 0.0, "consolidation", (int, float), "number"),
             reg_kind=_optional(c, "reg_kind", "decay", "consolidation", str, "string"),
-            use_variance_lr=_optional(c, "use_variance_lr", False, "consolidation", bool, "boolean"),
-            variance_lr_floor=_optional(c, "variance_lr_floor", 0.1, "consolidation",
-                                        (int, float), "number"),
         )
     except ValueError as exc:
         raise ConfigError("consolidation", str(exc)) from exc
@@ -247,6 +264,7 @@ def _parse_consolidation(raw: dict) -> tuple[ConsolidationConfig, ReplayPolicy]:
 
 def _parse_paths(raw: dict, base_dir: Path) -> PathsConfig:
     p = _section(raw, "paths")
+    _known(p, "paths", ("trace_file", "metrics_file", "checkpoint_dir"))
     trace = _require(p, "trace_file", "paths", str, "path string")
     metrics = _require(p, "metrics_file", "paths", str, "path string")
     ckpt = _require(p, "checkpoint_dir", "paths", str, "path string")
@@ -259,6 +277,7 @@ def _parse_paths(raw: dict, base_dir: Path) -> PathsConfig:
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "config root must be a JSON object")
+    _known(raw, "", ("master_seed", "net", "tasks", "es", "budgets", "consolidation", "paths"))
     master_seed = _require(raw, "master_seed", "", int, "integer")
     net = _parse_net(raw, master_seed)
     tasks_raw = raw.get("tasks")

@@ -13,8 +13,7 @@ Superseded and failed trials therefore keep training the predictive pathway
 while their actions are never cloned. No environment interaction happens
 here; everything is driven by the trace store.
 
-Also home to the per-weight learning-rate heuristic (from end-of-trial
-weight variance) and the retention check that re-tests solved tasks on the
+Also home to the retention check that re-tests solved tasks on the
 consolidated network.
 """
 
@@ -48,8 +47,6 @@ class ConsolidationConfig:
     reg_interval: int = 0       # apply the regularizer every N steps; 0 = off
     reg_strength: float = 0.0
     reg_kind: str = "decay"
-    use_variance_lr: bool = False
-    variance_lr_floor: float = 0.1
 
     def __post_init__(self):
         if self.base_lr <= 0:
@@ -58,10 +55,6 @@ class ConsolidationConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.reg_interval < 0 or self.reg_strength < 0:
             raise ValueError("regularizer settings must be non-negative")
-        if not (0.0 < self.variance_lr_floor <= 1.0):
-            raise ValueError(
-                f"variance_lr_floor must be in (0, 1], got {self.variance_lr_floor}"
-            )
 
     @property
     def term_weights(self) -> tuple[float, float, float]:
@@ -132,8 +125,7 @@ class ConsolidationReport:
 
 def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
                 config: ConsolidationConfig, *, net_config: NetConfig,
-                steps: int | None = None, seconds: float | None = None,
-                tracker: "VarianceTracker | None" = None):
+                steps: int | None = None, seconds: float | None = None):
     """Dream phase: gradient descent on replayed traces, no environment.
 
     The budget is either a gradient-step count or a wall-clock allowance.
@@ -175,10 +167,6 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
     probe_batch, probe_keys = select_batch()
     initial = term_stats(net, probe_batch, config.term_weights)
 
-    if config.use_variance_lr and tracker is not None:
-        lr = variance_lr_scale(tracker, config.base_lr, config.variance_lr_floor)
-    else:
-        lr = config.base_lr
     velocity = np.zeros_like(weights)
     deadline = time.monotonic() + seconds if seconds is not None else None
 
@@ -195,7 +183,7 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
             )
         velocity = config.momentum * velocity + grad
-        weights = weights - lr * velocity
+        weights = weights - config.base_lr * velocity
         if not np.all(np.isfinite(weights)):
             raise RuntimeError(
                 f"consolidation diverged: non-finite weights at gradient step {step_idx}"
@@ -211,52 +199,6 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
         probe_trial_ids=[trial_id for trial_id, _ in probe_keys],
     )
     return weights, report
-
-
-# ---------------------------------------------------------------------------
-# weight-variance learning-rate heuristic
-
-
-class VarianceTracker:
-    """Running per-weight mean/variance of end-of-trial weight snapshots
-    (Welford). Low-variance weights look load-bearing across tasks and get
-    scaled-down learning rates."""
-
-    def __init__(self, n_params: int):
-        self.n_params = n_params
-        self.count = 0
-        self._mean = np.zeros(n_params)
-        self._m2 = np.zeros(n_params)
-
-    def update(self, weights: np.ndarray) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.n_params,):
-            raise ValueError(f"expected shape ({self.n_params},), got {weights.shape}")
-        self.count += 1
-        delta = weights - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (weights - self._mean)
-
-    def variance(self) -> np.ndarray:
-        if self.count == 0:
-            return np.zeros(self.n_params)
-        return self._m2 / self.count
-
-
-def variance_lr_scale(tracker: VarianceTracker, base_lr: float, floor: float) -> np.ndarray:
-    """Per-weight learning rates: base_lr * clamp(var / median_var, floor, 1).
-
-    With fewer than two snapshots there is no variance signal and every
-    weight gets base_lr.
-    """
-    rates = np.full(tracker.n_params, base_lr)
-    if tracker.count < 2:
-        return rates
-    var = tracker.variance()
-    median = float(np.median(var))
-    if median <= 0.0:
-        return rates
-    return base_lr * np.clip(var / median, floor, 1.0)
 
 
 # ---------------------------------------------------------------------------

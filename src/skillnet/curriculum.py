@@ -21,7 +21,6 @@ import numpy as np
 from .consolidate import (
     ConsolidationConfig,
     RetentionResult,
-    VarianceTracker,
     consolidate,
     retention_check,
 )
@@ -97,18 +96,15 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
     original = (np.asarray(original_weights, dtype=np.float64).copy()
                 if original_weights is not None else weights.copy())
 
-    tracker = VarianceTracker(net_config.n_params)
-
     if solver is None:
         def solver(*, current_weights, original_weights, task, budget, es, store):
             return try_solve_task(current_weights, original_weights, task, budget,
-                                  es, store, config=net_config,
-                                  variance_tracker=tracker)
+                                  es, store, config=net_config)
 
     if consolidator is None:
         def consolidator(*, weights, store, steps):
             return consolidate(weights, store, replay_policy, consolidation_config,
-                               net_config=net_config, steps=steps, tracker=tracker)
+                               net_config=net_config, steps=steps)
 
     events: list[dict] = []
 

@@ -113,8 +113,7 @@ class _Arm:
 
 def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                    task: TaskDescription, budget: Budget, es: EsConfig,
-                   store: TraceStore, *, config: NetConfig,
-                   variance_tracker=None) -> SearchOutcome:
+                   store: TraceStore, *, config: NetConfig) -> SearchOutcome:
     """Race a warm-started and a from-scratch (1+lambda) ES on one task.
 
     Stops at the first arm whose incumbent passes the task's success
@@ -166,9 +165,6 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                 t.trial_id = store.append(t)
                 all_trial_ids.append(t.trial_id)
             per_candidate_trials.append(trials)
-            if variance_tracker is not None:
-                for _ in trials:
-                    variance_tracker.update(candidates[idx])
             arm.evaluations += 1
             if budget.unit == "env_steps":
                 cost += sum(trial_env_steps(t) for t in trials)

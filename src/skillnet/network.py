@@ -462,14 +462,15 @@ def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
 
 
 @contextmanager
-def atomic_write(path):
-    """Open a text file for writing that replaces `path` only once the block
-    completes: it is written as a sibling `.tmp` file and moved into place
-    with os.replace, so a crash never leaves a half-written file at `path`."""
+def atomic_write(path, mode: str = "w"):
+    """Open a file for writing (text, or bytes with mode "wb") that replaces
+    `path` only once the block completes: it is written as a sibling `.tmp`
+    file and moved into place with os.replace, so a crash never leaves a
+    half-written file at `path`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)

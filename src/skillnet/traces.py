@@ -2,25 +2,46 @@
 selective replay sampling.
 
 Every trial ever run (successful or not) is kept at full resolution. The only
-mutation allowed after append is clearing a trial's `relevant` flag when its
-task is solved again by a newer controller; the timestep data itself is
-frozen. Selection policies are applied at read time.
-
-File format (JSON Lines, UTF-8): line 1 is a header object
-``{"format_version": 1, "m": ..., "p": ..., "n": ..., "o": ...}``; each
-following line is one trial object with keys trial_id, task_id, success,
-relevant, final_cr and timesteps, where each timestep has keys
-in/goal/r/out/pred/pr. Floats are serialized at full round-trip precision, so
-save/load is bit-exact.
+mutation allowed after append is a change to a trial's `relevant` flag
+(`mark_relevant`, and `supersede_task` when its task is solved again by a
+newer controller); the timestep data itself is frozen. Selection policies
+are applied at read time.
 
 In memory a trial's timesteps are one read-only float64 array of shape
 (T, m+p+n+o+(m+n)+(n+1)): row t is the net's input [in | goal | r] followed by
-its output [out | pred | pr], in JSON-key column order (`StoreDims.columns`).
+its output [out | pred | pr], in v1 JSON-key column order
+(`StoreDims.columns`).
+
+File format v2 (binary, append-only; what `create` streams and `save`
+writes): the magic line ``SKILLNET-TRACES 2\n``, then a frame holding the
+header JSON ``{"m": ..., "p": ..., "n": ..., "o": ...}``, then records. A
+frame is a little-endian uint32 byte count followed by that many bytes of
+UTF-8 JSON. Each record is one type byte and a frame:
+
+  * ``T`` trial: the frame holds trial_id, task_id, success, relevant,
+    final_cr and T, and is followed by the trial's T x row_width rows as
+    little-endian float64, row-major;
+  * ``F`` flag: the frame holds one flag change, ``{"mark_relevant": id}``
+    or ``{"supersede_task": task_id}``, applied in file order on load.
+
+A file that ends partway through its last record (a writer killed
+mid-record) loads without that record; `torn_tail_offset` says where it
+began. Nothing in the file depends on the wall clock.
+
+File format v1 (JSON Lines, UTF-8; read by `load`, written by `export_v1`):
+line 1 is a header object ``{"format_version": 1, "m": ..., "p": ...,
+"n": ..., "o": ...}``; each following line is one trial object with keys
+trial_id, task_id, success, relevant, final_cr and timesteps, where each
+timestep has keys in/goal/r/out/pred/pr. Floats are written at full
+round-trip precision, so both formats round-trip bit-exactly. `load` tells
+the formats apart by the first bytes, not by the file name.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +49,14 @@ import numpy as np
 
 from .network import NetConfig, atomic_write, cumulative_reward, is_json_int
 
-FORMAT_VERSION = 1
+V1_FORMAT_VERSION = 1
+MAGIC = b"SKILLNET-TRACES 2\n"
+TRIAL_RECORD, FLAG_RECORD = b"T", b"F"
+_FRAME_LEN = struct.Struct("<I")
+# one encoder for every frame: given separators, json.dumps builds a new
+# encoder on each call
+_FRAME_JSON = json.JSONEncoder(separators=(",", ":")).encode
+_ROW_DTYPE = np.dtype("<f8")
 
 FINAL_RETURN_TOL = 1e-9
 
@@ -36,11 +64,14 @@ REPLAY_MODES = ("all", "relevant_only", "uniform_sample", "recent")
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file cannot be parsed; carries the failing line."""
+    """Raised when a trace file cannot be parsed; carries the failing line
+    (v1) or the byte offset of the failing record (v2)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str, *, offset: int | None = None):
+        where = f"line {line_no}" if offset is None else f"byte {offset}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.offset = offset
 
 
 def frozen_rows(values) -> np.ndarray:
@@ -136,7 +167,7 @@ class StoreDims:
 
 
 class TraceStore:
-    """In-memory trial store with JSONL persistence.
+    """In-memory trial store, optionally streamed to a v2 file as it grows.
 
     Single writer, any number of readers; `append` never exposes a partially
     built trial and already-stored timestep data is immutable.
@@ -147,6 +178,33 @@ class TraceStore:
         self._trials: list[Trial] = []
         self._by_id: dict[int, Trial] = {}
         self._next_id = 1
+        self._log = None            # the open v2 file of a streamed store
+        self._log_path: Path | None = None
+        self.torn_tail_offset: int | None = None  # set by load: a dropped torn record
+
+    @classmethod
+    def create(cls, path, dims: StoreDims) -> "TraceStore":
+        """An empty store streamed to a new v2 file at `path`, replacing any
+        file there. `append`, `supersede_task` and `mark_relevant` each write
+        and flush their record, so the file holds every complete record even
+        if the process is killed. `save(path)` makes it durable; `close`
+        ends the stream."""
+        store = cls(dims)
+        store._log = open(path, "wb")
+        store._log_path = Path(path).resolve()
+        store._write(MAGIC, _frame(_header(dims)))
+        return store
+
+    def close(self) -> None:
+        """Stop streaming and close the file; a no-op for other stores."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+
+    def _write(self, *parts: bytes) -> None:
+        for part in parts:
+            self._log.write(part)
+        self._log.flush()
 
     def __len__(self) -> int:
         return len(self._trials)
@@ -206,6 +264,8 @@ class TraceStore:
         )
         self._validate(stored)
         self._add(stored)
+        if self._log is not None:
+            self._write(*_trial_record(stored))
         return stored.trial_id
 
     def supersede_task(self, task_id: str) -> int:
@@ -218,6 +278,8 @@ class TraceStore:
             if trial.task_id == task_id and trial.relevant:
                 trial.relevant = False
                 count += 1
+        if count and self._log is not None:
+            self._write(FLAG_RECORD, _frame({"supersede_task": task_id}))
         return count
 
     def mark_relevant(self, trial_id: int) -> None:
@@ -227,6 +289,8 @@ class TraceStore:
         if not trial.success:
             raise ValueError(f"trial {trial_id} was not successful; cannot mark relevant")
         trial.relevant = True
+        if self._log is not None:
+            self._write(FLAG_RECORD, _frame({"mark_relevant": trial_id}))
 
     def sample_replay(self, policy: ReplayPolicy, rng: np.random.Generator | None = None) -> list[Trial]:
         """Select trials for replay. Deterministic given policy.rng_seed when
@@ -250,22 +314,105 @@ class TraceStore:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the store as JSON Lines, replacing `path` atomically."""
+        """Make the store durable at `path`. For the file this store streams
+        to, that is a flush and an fsync; any other path gets a complete v2
+        file, replaced atomically."""
+        if self._log is not None and Path(path).resolve() == self._log_path:
+            self._log.flush()
+            os.fsync(self._log.fileno())
+            return
+        with atomic_write(path, "wb") as fh:
+            fh.write(MAGIC + _frame(_header(self.dims)))
+            for trial in self._trials:
+                for part in _trial_record(trial):
+                    fh.write(part)
+
+    def export_v1(self, path) -> None:
+        """Write the store as v1 JSON Lines, replacing `path` atomically."""
         with atomic_write(path) as fh:
-            header = {
-                "format_version": FORMAT_VERSION,
-                "m": self.dims.obs_dim,
-                "p": self.dims.goal_dim,
-                "n": self.dims.reward_dim,
-                "o": self.dims.action_dim,
-            }
+            header = {"format_version": V1_FORMAT_VERSION, **_header(self.dims)}
             fh.write(json.dumps(header) + "\n")
             for trial in self._trials:
                 fh.write(json.dumps(trial_to_json(trial, self.dims)) + "\n")
 
     @classmethod
     def load(cls, path) -> "TraceStore":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        """Read a v2 or v1 trace file, told apart by its first bytes."""
+        data = Path(path).read_bytes()
+        if data.startswith(MAGIC):
+            return cls._load_v2(data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise TraceFormatError(line_no, f"not UTF-8 text: {exc}") from exc
+        return cls._load_v1(text.splitlines())
+
+    def _add_loaded(self, trial: Trial) -> None:
+        """The checks every loaded trial passes before it joins the store."""
+        self._validate(trial)
+        if trial.trial_id < self._next_id:
+            raise ValueError(f"trial ids must be strictly increasing, got {trial.trial_id}")
+        trial.timesteps.setflags(write=False)
+        self._add(trial)
+
+    @classmethod
+    def _load_v2(cls, data: bytes) -> "TraceStore":
+        end = len(data)
+        offset = len(MAGIC)
+        try:
+            header, offset = _read_frame(data, offset)
+            if header is None:
+                raise ValueError("header is truncated")
+            store = cls(_dims_from_header(header))
+        except ValueError as exc:
+            raise TraceFormatError(None, str(exc), offset=len(MAGIC)) from exc
+        width = store.dims.row_width
+        while offset < end:
+            start = offset
+            try:
+                kind = data[start:start + 1]
+                if kind not in (TRIAL_RECORD, FLAG_RECORD):
+                    raise ValueError(f"unknown record type {kind!r}")
+                head, offset = _read_frame(data, start + 1)
+                if head is None:
+                    store.torn_tail_offset = start
+                    break
+                if kind == TRIAL_RECORD:
+                    fields = _trial_fields(head)
+                    t_len = head["T"]
+                    if not is_json_int(t_len) or t_len < 1:
+                        raise ValueError(f"T must be an int >= 1, got {t_len!r}")
+                    if offset + t_len * width * _ROW_DTYPE.itemsize > end:
+                        store.torn_tail_offset = start
+                        break
+                    rows = np.frombuffer(data, _ROW_DTYPE, t_len * width, offset)
+                    offset += rows.nbytes
+                    store._add_loaded(Trial(timesteps=rows.reshape(t_len, width), **fields))
+                else:
+                    store._apply_flag(head)
+            except KeyError as exc:
+                raise TraceFormatError(None, f"record is missing field {exc}",
+                                       offset=start) from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TraceFormatError(None, str(exc), offset=start) from exc
+        return store
+
+    def _apply_flag(self, head) -> None:
+        if not isinstance(head, dict) or len(head) != 1:
+            raise ValueError(f"flag record must hold one flag change, got {head!r}")
+        (op, arg), = head.items()
+        if op == "mark_relevant" and is_json_int(arg):
+            if arg not in self._by_id:
+                raise ValueError(f"flag names unknown trial {arg}")
+            self.mark_relevant(arg)
+        elif op == "supersede_task" and isinstance(arg, str):
+            self.supersede_task(arg)
+        else:
+            raise ValueError(f"unknown flag change {head!r}")
+
+    @classmethod
+    def _load_v1(cls, lines: list[str]) -> "TraceStore":
         if not lines:
             raise TraceFormatError(1, "empty trace file (missing header)")
         try:
@@ -275,22 +422,12 @@ class TraceStore:
         if not isinstance(header, dict) or "format_version" not in header:
             raise TraceFormatError(1, "header missing format_version")
         version = header["format_version"]
-        if not is_json_int(version) or version != FORMAT_VERSION:
+        if not is_json_int(version) or version != V1_FORMAT_VERSION:
             raise TraceFormatError(1, f"unsupported format_version {version!r}")
-        for key in ("m", "p", "n", "o"):
-            if key not in header:
-                raise TraceFormatError(1, f"header missing dimension key {key!r}")
-            value = header[key]
-            if not is_json_int(value) or value < 1:
-                raise TraceFormatError(
-                    1, f"header dimension {key!r} must be an int >= 1, got {value!r}"
-                )
-        dims = StoreDims(
-            obs_dim=header["m"],
-            goal_dim=header["p"],
-            reward_dim=header["n"],
-            action_dim=header["o"],
-        )
+        try:
+            dims = _dims_from_header(header)
+        except ValueError as exc:
+            raise TraceFormatError(1, str(exc)) from exc
         store = cls(dims)
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -304,16 +441,74 @@ class TraceStore:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(line_no, f"malformed trial object: {exc}") from exc
             try:
-                store._validate(trial)
+                store._add_loaded(trial)
             except ValueError as exc:
                 raise TraceFormatError(line_no, str(exc)) from exc
-            if trial.trial_id < store._next_id:
-                raise TraceFormatError(
-                    line_no, f"trial ids must be strictly increasing, got {trial.trial_id}"
-                )
-            trial.timesteps.setflags(write=False)
-            store._add(trial)
         return store
+
+
+def _header(dims: StoreDims) -> dict:
+    return {"m": dims.obs_dim, "p": dims.goal_dim, "n": dims.reward_dim,
+            "o": dims.action_dim}
+
+
+def _dims_from_header(header) -> StoreDims:
+    """The header rule of both formats: m, p, n and o are ints >= 1 (not bools)."""
+    if not isinstance(header, dict):
+        raise ValueError(f"header must be a JSON object, got {header!r}")
+    for key in ("m", "p", "n", "o"):
+        if key not in header:
+            raise ValueError(f"header missing dimension key {key!r}")
+        value = header[key]
+        if not is_json_int(value) or value < 1:
+            raise ValueError(f"header dimension {key!r} must be an int >= 1, got {value!r}")
+    return StoreDims(header["m"], header["p"], header["n"], header["o"])
+
+
+def _frame(obj) -> bytes:
+    """A v2 frame: the uint32 byte count of obj's compact JSON, then the JSON."""
+    data = _FRAME_JSON(obj).encode("utf-8")
+    return _FRAME_LEN.pack(len(data)) + data
+
+
+def _read_frame(data: bytes, offset: int):
+    """(decoded JSON, offset after the frame), or (None, offset) when the
+    data ends inside the frame."""
+    body = offset + _FRAME_LEN.size
+    if body > len(data):
+        return None, offset
+    (length,) = _FRAME_LEN.unpack_from(data, offset)
+    if body + length > len(data):
+        return None, offset
+    try:
+        return json.loads(data[body:body + length]), body + length
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
+        raise ValueError(f"invalid JSON in frame: {exc}") from exc
+
+
+def _trial_record(trial: Trial) -> tuple[bytes, bytes, bytes]:
+    head = {"trial_id": trial.trial_id, "task_id": trial.task_id, "success": trial.success,
+            "relevant": trial.relevant, "final_cr": trial.final_return, "T": len(trial)}
+    return TRIAL_RECORD, _frame(head), trial.timesteps.astype(_ROW_DTYPE, copy=False).tobytes()
+
+
+def _trial_fields(obj: dict) -> dict:
+    """Trial's scalar fields from a trial object, checked, not coerced:
+    trial_id must be an int, task_id a string, success and relevant JSON
+    booleans and final_cr a number."""
+    if not is_json_int(obj["trial_id"]):
+        raise ValueError(f"trial_id must be an int, got {obj['trial_id']!r}")
+    if not isinstance(obj["task_id"], str):
+        raise ValueError(f"task_id must be a string, got {obj['task_id']!r}")
+    for key in ("success", "relevant"):
+        if not isinstance(obj[key], bool):
+            raise ValueError(f"{key} must be a JSON boolean, got {obj[key]!r}")
+    final_cr = obj["final_cr"]
+    if isinstance(final_cr, bool) or not isinstance(final_cr, (int, float)):
+        raise ValueError(f"final_cr must be a number, got {final_cr!r}")
+    return {"trial_id": obj["trial_id"], "task_id": obj["task_id"],
+            "success": obj["success"], "relevant": obj["relevant"],
+            "final_return": float(final_cr)}
 
 
 def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
@@ -332,37 +527,21 @@ def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
 
 def trial_from_json(obj: dict, dims: StoreDims) -> Trial:
     """Parse a v1 JSON trial object; each key's values must form a
-    (T, width) block before the blocks are joined into rows.
-
-    The scalar fields are checked, not coerced: trial_id must be an int,
-    task_id a string, success and relevant JSON booleans and final_cr a
-    number. Timestep values are only converted to float64.
-    """
-    if not is_json_int(obj["trial_id"]):
-        raise ValueError(f"trial_id must be an int, got {obj['trial_id']!r}")
-    if not isinstance(obj["task_id"], str):
-        raise ValueError(f"task_id must be a string, got {obj['task_id']!r}")
-    for key in ("success", "relevant"):
-        if not isinstance(obj[key], bool):
-            raise ValueError(f"{key} must be a JSON boolean, got {obj[key]!r}")
-    final_cr = obj["final_cr"]
-    if isinstance(final_cr, bool) or not isinstance(final_cr, (int, float)):
-        raise ValueError(f"final_cr must be a number, got {final_cr!r}")
+    (T, width) block of JSON numbers before the blocks are joined into rows.
+    The scalar fields are checked as `_trial_fields` says."""
+    fields = _trial_fields(obj)
     steps = obj["timesteps"]
     if not steps:
         raise ValueError("trial has no timesteps")
     blocks = []
     for key, cols in dims.columns.items():
-        block = np.asarray([ts[key] for ts in steps], dtype=np.float64)
+        values = [ts[key] for ts in steps]
+        block = np.asarray(values, dtype=np.float64)
         shape = (len(steps), cols.stop - cols.start)
         if block.shape != shape:
             raise ValueError(f"{key!r} values must have shape {shape}, got {block.shape}")
+        # asarray would read true as 1.0 and "0.5" as 0.5
+        if not all(type(v) in (int, float) for row in values for v in row):
+            raise ValueError(f"{key!r} values must be JSON numbers")
         blocks.append(block)
-    return Trial(
-        trial_id=obj["trial_id"],
-        task_id=obj["task_id"],
-        success=obj["success"],
-        relevant=obj["relevant"],
-        timesteps=np.concatenate(blocks, axis=1),
-        final_return=float(final_cr),
-    )
+    return Trial(timesteps=np.concatenate(blocks, axis=1), **fields)

@@ -1,12 +1,21 @@
+import hashlib
 import json
+import os
+import signal
+import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skillnet
 from skillnet.cli import main
 from skillnet.metrics import read_metrics, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
-from skillnet.traces import TraceStore
+from skillnet.traces import MAGIC, TraceStore
 
 
 def write_config(tmp_path, **overrides):
@@ -260,15 +269,73 @@ def test_traces_parse_error_names_line(tmp_path, capsys):
 
 
 def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
+    # the same header rule in both formats: a dimension given as a string
     config_path = write_config(tmp_path)
     main(["run", "--config", str(config_path)])
+    v2_path, v1_path = tmp_path / "traces.jsonl", tmp_path / "v1.jsonl"
+    assert main(["traces", str(v2_path), "--export-v1", str(v1_path)]) == 0
     capsys.readouterr()
-    path = tmp_path / "traces.jsonl"
-    lines = path.read_text().splitlines()
+
+    lines = v1_path.read_text().splitlines()
     lines[0] = lines[0].replace('"m": 9', '"m": "9"')
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["traces", str(path)]) == 1
-    assert "line 1" in capsys.readouterr().err
+    v1_path.write_text("\n".join(lines) + "\n")
+    data = v2_path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, len(MAGIC))
+    header_end = len(MAGIC) + 4 + length
+    header = data[len(MAGIC) + 4:header_end].replace(b'"m":9', b'"m":"9"')
+    v2_path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + data[header_end:])
+
+    for path, where in ((v1_path, "line 1"), (v2_path, f"byte {len(MAGIC)}")):
+        assert main(["traces", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {where}: header dimension 'm' must be an int >= 1, got '9'" in err
+
+
+def test_run_export_v1_matches_recorded_trace_file(tmp_path, capsys):
+    """The v1 export of a run's trace file is byte for byte the trace file
+    that the same run wrote before the trace file became binary."""
+    config_path = write_config(tmp_path)
+    assert main(["run", "--config", str(config_path), "--seed", "3"]) == 0
+    out = tmp_path / "v1.jsonl"
+    assert main(["traces", str(tmp_path / "traces.jsonl"), "--export-v1", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a48d50b9b16ec7a3dc9f3a34bba9e47e6893e5d5403a5a26c650ad6522aed6b0")
+
+
+def test_run_killed_outright_keeps_every_complete_record(tmp_path):
+    # a task no trial can solve (the goal is 12 steps away, a trial may take
+    # 5), so the run searches until it is killed
+    config_path = write_config(tmp_path, tasks=[{
+        "task_id": "far",
+        "goal_index": 0,
+        "maze": {"width": 7, "height": 7, "start": [0, 0], "goal_cell": [6, 6]},
+        "criterion": {"min_success_trials": 1, "max_steps_per_trial": 5},
+    }], net={"m": 49, "p": 4, "n": 1, "o": 4, "h": 12},
+        budgets={"c0": 1e12, "lambda": 0.04})
+    trace_file = tmp_path / "traces.jsonl"
+    src = str(Path(skillnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "skillnet.cli", "run", "--config", str(config_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (trace_file.exists() and trace_file.stat().st_size > 200_000):
+            assert child.poll() is None, child.stderr.read().decode()
+            assert time.monotonic() < deadline, "the run wrote too little to kill it partway"
+            time.sleep(0.01)
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stderr.close()
+    store = TraceStore.load(trace_file)
+    assert len(store) > 0
+    assert [t.trial_id for t in store] == list(range(1, len(store) + 1))
+    for trial in store:
+        store._validate(trial)
 
 
 def test_run_runtime_failure_exits_two(tmp_path, capsys):

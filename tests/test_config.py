@@ -142,7 +142,7 @@ NUMERIC_FIELDS = [
       for key in ("c0", "lambda", "max_total_budget", "dream_steps_per_unit")),
     *((("consolidation",), key, f"consolidation.{key}")
       for key in ("base_lr", "momentum", "action_weight", "pred_weight", "return_weight",
-                  "reg_interval", "reg_strength", "variance_lr_floor")),
+                  "reg_interval", "reg_strength")),
     *((("consolidation", "replay"), key, f"consolidation.replay.{key}")
       for key in ("k", "rng_seed")),
 ]
@@ -163,3 +163,35 @@ def test_non_finite_numbers_rejected_by_field(tmp_path, section, key, fieldpath,
     path = write(tmp_path, config)
     assert ("NaN" if value != value else "Infinity") in path.read_text()
     expect_error(tmp_path, config, fieldpath)
+
+
+UNKNOWN_KEYS = [
+    ((), "bogus", "bogus"),
+    (("net",), "H", "net.H"),
+    (("tasks", 0), "bogus", "tasks[0].bogus"),
+    (("tasks", 0, "maze"), "colour", "tasks[0].maze.colour"),
+    (("tasks", 0, "criterion"), "bogus", "tasks[0].criterion.bogus"),
+    (("es",), "bogus", "es.bogus"),
+    (("budgets",), "bogus", "budgets.bogus"),
+    (("consolidation",), "base_Lr", "consolidation.base_Lr"),
+    (("consolidation",), "use_variance_lr", "consolidation.use_variance_lr"),
+    (("consolidation", "replay"), "bogus", "consolidation.replay.bogus"),
+    (("paths",), "bogus", "paths.bogus"),
+]
+
+
+@pytest.mark.parametrize("section, key, fieldpath", UNKNOWN_KEYS,
+                         ids=[f[2] for f in UNKNOWN_KEYS])
+def test_unknown_key_rejected_at_every_level(tmp_path, section, key, fieldpath):
+    # a misspelt field, or a removed one, must not silently mean the default
+    config = base_config()
+    config["tasks"][0]["criterion"] = {}
+    config["es"] = {}
+    config["consolidation"] = {"replay": {}}
+    target = config
+    for part in section:
+        target = target[part]
+    target[key] = 1
+    with pytest.raises(ConfigError, match="unknown field") as exc:
+        load_config(write(tmp_path, config))
+    assert str(exc.value).startswith(f"{fieldpath}: ")

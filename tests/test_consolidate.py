@@ -3,12 +3,10 @@ import pytest
 
 from skillnet.consolidate import (
     ConsolidationConfig,
-    VarianceTracker,
     build_batch,
     build_targets,
     consolidate,
     retention_check,
-    variance_lr_scale,
 )
 from skillnet.envs import (
     GridMazeSpec,
@@ -292,64 +290,6 @@ def test_fixed_replay_selection_is_padded_and_validated_once(monkeypatch):
                             ConsolidationConfig(base_lr=0.02), net_config=CFG, steps=50)
     assert report.steps_run == 50
     assert len(calls) == 3
-
-
-# ---------------------------------------------------------------------------
-# variance heuristic
-
-
-def test_tracker_matches_numpy_variance():
-    tracker = VarianceTracker(3)
-    snaps = np.random.default_rng(8).normal(size=(6, 3))
-    for s in snaps:
-        tracker.update(s)
-    assert tracker.count == 6
-    assert np.allclose(tracker.variance(), snaps.var(axis=0))
-    assert np.all(tracker.variance() >= 0)
-
-
-def test_equal_variances_give_base_lr():
-    tracker = VarianceTracker(4)
-    tracker.update(np.zeros(4))
-    tracker.update(np.ones(4))
-    rates = variance_lr_scale(tracker, base_lr=0.1, floor=0.05)
-    assert np.allclose(rates, 0.1)
-
-
-def test_zero_variance_weight_gets_floor():
-    tracker = VarianceTracker(3)
-    tracker.update(np.array([0.0, 0.0, 1.0]))
-    tracker.update(np.array([0.0, 1.0, -1.0]))
-    tracker.update(np.array([0.0, 2.0, 1.0]))
-    rates = variance_lr_scale(tracker, base_lr=0.1, floor=0.2)
-    assert rates[0] == pytest.approx(0.1 * 0.2)
-    assert rates[1] <= 0.1 and rates[2] <= 0.1
-
-
-def test_single_snapshot_gives_uniform_rates():
-    tracker = VarianceTracker(3)
-    tracker.update(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(variance_lr_scale(tracker, 0.1, 0.5), 0.1)
-
-
-def test_scaled_rates_keep_update_direction():
-    store = relevant_store()
-    _, weights = init_network(CFG)
-    tracker = VarianceTracker(CFG.n_params)
-    rng = np.random.default_rng(9)
-    for _ in range(4):
-        tracker.update(weights + rng.normal(scale=0.01, size=CFG.n_params))
-    plain, _ = consolidate(weights, store, ReplayPolicy(mode="all"),
-                           ConsolidationConfig(base_lr=0.01, momentum=0.0),
-                           net_config=CFG, steps=1)
-    scaled, _ = consolidate(weights, store, ReplayPolicy(mode="all"),
-                            ConsolidationConfig(base_lr=0.01, momentum=0.0,
-                                                use_variance_lr=True),
-                            net_config=CFG, steps=1, tracker=tracker)
-    d_plain = np.sign(plain - weights)
-    d_scaled = np.sign(scaled - weights)
-    moved = (d_plain != 0) & (d_scaled != 0)
-    assert np.array_equal(d_plain[moved], d_scaled[moved])
 
 
 # ---------------------------------------------------------------------------

@@ -487,7 +487,7 @@ def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_pa
     outcome = try_solve_task(current, original, task, Budget("env_steps", 700),
                              EsConfig(population=4, sigma=0.5, seed=7), store, config=cfg)
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "685780f36cc923dba77b42b356f6bf5c9c751160bc4deb1d9f966cf46b4f64ed")
     assert (outcome.status, outcome.winner) == ("solved", "scratch")

@@ -1,4 +1,6 @@
+import bisect
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skillnet.traces import (
+    FLAG_RECORD,
+    MAGIC,
     ReplayPolicy,
     StoreDims,
     TraceFormatError,
@@ -239,7 +243,7 @@ def test_truncated_file_error_names_line(tmp_path):
     store.append(make_trial(rng=rng))
     store.append(make_trial(rng=rng))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     text = path.read_text()
     path.write_text(text[: len(text) - 40])  # chop the tail of the last trial
     with pytest.raises(TraceFormatError) as exc:
@@ -281,7 +285,7 @@ def test_loaded_ids_must_increase(tmp_path):
     store.append(make_trial(rng=rng))
     store.append(make_trial(rng=rng))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(TraceFormatError, match="increasing"):
@@ -309,7 +313,7 @@ def test_saved_trial_line_is_exact_v1_text(tmp_path):
     store.append(Trial(task_id="g", success=True, relevant=True, timesteps=rows,
                        final_return=1.0))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == '{"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2}'
     assert lines[1] == (
@@ -330,7 +334,7 @@ def test_misaligned_fields_rejected_with_line_number(tmp_path):
     store.append(make_trial(rng=rng))
     store.append(make_trial(rng=rng))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[2])
     for ts in obj["timesteps"]:
@@ -380,7 +384,7 @@ def test_trial_field_types_checked_not_coerced(tmp_path, key, value):
     store.append(make_trial(rng=rng))
     store.append(make_trial(rng=rng))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[2])
     obj[key] = value
@@ -397,7 +401,7 @@ def test_nan_or_unrepresentable_final_cr_rejected(tmp_path, value):
     store = TraceStore(DIMS)
     store.append(make_trial(rng=np.random.default_rng(12)))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     obj["final_cr"] = value
@@ -413,7 +417,7 @@ def test_int_final_cr_still_loads(tmp_path):
     store = TraceStore(DIMS)
     store.append(make_trial(rewards=np.array([[1.0], [0.0]]), n_steps=2))
     path = tmp_path / "traces.jsonl"
-    store.save(path)
+    store.export_v1(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     obj["final_cr"] = 1
@@ -422,32 +426,214 @@ def test_int_final_cr_still_loads(tmp_path):
     assert TraceStore.load(path).get(1).final_return == 1.0
 
 
+# ---------------------------------------------------------------------------
+# v1 reader
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_v1_timestep_values_must_be_json_numbers(tmp_path, value):
+    # numpy would read true as 1.0 and "0.5" as 0.5
+    store = TraceStore(DIMS)
+    store.append(make_trial(rng=np.random.default_rng(14)))
+    path = tmp_path / "traces.jsonl"
+    store.export_v1(path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["timesteps"][1]["out"][0] = value
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="'out' values must be JSON numbers") as exc:
+        TraceStore.load(path)
+    assert exc.value.line_no == 2
+
+
+# ---------------------------------------------------------------------------
+# v2: streaming, torn tails, corruption
+
+
+def frame(obj) -> bytes:
+    data = json.dumps(obj).encode()
+    return struct.pack("<I", len(data)) + data
+
+
+def test_streamed_file_holds_each_record_once_its_call_returns(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    store = TraceStore.create(path, DIMS)
+    assert path.read_bytes().startswith(MAGIC)
+    assert len(TraceStore.load(path)) == 0
+    rng = np.random.default_rng(15)
+    store.append(make_trial("a", success=True, rng=rng))
+    assert TraceStore.load(path).trials == store.trials
+    store.mark_relevant(1)
+    assert TraceStore.load(path).get(1).relevant
+    assert store.supersede_task("b") == 0
+    size = path.stat().st_size
+    assert store.supersede_task("a") == 1
+    assert path.stat().st_size > size
+    assert not TraceStore.load(path).get(1).relevant
+    # save of the streamed file only flushes it; another path gets a whole file
+    data = path.read_bytes()
+    store.save(tmp_path / "." / path.name)
+    assert path.read_bytes() == data
+    store.save(tmp_path / "copy")
+    assert TraceStore.load(tmp_path / "copy").trials == store.trials
+    store.close()
+    assert path.read_bytes() == data
+
+
+def test_torn_tail_is_dropped_at_every_byte(tmp_path):
+    rng = np.random.default_rng(16)
+    trials = [make_trial("a", success=True, rng=rng),
+              make_trial("b", n_steps=2, rng=rng),
+              make_trial("a", success=True, n_steps=1, rng=rng)]
+    ops = [
+        lambda s: s.append(trials[0]),
+        lambda s: s.mark_relevant(1),
+        lambda s: s.append(trials[1]),
+        lambda s: s.append(trials[2]),
+        lambda s: s.supersede_task("a"),
+        lambda s: s.mark_relevant(3),
+    ]
+    path = tmp_path / "traces.jsonl"
+    store = TraceStore.create(path, DIMS)
+    ends = [path.stat().st_size]
+    for op in ops:
+        op(store)
+        ends.append(path.stat().st_size)
+    store.close()
+    data = path.read_bytes()
+    assert len(ends) == len(set(ends))  # every call wrote a record
+    cut_path = tmp_path / "cut.jsonl"
+    for cut in range(ends[0], len(data) + 1):
+        done = bisect.bisect_right(ends, cut) - 1  # calls whose records are whole
+        expected = TraceStore(DIMS)
+        for op in ops[:done]:
+            op(expected)
+        cut_path.write_bytes(data[:cut])
+        loaded = TraceStore.load(cut_path)
+        assert loaded.trials == expected.trials, cut
+        assert loaded.torn_tail_offset == (None if cut == ends[done] else ends[done]), cut
+    for cut in range(len(MAGIC), ends[0]):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(TraceFormatError, match="truncated") as exc:
+            TraceStore.load(cut_path)
+        assert exc.value.offset == len(MAGIC)
+
+
+def _second_record(tmp_path, second):
+    """A streamed file of one failed trial, then `second` (a store call);
+    returns (file bytes, offset of the second record)."""
+    path = tmp_path / "traces.jsonl"
+    store = TraceStore.create(path, DIMS)
+    store.append(make_trial("a", rng=np.random.default_rng(17)))
+    start = path.stat().st_size
+    second(store)
+    store.close()
+    return path.read_bytes(), start
+
+
+def _flip(data, at, old, new):
+    assert data[at:at + len(old)] == old
+    return data[:at] + new + data[at + len(old):]
+
+
+NAN = struct.pack("<d", float("nan"))
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda d, s: _flip(d, s, b"T", b"X"), "unknown record type"),
+    (lambda d, s: _flip(d, s + 5, b"{", b"["), "invalid JSON"),
+    (lambda d, s: d.replace(b'"task_id":"b"', b'"task_id":7  '), "task_id"),
+    (lambda d, s: d[:-8] + NAN, "non-finite"),
+    (lambda d, s: _flip(d, s + 5 + d[s + 5:].index(b'"T":') + 4, b"2", b"1"), "final_return"),
+    (lambda d, s: d.replace(b'"trial_id":2', b'"trial_id":1'), "increasing"),
+], ids=["type_byte", "json", "task_id", "nan_row", "short_T", "repeated_id"])
+def test_corrupt_complete_record_names_its_offset(tmp_path, corrupt, match):
+    trial = make_trial("b", n_steps=2, rng=np.random.default_rng(18))
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(corrupt(data, start))
+    with pytest.raises(TraceFormatError, match=match) as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
+    assert f"byte {start}" in str(exc.value)
+
+
+@pytest.mark.parametrize("flag, match", [
+    ({"mark_relevant": 9}, "unknown trial 9"),
+    ({"mark_relevant": 1}, "not successful"),
+    ({"mark_relevant": True}, "unknown flag change"),
+    ({"supersede_task": 3}, "unknown flag change"),
+    ({"mark_relevant": 1, "supersede_task": "a"}, "one flag change"),
+])
+def test_bad_flag_record_is_format_error(tmp_path, flag, match):
+    data, start = _second_record(tmp_path, lambda s: None)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data + FLAG_RECORD + frame(flag))
+    with pytest.raises(TraceFormatError, match=match) as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
+
+
 @st.composite
-def stores(draw):
+def store_calls(draw):
+    """Store dims and a list of store calls: appends, with mark_relevant and
+    supersede_task calls between them."""
     dims = StoreDims(*(draw(st.integers(1, 4)) for _ in range(4)))
     finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
-    store = TraceStore(dims)
+    calls = []
     for i in range(draw(st.integers(0, 4))):
         t_len = draw(st.integers(1, 6))
         rows = draw(hnp.arrays(np.float64, (t_len, dims.row_width), elements=finite))
         rewards = rows[:, dims.columns["r"]]
         success = draw(st.booleans())
-        store.append(Trial(
+        calls.append(("append", Trial(
             task_id=f"task{i % 2}", success=success,
             relevant=success and draw(st.booleans()), timesteps=rows,
             final_return=float(np.cumsum(rewards.sum(axis=1))[-1]),
-        ))
-    return store
+        )))
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                calls.append(("mark_relevant", draw(st.integers(0, i))))
+            else:
+                calls.append(("supersede_task", f"task{draw(st.integers(0, 2))}"))
+    return dims, calls
+
+
+def make_calls(store, calls):
+    for name, arg in calls:
+        if name == "append":
+            store.append(arg)
+        elif name == "mark_relevant":
+            if store.trials[arg].success:
+                store.mark_relevant(store.trials[arg].trial_id)
+        else:
+            store.supersede_task(arg)
 
 
 @settings(max_examples=60, deadline=None)
-@given(stores())
-def test_save_load_save_is_exact(store):
+@given(store_calls(), st.sampled_from(["v1", "v2"]))
+def test_save_load_save_is_exact(dims_calls, file_format):
+    dims, calls = dims_calls
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
-        store.save(first)
+        if file_format == "v2":
+            # the streamed file, flag records and all, loads as the same store
+            streamed = Path(tmp) / "streamed.jsonl"
+            store = TraceStore.create(streamed, dims)
+            make_calls(store, calls)
+            store.close()
+            loaded = TraceStore.load(streamed)
+            assert loaded.dims == store.dims
+            assert list(loaded) == list(store)
+            write = TraceStore.save
+        else:
+            store = TraceStore(dims)
+            make_calls(store, calls)
+            write = TraceStore.export_v1
+        write(store, first)
         loaded = TraceStore.load(first)
         assert loaded.dims == store.dims
         assert list(loaded) == list(store)
-        loaded.save(second)
+        write(loaded, second)
         assert first.read_bytes() == second.read_bytes()
