@@ -19,12 +19,18 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config, with_seed
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    check_task_fits_net,
+    load_config,
+    with_seed,
+)
 from .consolidate import retention_check
 from .curriculum import retention_event, run_curriculum
 from .evolve import Budget, try_solve_task
 from .metrics import MetricsWriter, scrub, validate_event
-from .network import init_network, load_checkpoint, save_checkpoint
+from .network import NET_KEYS, init_network, load_checkpoint, save_checkpoint
 from .rollout import evaluate_policy
 from .traces import StoreDims, TraceFormatError, TraceStore, trial_to_json
 
@@ -75,10 +81,14 @@ def _load(config_path: str, seed: int | None) -> ExperimentConfig:
     return config
 
 
+# the checkpoint header keys that fix the net's shape and dynamics
+TOPOLOGY_KEYS = ("m", "p", "n", "o", "h", "micro_steps", "activation")
+
+
 def _find_task(config: ExperimentConfig, task_id: str):
-    for task in config.tasks:
+    for index, task in enumerate(config.tasks):
         if task.task_id == task_id:
-            return task
+            return index, task
     raise ConfigError("task", f"unknown task id {task_id!r}; configured: "
                               f"{[t.task_id for t in config.tasks]}")
 
@@ -119,7 +129,6 @@ def cmd_run(args) -> int:
                 replay_policy=config.replay,
                 budget_unit=config.budgets.unit,
                 max_total_budget=config.budgets.max_total_budget,
-                dream_steps_per_unit=config.budgets.dream_steps_per_unit,
                 seed=config.master_seed,
                 on_event=writer.emit,
             )
@@ -150,8 +159,13 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load(args.config, None)
-    task = _find_task(config, args.task)
+    index, task = _find_task(config, args.task)
     net_config, weights = _load_checkpoint_or_usage_error(args.checkpoint)
+    try:
+        check_task_fits_net(task, net_config, f"tasks[{index}]")
+    except ConfigError as exc:
+        raise ConfigError("checkpoint", f"its net does not fit task {task.task_id!r}: "
+                                        f"{exc}") from None
     trials = args.trials if args.trials is not None else task.criterion.min_success_trials
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
@@ -164,10 +178,12 @@ def cmd_eval(args) -> int:
 
 def cmd_transfer_probe(args) -> int:
     config = _load(args.config, args.seed)
-    task = _find_task(config, args.task)
+    _, task = _find_task(config, args.task)
     warm_config, warm_weights = _load_checkpoint_or_usage_error(args.checkpoint)
-    if warm_config.n_params != config.net.n_params:
-        raise ConfigError("checkpoint", "checkpoint topology does not match net config")
+    differ = [key for key in TOPOLOGY_KEYS
+              if getattr(warm_config, NET_KEYS[key]) != getattr(config.net, NET_KEYS[key])]
+    if differ:
+        raise ConfigError("checkpoint", f"its net differs from the config's in {', '.join(differ)}")
     _, fresh_weights = init_network(config.net)
     store = TraceStore(StoreDims.from_net_config(config.net))
     es = replace(config.es, seed=config.master_seed)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
+    REG_KINDS,
     NetConfig,
     Network,
     ReplayBatch,
@@ -39,7 +40,7 @@ from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
 @dataclass(frozen=True)
 class ConsolidationConfig:
-    base_lr: float = 0.05
+    base_lr: float = 0.005
     momentum: float = 0.9
     action_weight: float = 1.0
     pred_weight: float = 1.0
@@ -55,6 +56,8 @@ class ConsolidationConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.reg_interval < 0 or self.reg_strength < 0:
             raise ValueError("regularizer settings must be non-negative")
+        if self.reg_kind not in REG_KINDS:
+            raise ValueError(f"reg_kind must be one of {REG_KINDS}, got {self.reg_kind!r}")
 
     @property
     def term_weights(self) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ search arms work on copies and contribute traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class CurriculumReport:
     final_budget: float
     total_search_spent: float
     consolidations: int
-    events: list[dict] = field(default_factory=list)
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:
@@ -77,15 +76,14 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                    replay_policy: ReplayPolicy,
                    budget_unit: str = "env_steps",
                    max_total_budget: float | None = None,
-                   dream_steps_per_unit: float = 1.0,
-                   original_weights: np.ndarray | None = None,
                    seed: int = 0,
                    solver=None, consolidator=None, on_event=None):
     """Run the whole curriculum; returns (final_weights, CurriculumReport).
 
     dream_multiplier couples each consolidation's budget to the solve budget:
-    a solve at budget c earns round(dream_multiplier * c * dream_steps_per_unit)
-    gradient steps of dreaming.
+    a solve at budget c earns round(dream_multiplier * c) gradient steps of
+    dreaming. The scratch arm of every attempt starts from initial_weights.
+    Every metrics event goes to on_event, in order.
     """
     if not tasks:
         raise ValueError("curriculum needs at least one task")
@@ -93,8 +91,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         raise ValueError("budget_c0 and dream_multiplier must be positive")
 
     weights = np.asarray(initial_weights, dtype=np.float64).copy()
-    original = (np.asarray(original_weights, dtype=np.float64).copy()
-                if original_weights is not None else weights.copy())
+    original = weights.copy()
 
     if solver is None:
         def solver(*, current_weights, original_weights, task, budget, es, store):
@@ -106,12 +103,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
             return consolidate(weights, store, replay_policy, consolidation_config,
                                net_config=net_config, steps=steps)
 
-    events: list[dict] = []
-
-    def emit(event: dict) -> None:
-        events.append(event)
-        if on_event is not None:
-            on_event(event)
+    emit = on_event if on_event is not None else (lambda event: None)
 
     unsolved = list(tasks)
     solved: list[SolveRecord] = []
@@ -172,7 +164,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 "relevant_trial_ids": list(outcome.relevant_trial_ids),
             })
 
-            dream_steps = max(1, round(dream_multiplier * budget_c * dream_steps_per_unit))
+            dream_steps = max(1, round(dream_multiplier * budget_c))
             weights, report = consolidator(weights=weights, store=store,
                                            steps=dream_steps)
             consolidations += 1
@@ -213,6 +205,5 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         final_budget=budget_c,
         total_search_spent=total_spent,
         consolidations=consolidations,
-        events=events,
     )
     return weights, report

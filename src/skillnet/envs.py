@@ -68,6 +68,8 @@ class SuccessCriterion:
             raise ValueError(
                 f"success_rate_threshold must be in (0, 1], got {self.success_rate_threshold}"
             )
+        if self.max_steps_per_trial is not None and self.max_steps_per_trial < 1:
+            raise ValueError(f"max_steps_per_trial must be >= 1, got {self.max_steps_per_trial}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class GridMazeSpec:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"{name} {(x, y)} is outside the {self.width}x{self.height} grid")
         if tuple(self.start) == tuple(self.goal_cell):
-            raise ValueError("start and goal_cell must differ")
+            raise ValueError("goal_cell must differ from start")
         for name in ("step_reward", "goal_reward"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -49,7 +49,7 @@ class Budget:
 @dataclass(frozen=True)
 class EsConfig:
     population: int = 8     # children per generation
-    sigma: float = 0.1      # Gaussian mutation scale
+    sigma: float = 0.2      # Gaussian mutation scale
     elitism: bool = True    # keep the parent unless a child strictly improves
     seed: int = 0
 

@@ -34,8 +34,14 @@ from pathlib import Path
 import numpy as np
 
 ACTIVATIONS = ("tanh", "sigmoid")
+REG_KINDS = ("decay", "prune")
 
 CHECKPOINT_VERSION = 1
+
+# checkpoint header (and config "net" section) key -> NetConfig field
+NET_KEYS = {"m": "obs_dim", "p": "goal_dim", "n": "reward_dim", "o": "action_dim",
+            "h": "hidden_dim", "micro_steps": "micro_steps", "activation": "activation",
+            "seed": "seed", "init_scale": "init_scale"}
 
 
 @dataclass(frozen=True)
@@ -487,18 +493,8 @@ def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (config.n_params,):
         raise ValueError(f"weights shape {weights.shape} does not match config")
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "m": config.obs_dim,
-        "p": config.goal_dim,
-        "n": config.reward_dim,
-        "o": config.action_dim,
-        "h": config.hidden_dim,
-        "micro_steps": config.micro_steps,
-        "activation": config.activation,
-        "seed": config.seed,
-        "init_scale": config.init_scale,
-    }
+    header = {"format_version": CHECKPOINT_VERSION,
+              **{key: getattr(config, field) for key, field in NET_KEYS.items()}}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"weights": weights.tolist()}) + "\n")
@@ -514,7 +510,9 @@ def load_checkpoint(path) -> tuple[NetConfig, np.ndarray]:
     """Read a checkpoint written by save_checkpoint.
 
     A malformed file raises ValueError: the header's format_version must be
-    the int CHECKPOINT_VERSION and its m, p, n, o, h and micro_steps ints >= 1.
+    the int CHECKPOINT_VERSION, m, p, n, o and h must be present, and they
+    and any micro_steps must be ints >= 1. A field the header omits takes its
+    NetConfig default.
     """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if len(text) < 2:
@@ -525,25 +523,16 @@ def load_checkpoint(path) -> tuple[NetConfig, np.ndarray]:
     version = header.get("format_version")
     if not is_json_int(version) or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    header.setdefault("micro_steps", 1)
-    for key in ("m", "p", "n", "o", "h", "micro_steps"):
+    for key in ("m", "p", "n", "o", "h"):
         if key not in header:
             raise ValueError(f"checkpoint header missing {key!r}")
-        if not is_json_int(header[key]) or header[key] < 1:
+    for key in ("m", "p", "n", "o", "h", "micro_steps"):
+        if key in header and (not is_json_int(header[key]) or header[key] < 1):
             raise ValueError(f"checkpoint header {key!r} must be an int >= 1, "
                              f"got {header[key]!r}")
     try:
-        config = NetConfig(
-            obs_dim=header["m"],
-            goal_dim=header["p"],
-            reward_dim=header["n"],
-            action_dim=header["o"],
-            hidden_dim=header["h"],
-            micro_steps=header["micro_steps"],
-            activation=header.get("activation", "tanh"),
-            seed=header.get("seed", 0),
-            init_scale=header.get("init_scale", 0.1),
-        )
+        config = NetConfig(**{field: header[key] for key, field in NET_KEYS.items()
+                              if key in header})
         weights = np.asarray(json.loads(text[1])["weights"], dtype=np.float64)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from None

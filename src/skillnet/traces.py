@@ -116,7 +116,7 @@ class Trial:
 class ReplayPolicy:
     """How consolidation selects trials for replay."""
 
-    mode: str = "all"
+    mode: str = "relevant_only"
     k: int | None = None
     rng_seed: int = 0
 
@@ -125,7 +125,9 @@ class ReplayPolicy:
             raise ValueError(f"mode must be one of {REPLAY_MODES}, got {self.mode!r}")
         if self.mode in ("uniform_sample", "recent"):
             if self.k is None or self.k < 1:
-                raise ValueError(f"mode {self.mode!r} requires k >= 1, got {self.k}")
+                raise ValueError(f"k must be >= 1 with mode {self.mode!r}, got {self.k}")
+        elif self.k is not None:
+            raise ValueError(f"k must not be set with mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,15 @@ def test_run_nan_budget_exits_1_naming_field(tmp_path, capsys):
     assert "budgets.c0" in capsys.readouterr().err
 
 
+def test_run_non_positive_step_cap_exits_1_naming_criterion(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["tasks"][1]["criterion"]["max_steps_per_trial"] = 0
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "tasks[1].criterion" in capsys.readouterr().err
+
+
 def test_run_rejects_duplicate_paths(tmp_path, capsys):
     config_path = write_config(
         tmp_path,
@@ -175,6 +184,50 @@ def test_eval_unknown_task(tmp_path, capsys):
                  "--task", "bogus"])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checkpoint_net, key", [
+    (dict(obs_dim=16), "m"),
+    (dict(goal_dim=2), "goal_index"),
+])
+def test_eval_checkpoint_that_does_not_fit_task_is_usage_error(tmp_path, capsys,
+                                                                checkpoint_net, key):
+    # a 16-cell net cannot see a 3x3 maze; a 2-slot goal input has no slot 2
+    config_path = write_config(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["tasks"][1]["goal_index"] = 2
+    config_path.write_text(json.dumps(config))
+    cfg = NetConfig(**{**dict(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4,
+                              hidden_dim=12), **checkpoint_net})
+    ckpt = tmp_path / "x.ckpt"
+    save_checkpoint(ckpt, cfg, init_network(cfg)[1])
+    code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config_path),
+                 "--task", "corner_nw"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint: ")
+    assert key in err
+
+
+@pytest.mark.parametrize("checkpoint_net, key", [
+    (dict(activation="sigmoid"), "activation"),
+    (dict(micro_steps=2), "micro_steps"),
+    (dict(hidden_dim=10), "h"),
+])
+def test_transfer_probe_rejects_checkpoint_of_another_net(tmp_path, capsys,
+                                                          checkpoint_net, key):
+    # same parameter count or not, a checkpoint of another net is no warm start
+    config_path = write_config(tmp_path)
+    cfg = NetConfig(**{**dict(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4,
+                              hidden_dim=12), **checkpoint_net})
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(ckpt, cfg, init_network(cfg)[1])
+    code = main(["transfer-probe", "--checkpoint", str(ckpt),
+                 "--config", str(config_path), "--task", "corner_ne"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint: ")
+    assert key in err
 
 
 def test_transfer_probe_emits_schema_valid_event(tmp_path, capsys):

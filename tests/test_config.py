@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from skillnet.config import ConfigError, load_config, with_seed
+from skillnet.config import BudgetsConfig, ConfigError, load_config, with_seed
+from skillnet.consolidate import ConsolidationConfig
+from skillnet.envs import GridMazeSpec, SuccessCriterion
+from skillnet.evolve import EsConfig
+from skillnet.network import NetConfig
+from skillnet.traces import ReplayPolicy
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def base_config():
@@ -34,6 +42,27 @@ def test_minimal_config_parses_with_defaults(tmp_path):
     assert config.budgets.unit == "env_steps"
     assert config.replay.mode == "relevant_only"
     assert config.paths.trace_file == tmp_path / "t.jsonl"
+
+
+def test_omitted_fields_take_library_defaults(tmp_path):
+    # the loader restates no default: a key left out means the dataclass's own
+    config = load_config(write(tmp_path, base_config()))
+    assert config.net == NetConfig(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4,
+                                   hidden_dim=8, seed=3)
+    assert config.tasks[0].env_spec == GridMazeSpec(width=3, height=3, start=(0, 0),
+                                                    goal_cell=(2, 2))
+    assert config.tasks[0].criterion == SuccessCriterion()
+    assert config.es == EsConfig()
+    assert config.budgets == BudgetsConfig(c0=1000.0, dream_multiplier=0.1)
+    assert config.consolidation == ConsolidationConfig()
+    assert config.replay == ReplayPolicy()
+
+
+def test_shipped_configs_load():
+    paths = sorted([*REPO.glob("configs/*.json"), *REPO.glob("perfbench/workloads/*.json")])
+    assert len(paths) >= 2
+    for path in paths:
+        load_config(path)
 
 
 def expect_error(tmp_path, config, fieldpath):
@@ -98,6 +127,26 @@ def test_non_positive_budgets_rejected(tmp_path):
     expect_error(tmp_path, config, "budgets.lambda")
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_non_positive_max_steps_per_trial_rejected(tmp_path, cap):
+    config = base_config()
+    config["tasks"][0]["criterion"] = {"max_steps_per_trial": cap}
+    expect_error(tmp_path, config, "tasks[0].criterion.max_steps_per_trial")
+
+
+def test_bad_reg_kind_rejected(tmp_path):
+    config = base_config()
+    config["consolidation"] = {"reg_kind": "bogus"}
+    expect_error(tmp_path, config, "consolidation.reg_kind")
+
+
+@pytest.mark.parametrize("mode", ["all", "relevant_only"])
+def test_replay_k_rejected_where_mode_ignores_it(tmp_path, mode):
+    config = base_config()
+    config["consolidation"] = {"replay": {"mode": mode, "k": 5}}
+    expect_error(tmp_path, config, "consolidation.replay.k")
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -133,13 +182,12 @@ NUMERIC_FIELDS = [
     *((("net",), key, f"net.{key}")
       for key in ("m", "p", "n", "o", "h", "micro_steps", "seed", "init_scale")),
     *((("tasks", 0, "maze"), key, f"tasks[0].maze.{key}")
-      for key in ("width", "height", "step_reward", "goal_reward", "episode_cap",
-                  "slip_prob")),
+      for key in ("width", "height", "step_reward", "goal_reward", "slip_prob")),
     *((("tasks", 0, "criterion"), key, f"tasks[0].criterion.{key}")
       for key in ("min_success_trials", "success_rate_threshold", "max_steps_per_trial")),
     *((("es",), key, f"es.{key}") for key in ("population", "sigma")),
     *((("budgets",), key, f"budgets.{key}")
-      for key in ("c0", "lambda", "max_total_budget", "dream_steps_per_unit")),
+      for key in ("c0", "lambda", "max_total_budget")),
     *((("consolidation",), key, f"consolidation.{key}")
       for key in ("base_lr", "momentum", "action_weight", "pred_weight", "return_weight",
                   "reg_interval", "reg_strength")),
@@ -170,9 +218,11 @@ UNKNOWN_KEYS = [
     (("net",), "H", "net.H"),
     (("tasks", 0), "bogus", "tasks[0].bogus"),
     (("tasks", 0, "maze"), "colour", "tasks[0].maze.colour"),
+    (("tasks", 0, "maze"), "episode_cap", "tasks[0].maze.episode_cap"),
     (("tasks", 0, "criterion"), "bogus", "tasks[0].criterion.bogus"),
     (("es",), "bogus", "es.bogus"),
     (("budgets",), "bogus", "budgets.bogus"),
+    (("budgets",), "dream_steps_per_unit", "budgets.dream_steps_per_unit"),
     (("consolidation",), "base_Lr", "consolidation.base_Lr"),
     (("consolidation",), "use_variance_lr", "consolidation.use_variance_lr"),
     (("consolidation", "replay"), "bogus", "consolidation.replay.bogus"),

@@ -76,22 +76,24 @@ def run(tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None, **k
 def test_two_solvable_tasks_finish_in_first_pass():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": 0.0})
-    _, report, consolidator = run(tasks, solver)
+    events = []
+    _, report, consolidator = run(tasks, solver, on_event=events.append)
     assert [r.task_id for r in report.solved] == ["a", "b"]
     assert report.pass_count == 1
     assert report.unsolved_task_ids == []
     assert len(consolidator.calls) == 2
-    assert not any(e["event"] == "budget_double" for e in report.events)
+    assert not any(e["event"] == "budget_double" for e in events)
     assert report.final_budget == 100.0
 
 
 def test_unsolvable_task_doubles_budget_each_pass():
     solver = FakeSolver({})  # nothing is ever solvable
-    _, report, _ = run([make_task("a")], solver, c0=100.0, max_total=55.0)
+    events = []
+    run([make_task("a")], solver, c0=100.0, max_total=55.0, on_event=events.append)
     # spent 10 per attempt; the cap stops the loop after enough passes
     budgets = [amount for _, amount in solver.calls]
     assert budgets[:3] == [100.0, 200.0, 400.0]
-    doubles = [e for e in report.events if e["event"] == "budget_double"]
+    doubles = [e for e in events if e["event"] == "budget_double"]
     assert [d["old_budget"] for d in doubles[:3]] == [100.0, 200.0, 400.0]
 
 
@@ -141,13 +143,6 @@ def test_every_solve_followed_by_exactly_one_consolidation_with_lam_c_budget():
     assert report.consolidations == 2
 
 
-def test_dream_steps_per_unit_scales_consolidation_budget():
-    solver = FakeSolver({"a": 0.0})
-    _, _, consolidator = run([make_task("a")], solver, c0=1000.0, lam=0.5,
-                             dream_steps_per_unit=0.01)
-    assert consolidator.calls == [5]  # round(0.5 * 1000 * 0.01)
-
-
 def test_max_total_budget_terminates_unsolvable_curriculum():
     solver = FakeSolver({})
     _, report, _ = run([make_task("a")], solver, max_total=35.0)
@@ -158,8 +153,9 @@ def test_max_total_budget_terminates_unsolvable_curriculum():
 
 def test_events_are_ordered_attempt_then_solve_then_consolidation():
     solver = FakeSolver({"a": 0.0})
-    _, report, _ = run([make_task("a")], solver)
-    kinds = [e["event"] for e in report.events]
+    events = []
+    run([make_task("a")], solver, on_event=events.append)
+    kinds = [e["event"] for e in events]
     assert kinds == ["task_attempt", "solve", "consolidation", "retention_check"]
 
 
@@ -174,16 +170,17 @@ def test_every_solved_task_retested_after_every_dream():
 
     thresholds = {"c": 0.0, "a": 0.0, "b": 200.0}
     tasks = [make_task("c"), make_task("a", goal_index=1), make_task("b", goal_index=1)]
-    _, report, consolidator = run(tasks, parent_wins, c0=100.0)
+    events = []
+    _, _, consolidator = run(tasks, parent_wins, c0=100.0, on_event=events.append)
     assert len(consolidator.calls) == 3
     solved = []
-    for i, event in enumerate(report.events):
+    for i, event in enumerate(events):
         if event["event"] == "solve":
             solved.append(event["task_id"])
         if event["event"] != "consolidation":
             continue
         checks = list(takewhile(lambda e: e["event"] == "retention_check",
-                                report.events[i + 1:]))
+                                events[i + 1:]))
         assert [c["task_id"] for c in checks] == sorted(solved)
         assert all(c["phase"] == "after_dream" for c in checks)
         assert all(c["pass_number"] == event["pass_number"] for c in checks)
