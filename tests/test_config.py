@@ -196,9 +196,17 @@ NUMERIC_FIELDS = [
 ]
 
 
+# numeric keys the config no longer has: a value there, finite or not, is an error
+# naming the field, never a silently ignored setting
+REMOVED_NUMERIC_FIELDS = [
+    (("tasks", 0, "maze"), "episode_cap", "tasks[0].maze.episode_cap"),
+    (("budgets",), "dream_steps_per_unit", "budgets.dream_steps_per_unit"),
+]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("section,key,fieldpath", NUMERIC_FIELDS,
-                         ids=[f[2] for f in NUMERIC_FIELDS])
+@pytest.mark.parametrize("section,key,fieldpath", NUMERIC_FIELDS + REMOVED_NUMERIC_FIELDS,
+                         ids=[f[2] for f in NUMERIC_FIELDS + REMOVED_NUMERIC_FIELDS])
 def test_non_finite_numbers_rejected_by_field(tmp_path, section, key, fieldpath, value):
     config = base_config()
     config["tasks"][0]["criterion"] = {}
