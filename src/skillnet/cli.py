@@ -30,13 +30,19 @@ from .consolidate import retention_check
 from .curriculum import retention_event, run_curriculum
 from .evolve import Budget, try_solve_task
 from .metrics import MetricsWriter, scrub, validate_event
-from .network import NET_KEYS, init_network, load_checkpoint, save_checkpoint
+from .network import NET, init_network, load_checkpoint, save_checkpoint
 from .rollout import evaluate_policy
 from .traces import StoreDims, TraceFormatError, TraceStore, trial_to_json
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skillnet",
         description="Continual-skill training of a single recurrent network.",
     )
@@ -181,7 +187,7 @@ def cmd_transfer_probe(args) -> int:
     _, task = _find_task(config, args.task)
     warm_config, warm_weights = _load_checkpoint_or_usage_error(args.checkpoint)
     differ = [key for key in TOPOLOGY_KEYS
-              if getattr(warm_config, NET_KEYS[key]) != getattr(config.net, NET_KEYS[key])]
+              if getattr(warm_config, NET[key][0]) != getattr(config.net, NET[key][0])]
     if differ:
         raise ConfigError("checkpoint", f"its net differs from the config's in {', '.join(differ)}")
     _, fresh_weights = init_network(config.net)

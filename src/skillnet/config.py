@@ -1,14 +1,14 @@
 """Experiment configuration: a single JSON file with nested sections.
 
 Required sections: master_seed, net, tasks, budgets, paths; es and
-consolidation are optional. Each section is read through one table (JSON
-key -> dataclass field and accepted JSON type): the keys present are
+consolidation are optional. Each section is read through one table (JSON key
+-> dataclass field and accepted JSON type) by `jsoncheck.fill`, which also
+reads the checkpoint and trace-file headers: the keys present are
 type-checked and passed to the dataclass, so an omitted key takes the
-dataclass's own default (net.seed defaults to master_seed). Validation
-errors always name the offending field by its dotted path (e.g. "net.h"); a
-key the table does not have is an error too, so a misspelt field never
-silently means its default. Relative paths resolve against the config
-file's directory.
+dataclass's own default (net.seed defaults to master_seed). Validation errors
+always name the offending field by its dotted path (e.g. "net.h"); a key the
+table does not have is an error too, so a misspelt field never silently means
+its default. Relative paths resolve against the config file's directory.
 
 See the README for the full schema and a worked example.
 """
@@ -16,23 +16,15 @@ See the README for the full schema and a worked example.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .consolidate import ConsolidationConfig
 from .envs import GridMazeSpec, SuccessCriterion, TaskDescription
 from .evolve import BUDGET_UNITS, EsConfig
-from .network import NET_KEYS, NetConfig
+from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, fill, is_json_int, join, known
+from .network import NET, NetConfig
 from .traces import ReplayPolicy
-
-
-class ConfigError(ValueError):
-    """Configuration problem; the message names the dotted field path."""
-
-    def __init__(self, fieldpath: str, message: str):
-        super().__init__(f"{fieldpath}: {message}")
-        self.fieldpath = fieldpath
 
 
 @dataclass(frozen=True)
@@ -75,35 +67,13 @@ class ExperimentConfig:
     paths: PathsConfig
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _typed(types: tuple, what: str):
-    """A check that a JSON value has one of `types` (a bool counts only as
-    bool) and is finite; it returns the value."""
-    def check(value, fieldpath: str):
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise ConfigError(fieldpath, f"must be {what}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(fieldpath, f"must be a finite number, got {value}")
-        return value
-    return check
-
-
-_int = _typed((int,), "an integer")
-_number = _typed((int, float), "a number")
-_string = _typed((str,), "a string")
-_bool = _typed((bool,), "a boolean")
-
-
 def _float(value, fieldpath: str) -> float:
-    return float(_number(value, fieldpath))
+    return float(NUMBER(value, fieldpath))
 
 
 def _cell(value, fieldpath: str) -> tuple[int, int]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+            or not all(map(is_json_int, value))):
         raise ConfigError(fieldpath, "must be a [x, y] pair of integers")
     return (value[0], value[1])
 
@@ -114,55 +84,24 @@ def _same(**checks) -> dict:
 
 
 # each section's table: JSON key -> (dataclass field, check of the JSON value)
-# net: the checkpoint header's keys, all integers but activation and init_scale
-NET = {key: (name, {"activation": _string, "init_scale": _number}.get(key, _int))
-       for key, name in NET_KEYS.items()}
-TASK = _same(task_id=_string, goal_index=_int)
-MAZE = _same(width=_int, height=_int, start=_cell, goal_cell=_cell, step_reward=_number,
-             goal_reward=_number, slip_prob=_number)
-CRITERION = _same(min_success_trials=_int, success_rate_threshold=_number,
-                  max_steps_per_trial=_int)
-ES = _same(population=_int, sigma=_number, elitism=_bool)
+# (net's table is network.NET, shared with the checkpoint header)
+TASK = _same(task_id=STRING, goal_index=INT)
+MAZE = _same(width=INT, height=INT, start=_cell, goal_cell=_cell, step_reward=NUMBER,
+             goal_reward=NUMBER, slip_prob=NUMBER)
+CRITERION = _same(min_success_trials=INT, success_rate_threshold=NUMBER,
+                  max_steps_per_trial=INT)
+ES = _same(population=INT, sigma=NUMBER, elitism=BOOL)
 BUDGETS = {"c0": ("c0", _float), "lambda": ("dream_multiplier", _float),
-           **_same(unit=_string, max_total_budget=_number)}
-CONSOLIDATION = _same(base_lr=_number, momentum=_number, action_weight=_number,
-                      pred_weight=_number, return_weight=_number, reg_interval=_int,
-                      reg_strength=_number, reg_kind=_string)
-REPLAY = _same(mode=_string, k=_int, rng_seed=_int)
+           **_same(unit=STRING, max_total_budget=NUMBER)}
+CONSOLIDATION = _same(base_lr=NUMBER, momentum=NUMBER, action_weight=NUMBER,
+                      pred_weight=NUMBER, return_weight=NUMBER, reg_interval=INT,
+                      reg_strength=NUMBER, reg_kind=STRING)
+REPLAY = _same(mode=STRING, k=INT, rng_seed=INT)
 PATHS = ("trace_file", "metrics_file", "checkpoint_dir")
 
 
-def _known(section: dict, path: str, keys) -> None:
-    for key in section:
-        if key not in keys:
-            raise ConfigError(_join(path, key), "unknown field")
-
-
-def _fill(cls, section: dict, path: str, table: dict, **given):
-    """cls built from `given` and the keys of `section` present in `table`,
-    each checked; a key that is absent or null takes cls's default. A
-    ValueError from cls names the key whose field its message starts with."""
-    _known(section, path, table)
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    kwargs = dict(given)
-    for key, (name, check) in table.items():
-        if section.get(key) is not None:
-            kwargs[name] = check(section[key], _join(path, key))
-        elif name in required and name not in kwargs:
-            raise ConfigError(_join(path, key), "missing required field")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        message = str(exc)
-        for key, (name, _) in table.items():
-            if message.startswith(f"{name} "):
-                raise ConfigError(_join(path, key), message[len(name) + 1:]) from None
-        raise ConfigError(path, message) from None
-
-
 def _section(parent: dict, key: str, path: str, required=True) -> dict:
-    fieldpath = _join(path, key)
+    fieldpath = join(path, key)
     if parent.get(key) is None:
         if required:
             raise ConfigError(fieldpath, "missing required section")
@@ -195,11 +134,11 @@ def _parse_task(entry, index: int, net: NetConfig) -> TaskDescription:
     path = f"tasks[{index}]"
     if not isinstance(entry, dict):
         raise ConfigError(path, "must be an object")
-    task = _fill(
+    task = fill(
         TaskDescription, _without(entry, "maze", "criterion"), path, TASK,
-        env_spec=_fill(GridMazeSpec, _section(entry, "maze", path), f"{path}.maze", MAZE),
-        criterion=_fill(SuccessCriterion, _section(entry, "criterion", path, required=False),
-                        f"{path}.criterion", CRITERION),
+        env_spec=fill(GridMazeSpec, _section(entry, "maze", path), f"{path}.maze", MAZE),
+        criterion=fill(SuccessCriterion, _section(entry, "criterion", path, required=False),
+                       f"{path}.criterion", CRITERION),
     )
     check_task_fits_net(task, net, path)
     return task
@@ -207,20 +146,20 @@ def _parse_task(entry, index: int, net: NetConfig) -> TaskDescription:
 
 def _parse_paths(raw: dict, base_dir: Path) -> PathsConfig:
     def resolve(value, fieldpath: str) -> Path:
-        return base_dir / _string(value, fieldpath)
+        return base_dir / STRING(value, fieldpath)
 
-    return _fill(PathsConfig, _section(raw, "paths", ""), "paths",
-                 {key: (key, resolve) for key in PATHS})
+    return fill(PathsConfig, _section(raw, "paths", ""), "paths",
+                {key: (key, resolve) for key in PATHS})
 
 
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "config root must be a JSON object")
-    _known(raw, "", ("master_seed", "net", "tasks", "es", "budgets", "consolidation", "paths"))
+    known(raw, "", ("master_seed", "net", "tasks", "es", "budgets", "consolidation", "paths"))
     if "master_seed" not in raw:
         raise ConfigError("master_seed", "missing required field")
-    master_seed = _int(raw["master_seed"], "master_seed")
-    net = _fill(NetConfig, _section(raw, "net", ""), "net", NET, seed=master_seed)
+    master_seed = INT(raw["master_seed"], "master_seed")
+    net = fill(NetConfig, _section(raw, "net", ""), "net", NET, seed=master_seed)
     tasks_raw = raw.get("tasks")
     if not isinstance(tasks_raw, list) or not tasks_raw:
         raise ConfigError("tasks", "must be a non-empty list")
@@ -236,13 +175,13 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         master_seed=master_seed,
         net=net,
         tasks=tasks,
-        es=_fill(EsConfig, _section(raw, "es", "", required=False), "es", ES),
-        budgets=_fill(BudgetsConfig, _section(raw, "budgets", ""), "budgets", BUDGETS),
-        consolidation=_fill(ConsolidationConfig, _without(consolidation, "replay"),
-                            "consolidation", CONSOLIDATION),
-        replay=_fill(ReplayPolicy,
-                     _section(consolidation, "replay", "consolidation", required=False),
-                     "consolidation.replay", REPLAY),
+        es=fill(EsConfig, _section(raw, "es", "", required=False), "es", ES),
+        budgets=fill(BudgetsConfig, _section(raw, "budgets", ""), "budgets", BUDGETS),
+        consolidation=fill(ConsolidationConfig, _without(consolidation, "replay"),
+                           "consolidation", CONSOLIDATION),
+        replay=fill(ReplayPolicy,
+                    _section(consolidation, "replay", "consolidation", required=False),
+                    "consolidation.replay", REPLAY),
         paths=_parse_paths(raw, base_dir),
     )
 

@@ -2,8 +2,10 @@
 
 Every event carries an "event" discriminator so external tools can filter
 and plot learning curves. The schemas below are the contract; emitted lines
-contain exactly the declared fields. Events never include wall-clock data,
-so two runs from the same config and seed produce byte-identical files.
+contain exactly the declared fields. With a step-count budget unit
+(env_steps or evaluations) events hold no wall-clock data, so two runs from
+the same config and seed produce byte-identical files; with wall_seconds,
+budget_spent_* and max_batch_cost are measured seconds.
 """
 
 from __future__ import annotations
@@ -12,84 +14,87 @@ import json
 
 import numpy as np
 
-_NUM = (int, float)
+from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, known, typed
 
-# event name -> {field: expected type(s)}; None inside a tuple allows null
+LIST = typed(lambda v: isinstance(v, list), "a list")
+LOSSES = typed(lambda v: v is None or isinstance(v, dict), "an object or null")
+
+# event name -> {field: check of its JSON value}
 EVENT_SCHEMAS: dict[str, dict] = {
     "run_start": {
-        "event": str,
-        "master_seed": int,
-        "task_ids": list,
-        "budget_unit": str,
-        "initial_budget": _NUM,
+        "event": STRING,
+        "master_seed": INT,
+        "task_ids": LIST,
+        "budget_unit": STRING,
+        "initial_budget": NUMBER,
     },
     "task_attempt": {
-        "event": str,
-        "task_id": str,
-        "pass_number": int,
-        "budget": _NUM,
-        "status": str,
-        "winner": str,
-        "budget_spent_warm": _NUM,
-        "budget_spent_scratch": _NUM,
-        "evaluations_warm": int,
-        "evaluations_scratch": int,
-        "trials_recorded": int,
-        "max_batch_cost": _NUM,
+        "event": STRING,
+        "task_id": STRING,
+        "pass_number": INT,
+        "budget": NUMBER,
+        "status": STRING,
+        "winner": STRING,
+        "budget_spent_warm": NUMBER,
+        "budget_spent_scratch": NUMBER,
+        "evaluations_warm": INT,
+        "evaluations_scratch": INT,
+        "trials_recorded": INT,
+        "max_batch_cost": NUMBER,
     },
     "solve": {
-        "event": str,
-        "task_id": str,
-        "pass_number": int,
-        "budget": _NUM,
-        "winner": str,
-        "relevant_trial_ids": list,
+        "event": STRING,
+        "task_id": STRING,
+        "pass_number": INT,
+        "budget": NUMBER,
+        "winner": STRING,
+        "relevant_trial_ids": LIST,
     },
     "consolidation": {
-        "event": str,
-        "task_id": str,
-        "pass_number": int,
-        "steps": int,
-        "initial_loss": (dict, type(None)),
-        "final_loss": (dict, type(None)),
+        "event": STRING,
+        "task_id": STRING,
+        "pass_number": INT,
+        "steps": INT,
+        "initial_loss": LOSSES,
+        "final_loss": LOSSES,
     },
     "retention_check": {
-        "event": str,
-        "task_id": str,
-        "pass_number": int,
-        "phase": str,           # "after_dream" | "final"
-        "passed": bool,
-        "success_rate": _NUM,
-        "mean_return": _NUM,
-        "mean_length": _NUM,
+        "event": STRING,
+        "task_id": STRING,
+        "pass_number": INT,
+        "phase": STRING,  # "after_dream" | "final"
+        "passed": BOOL,
+        "success_rate": NUMBER,
+        "mean_return": NUMBER,
+        "mean_length": NUMBER,
     },
     "budget_double": {
-        "event": str,
-        "pass_number": int,
-        "old_budget": _NUM,
-        "new_budget": _NUM,
+        "event": STRING,
+        "pass_number": INT,
+        "old_budget": NUMBER,
+        "new_budget": NUMBER,
     },
     "run_end": {
-        "event": str,
-        "solved_task_ids": list,
-        "unsolved_task_ids": list,
-        "pass_count": int,
-        "total_search_spent": _NUM,
-        "consolidations": int,
+        "event": STRING,
+        "solved_task_ids": LIST,
+        "unsolved_task_ids": LIST,
+        "pass_count": INT,
+        "total_search_spent": NUMBER,
+        "consolidations": INT,
     },
     "transfer_probe": {
-        "event": str,
-        "task_id": str,
-        "status": str,
-        "winner": str,
-        "budget_unit": str,
-        "budget": _NUM,
-        "budget_spent_warm": _NUM,
-        "budget_spent_scratch": _NUM,
-        "max_batch_cost": _NUM,
-        "evaluations_warm": int,
-        "evaluations_scratch": int,
-        "relevant_trial_ids": list,
+        "event": STRING,
+        "task_id": STRING,
+        "status": STRING,
+        "winner": STRING,
+        "budget_unit": STRING,
+        "budget": NUMBER,
+        "budget_spent_warm": NUMBER,
+        "budget_spent_scratch": NUMBER,
+        "max_batch_cost": NUMBER,
+        "evaluations_warm": INT,
+        "evaluations_scratch": INT,
+        "relevant_trial_ids": LIST,
     },
 }
 
@@ -112,27 +117,22 @@ def scrub(value):
 
 
 def validate_event(obj: dict) -> None:
-    """Raise ValueError unless the object matches its event schema exactly."""
+    """Raise ValueError unless the object matches its event schema exactly;
+    a wrong field is named as "<event>.<field>"."""
     if not isinstance(obj, dict) or "event" not in obj:
         raise ValueError("metrics event must be an object with an 'event' field")
     name = obj["event"]
-    schema = EVENT_SCHEMAS.get(name)
+    schema = EVENT_SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None:
         raise ValueError(f"unknown event type {name!r}")
-    missing = set(schema) - set(obj)
-    if missing:
-        raise ValueError(f"event {name!r} missing fields {sorted(missing)}")
-    extra = set(obj) - set(schema)
-    if extra:
-        raise ValueError(f"event {name!r} has undeclared fields {sorted(extra)}")
-    for fieldname, expected in schema.items():
-        value = obj[fieldname]
-        if expected in (_NUM, int) and isinstance(value, bool):
-            raise ValueError(f"event {name!r} field {fieldname!r} must be numeric")
-        if not isinstance(value, expected):
-            raise ValueError(
-                f"event {name!r} field {fieldname!r} has type {type(value).__name__}"
-            )
+    try:
+        known(obj, "", schema)
+        for key, check in schema.items():
+            if key not in obj:
+                raise ConfigError(key, "missing required field")
+            check(obj[key], key)
+    except ConfigError as exc:  # a bad event is a program fault, not a config error
+        raise ValueError(f"{name}.{exc}") from None
 
 
 class MetricsWriter:

@@ -33,15 +33,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsoncheck import INT, NUMBER, STRING, ConfigError, fill, versioned
+
 ACTIVATIONS = ("tanh", "sigmoid")
 REG_KINDS = ("decay", "prune")
 
 CHECKPOINT_VERSION = 1
 
-# checkpoint header (and config "net" section) key -> NetConfig field
-NET_KEYS = {"m": "obs_dim", "p": "goal_dim", "n": "reward_dim", "o": "action_dim",
-            "h": "hidden_dim", "micro_steps": "micro_steps", "activation": "activation",
-            "seed": "seed", "init_scale": "init_scale"}
+# checkpoint header (and config "net" section) key -> (NetConfig field, check)
+NET = {"m": ("obs_dim", INT), "p": ("goal_dim", INT), "n": ("reward_dim", INT),
+       "o": ("action_dim", INT), "h": ("hidden_dim", INT), "micro_steps": ("micro_steps", INT),
+       "activation": ("activation", STRING), "seed": ("seed", INT),
+       "init_scale": ("init_scale", NUMBER)}
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,10 @@ class NetConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim", "hidden_dim"):
+        for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim", "hidden_dim",
+                     "micro_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.micro_steps < 1:
-            raise ValueError(f"micro_steps must be >= 1, got {self.micro_steps}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.init_scale < 0:
@@ -494,48 +496,27 @@ def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
     if weights.shape != (config.n_params,):
         raise ValueError(f"weights shape {weights.shape} does not match config")
     header = {"format_version": CHECKPOINT_VERSION,
-              **{key: getattr(config, field) for key, field in NET_KEYS.items()}}
+              **{key: getattr(config, field) for key, (field, _) in NET.items()}}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"weights": weights.tolist()}) + "\n")
 
 
-def is_json_int(value) -> bool:
-    """True for a loaded JSON integer: JSON true/false load as Python bools,
-    which are ints too but are not counted."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_checkpoint(path) -> tuple[NetConfig, np.ndarray]:
     """Read a checkpoint written by save_checkpoint.
 
-    A malformed file raises ValueError: the header's format_version must be
-    the int CHECKPOINT_VERSION, m, p, n, o and h must be present, and they
-    and any micro_steps must be ints >= 1. A field the header omits takes its
-    NetConfig default.
+    A malformed file raises ValueError: format_version must be the JSON
+    integer CHECKPOINT_VERSION, the other header keys are read through the
+    config's NET table, and the weights line must hold n_params finite JSON
+    numbers.
     """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if len(text) < 2:
         raise ValueError(f"checkpoint {path} is truncated")
     header = json.loads(text[0])
-    if not isinstance(header, dict):
-        raise ValueError("checkpoint header must be a JSON object")
-    version = header.get("format_version")
-    if not is_json_int(version) or version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    for key in ("m", "p", "n", "o", "h"):
-        if key not in header:
-            raise ValueError(f"checkpoint header missing {key!r}")
-    for key in ("m", "p", "n", "o", "h", "micro_steps"):
-        if key in header and (not is_json_int(header[key]) or header[key] < 1):
-            raise ValueError(f"checkpoint header {key!r} must be an int >= 1, "
-                             f"got {header[key]!r}")
-    try:
-        config = NetConfig(**{field: header[key] for key, field in NET_KEYS.items()
-                              if key in header})
-        weights = np.asarray(json.loads(text[1])["weights"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint: {exc!r}") from None
-    if weights.shape != (config.n_params,):
-        raise ValueError("checkpoint weights do not match its header topology")
-    return config, weights
+    config = fill(NetConfig, versioned(header, CHECKPOINT_VERSION, "header"), "header", NET)
+    weights = json.loads(text[1])
+    weights = weights.get("weights") if isinstance(weights, dict) else None
+    if not isinstance(weights, list) or len(weights) != config.n_params:
+        raise ConfigError("weights", f"must be a list of {config.n_params} numbers")
+    return config, np.array([NUMBER(w, f"weights[{i}]") for i, w in enumerate(weights)], float)

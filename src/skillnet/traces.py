@@ -47,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetConfig, atomic_write, cumulative_reward, is_json_int
+from .jsoncheck import fill, is_json_int, versioned
+from .network import NET, NetConfig, atomic_write, cumulative_reward
 
 V1_FORMAT_VERSION = 1
 MAGIC = b"SKILLNET-TRACES 2\n"
@@ -61,6 +62,9 @@ _ROW_DTYPE = np.dtype("<f8")
 FINAL_RETURN_TOL = 1e-9
 
 REPLAY_MODES = ("all", "relevant_only", "uniform_sample", "recent")
+
+# the header of both formats: the m, p, n and o rows of the checkpoint's table
+HEADER = {key: NET[key] for key in ("m", "p", "n", "o")}
 
 
 class TraceFormatError(ValueError):
@@ -138,6 +142,11 @@ class StoreDims:
     goal_dim: int
     reward_dim: int
     action_dim: int
+
+    def __post_init__(self):
+        for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_net_config(cls, cfg: NetConfig) -> "StoreDims":
@@ -366,7 +375,7 @@ class TraceStore:
             header, offset = _read_frame(data, offset)
             if header is None:
                 raise ValueError("header is truncated")
-            store = cls(_dims_from_header(header))
+            store = cls(fill(StoreDims, header, "header", HEADER))
         except ValueError as exc:
             raise TraceFormatError(None, str(exc), offset=len(MAGIC)) from exc
         width = store.dims.row_width
@@ -421,13 +430,9 @@ class TraceStore:
             header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise TraceFormatError(1, f"invalid header JSON: {exc}") from exc
-        if not isinstance(header, dict) or "format_version" not in header:
-            raise TraceFormatError(1, "header missing format_version")
-        version = header["format_version"]
-        if not is_json_int(version) or version != V1_FORMAT_VERSION:
-            raise TraceFormatError(1, f"unsupported format_version {version!r}")
         try:
-            dims = _dims_from_header(header)
+            dims = fill(StoreDims, versioned(header, V1_FORMAT_VERSION, "header"), "header",
+                        HEADER)
         except ValueError as exc:
             raise TraceFormatError(1, str(exc)) from exc
         store = cls(dims)
@@ -450,21 +455,7 @@ class TraceStore:
 
 
 def _header(dims: StoreDims) -> dict:
-    return {"m": dims.obs_dim, "p": dims.goal_dim, "n": dims.reward_dim,
-            "o": dims.action_dim}
-
-
-def _dims_from_header(header) -> StoreDims:
-    """The header rule of both formats: m, p, n and o are ints >= 1 (not bools)."""
-    if not isinstance(header, dict):
-        raise ValueError(f"header must be a JSON object, got {header!r}")
-    for key in ("m", "p", "n", "o"):
-        if key not in header:
-            raise ValueError(f"header missing dimension key {key!r}")
-        value = header[key]
-        if not is_json_int(value) or value < 1:
-            raise ValueError(f"header dimension {key!r} must be an int >= 1, got {value!r}")
-    return StoreDims(header["m"], header["p"], header["n"], header["o"])
+    return {key: getattr(dims, field) for key, (field, _) in HEADER.items()}
 
 
 def _frame(obj) -> bytes:

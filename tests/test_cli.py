@@ -341,7 +341,7 @@ def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
     for path, where in ((v1_path, "line 1"), (v2_path, f"byte {len(MAGIC)}")):
         assert main(["traces", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error: {where}: header dimension 'm' must be an int >= 1, got '9'" in err
+        assert f"error: {where}: header.m: must be an integer" in err
 
 
 def test_run_export_v1_matches_recorded_trace_file(tmp_path, capsys):
@@ -463,6 +463,45 @@ def test_eval_malformed_checkpoint_header_is_usage_error(tmp_path, capsys, key, 
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint: ")
     assert key in err
+
+
+@pytest.mark.parametrize("value", [True, "0.1", float("nan")])
+def test_eval_checkpoint_with_bad_weight_is_usage_error(tmp_path, capsys, value):
+    # a weight must be a finite JSON number: true and "0.1" are not coerced,
+    # and a NaN is caught at load rather than at the first network step
+    config_path = write_config(tmp_path)
+    cfg = NetConfig(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4, hidden_dim=12)
+    ckpt = tmp_path / "x.ckpt"
+    save_checkpoint(ckpt, cfg, init_network(cfg)[1])
+    lines = ckpt.read_text().splitlines()
+    body = json.loads(lines[1])
+    body["weights"][5] = value
+    ckpt.write_text(lines[0] + "\n" + json.dumps(body) + "\n")
+    code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config_path),
+                 "--task", "corner_ne"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint: ")
+    assert "weights[5]: must be a " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["bogus"],
+    ["run", "--config", "c.json", "--workers", "2"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_missing_trace_file_is_usage_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_missing_field_rejected():
 
 
 def test_extra_field_rejected():
-    with pytest.raises(ValueError, match="undeclared"):
+    with pytest.raises(ValueError, match="solve.extra: unknown field"):
         validate_event(solve_event(extra=1))
 
 
@@ -45,9 +45,24 @@ def test_bool_is_not_numeric():
         validate_event(solve_event(budget=True))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_number_rejected(value):
+    # json.dumps would write these as the non-JSON tokens NaN and Infinity
+    with pytest.raises(ValueError, match="solve.budget: must be a finite number"):
+        validate_event(solve_event(budget=value))
+
+
 def test_unknown_event_rejected():
     with pytest.raises(ValueError, match="unknown"):
         validate_event({"event": "mystery"})
+
+
+def test_non_string_event_name_rejected(tmp_path):
+    # a list is unhashable: looking it up must not raise TypeError
+    path = tmp_path / "metrics.jsonl"
+    path.write_text('{"event": []}\n')
+    with pytest.raises(ValueError, match="line 1: unknown event type"):
+        read_metrics(path)
 
 
 def test_retention_check_events_carry_their_phase():

@@ -566,6 +566,10 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     ("micro_steps", 0),
     ("n", -1),
     ("o", None),
+    ("seed", "x"),
+    ("seed", 1.5),
+    ("init_scale", True),
+    ("bogus", 1),
 ])
 def test_checkpoint_header_types_checked(tmp_path, key, value):
     cfg = small_config()
@@ -577,4 +581,33 @@ def test_checkpoint_header_types_checked(tmp_path, key, value):
     header[key] = value
     path.write_text(json.dumps(header) + "\n" + lines[1] + "\n")
     with pytest.raises(ValueError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, r"weights\[0\]: must be a number"),
+    ("0.1", r"weights\[0\]: must be a number"),
+    (float("nan"), r"weights\[0\]: must be a finite number"),
+])
+def test_checkpoint_weights_checked_not_coerced(tmp_path, value, message):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, cfg, w)
+    lines = path.read_text().splitlines()
+    body = json.loads(lines[1])
+    body["weights"][0] = value
+    path.write_text(lines[0] + "\n" + json.dumps(body) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_weights_count_checked(tmp_path):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, cfg, w)
+    lines = path.read_text().splitlines()
+    path.write_text(lines[0] + "\n" + json.dumps({"weights": w.tolist()[:-1]}) + "\n")
+    with pytest.raises(ValueError, match=f"weights: must be a list of {cfg.n_params} numbers"):
         load_checkpoint(path)

@@ -354,7 +354,7 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
     header = {"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2, key: value}
     path = tmp_path / "traces.jsonl"
     path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(TraceFormatError, match=f"'{key}'") as exc:
+    with pytest.raises(TraceFormatError, match=f"header.{key}: ") as exc:
         TraceStore.load(path)
     assert exc.value.line_no == 1
 
