@@ -19,8 +19,7 @@ consolidated network.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,27 +122,20 @@ class ConsolidationReport:
     steps_run: int
     initial: dict | None    # term_stats on the probe batch before training
     final: dict | None      # ... and after
-    probe_trial_ids: list[int] = field(default_factory=list)
 
 
 def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
-                config: ConsolidationConfig, *, net_config: NetConfig,
-                steps: int | None = None, seconds: float | None = None):
-    """Dream phase: gradient descent on replayed traces, no environment.
+                config: ConsolidationConfig, *, net_config: NetConfig, steps: int):
+    """Dream phase: `steps` gradient steps on replayed traces, no environment.
 
-    The budget is either a gradient-step count or a wall-clock allowance.
     Returns (new_weights, report); the report's initial/final losses are
     measured on a fixed probe batch (the first replay selection).
     """
-    if (steps is None) == (seconds is None):
-        raise ValueError("specify exactly one of steps or seconds")
-    if steps is not None and steps < 0:
+    if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if seconds is not None and seconds < 0:
-        raise ValueError(f"seconds must be >= 0, got {seconds}")
 
     weights = np.asarray(weights, dtype=np.float64).copy()
-    if steps == 0 or (seconds is not None and seconds == 0):
+    if steps == 0:
         return weights, ConsolidationReport(steps_run=0, initial=None, final=None)
 
     rng = np.random.default_rng(policy.rng_seed)
@@ -153,7 +145,7 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
     # every mode but uniform_sample selects the same trials at every step
     cached_keys, cached = None, None
 
-    def select_batch() -> tuple[ReplayBatch, tuple]:
+    def select_batch() -> ReplayBatch:
         nonlocal cached_keys, cached
         trials = store.sample_replay(policy, rng=rng)
         if not trials:
@@ -165,21 +157,14 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
                     target_cache[key] = build_targets(trial, trial.relevant, net_config)
             cached_keys = keys
             cached = ReplayBatch(net_config, [target_cache[key] for key in keys])
-        return cached, keys
+        return cached
 
-    probe_batch, probe_keys = select_batch()
+    probe_batch = select_batch()
     initial = term_stats(net, probe_batch, config.term_weights)
 
     velocity = np.zeros_like(weights)
-    deadline = time.monotonic() + seconds if seconds is not None else None
-
-    step_idx = 0
-    while True:
-        if steps is not None and step_idx >= steps:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        batch = probe_batch if step_idx == 0 else select_batch()[0]
+    for step_idx in range(steps):
+        batch = probe_batch if step_idx == 0 else select_batch()
         grad, loss = bptt_gradient(net, batch, config.term_weights)
         if not np.isfinite(loss):
             raise RuntimeError(
@@ -194,14 +179,9 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
         if config.reg_interval > 0 and (step_idx + 1) % config.reg_interval == 0:
             weights = apply_regularizer(weights, config.reg_strength, config.reg_kind)
         net.set_weights(weights)
-        step_idx += 1
 
     final = term_stats(net, probe_batch, config.term_weights)
-    report = ConsolidationReport(
-        steps_run=step_idx, initial=initial, final=final,
-        probe_trial_ids=[trial_id for trial_id, _ in probe_keys],
-    )
-    return weights, report
+    return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ The caller's weight vectors are never mutated; the search works on copies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +25,14 @@ from .network import NetConfig
 from .rollout import run_trial, run_trials, trial_env_steps  # noqa: F401
 from .traces import TraceStore, Trial
 
-BUDGET_UNITS = ("env_steps", "evaluations", "wall_seconds")
+BUDGET_UNITS = ("env_steps", "evaluations")
 
 WARM, SCRATCH = "warm", "scratch"
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Per-arm search budget. env_steps and evaluations are exact counters;
-    wall_seconds is best-effort."""
+    """Per-arm search budget, counted in env steps or in evaluations."""
 
     unit: str
     amount: float
@@ -149,32 +147,26 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                           for _ in range(es.population)]
         seeds = [int(arm.seed_rng.integers(0, 2**31)) for _ in candidates]
 
-        started = time.monotonic()
         # candidate-major: candidate c's trial i runs with seed seeds[c] + i
         episodes = run_trials(config, np.repeat(candidates, n_trials, axis=0), task,
                               [seed + i for seed in seeds for i in range(n_trials)])
         results = [episodes[c * n_trials : (c + 1) * n_trials]
                    for c in range(len(candidates))]
-        elapsed = time.monotonic() - started
 
         cost = 0.0
         best_idx, best_fit = -1, -np.inf
-        per_candidate_trials = []
         for idx, trials in enumerate(results):
             for t in trials:
                 t.trial_id = store.append(t)
                 all_trial_ids.append(t.trial_id)
-            per_candidate_trials.append(trials)
             arm.evaluations += 1
             if budget.unit == "env_steps":
                 cost += sum(trial_env_steps(t) for t in trials)
-            elif budget.unit == "evaluations":
+            else:
                 cost += 1
             fit = float(np.mean([t.final_return for t in trials]))
             if fit > best_fit:
                 best_idx, best_fit = idx, fit
-        if budget.unit == "wall_seconds":
-            cost = elapsed
 
         if not arm.parent_evaluated:
             arm.parent_evaluated = True
@@ -185,7 +177,7 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
             if promote:
                 arm.parent = candidates[best_idx]
                 arm.parent_fitness = best_fit
-                arm.parent_trials = per_candidate_trials[best_idx]
+                arm.parent_trials = results[best_idx]
 
         arm.spent += cost
         arm.batch_costs.append(cost)

@@ -7,6 +7,7 @@ nothing from skillnet, so every module can use it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, fields
 
 
@@ -29,18 +30,32 @@ def is_json_int(value) -> bool:
 
 
 def typed(accepts, what: str):
-    """A check that `accepts(value)` holds and that a float is finite."""
+    """A check that `accepts(value)` holds."""
     def check(value, fieldpath: str):
         if not accepts(value):
             raise ConfigError(fieldpath, f"must be {what}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(fieldpath, f"must be a finite number, got {value}")
         return value
     return check
 
 
 INT = typed(is_json_int, "an integer")
-NUMBER = typed(lambda v: is_json_int(v) or isinstance(v, float), "a number")
+
+
+def NUMBER(value, fieldpath: str):
+    """A JSON number that is a finite float or an integer within the float
+    range: a larger integer is an error here, not an OverflowError where it
+    is used."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(fieldpath, f"must be a finite number, got {value}")
+    elif not is_json_int(value):
+        raise ConfigError(fieldpath, "must be a number")
+    elif abs(value) > sys.float_info.max:
+        raise ConfigError(fieldpath, f"must fit in a float (magnitude at most "
+                                     f"{sys.float_info.max:.3g})")
+    return value
+
+
 STRING = typed(lambda v: isinstance(v, str), "a string")
 BOOL = typed(lambda v: isinstance(v, bool), "a boolean")
 

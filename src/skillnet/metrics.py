@@ -2,10 +2,8 @@
 
 Every event carries an "event" discriminator so external tools can filter
 and plot learning curves. The schemas below are the contract; emitted lines
-contain exactly the declared fields. With a step-count budget unit
-(env_steps or evaluations) events hold no wall-clock data, so two runs from
-the same config and seed produce byte-identical files; with wall_seconds,
-budget_spent_* and max_batch_cost are measured seconds.
+contain exactly the declared fields. Events hold no wall-clock data, so two
+runs from the same config and seed produce byte-identical files.
 """
 
 from __future__ import annotations

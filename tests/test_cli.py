@@ -82,6 +82,12 @@ def test_run_nan_budget_exits_1_naming_field(tmp_path, capsys):
     assert "budgets.c0" in capsys.readouterr().err
 
 
+def test_run_integer_too_large_for_a_float_exits_1_naming_field(tmp_path, capsys):
+    config_path = write_config(tmp_path, budgets={"c0": 10**400, "lambda": 0.04})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "budgets.c0" in capsys.readouterr().err
+
+
 def test_run_non_positive_step_cap_exits_1_naming_criterion(tmp_path, capsys):
     config_path = write_config(tmp_path)
     config = json.loads(config_path.read_text())
@@ -126,6 +132,25 @@ def test_run_reproducible_with_evaluations_unit(tmp_path):
         assert main(["run", "--config", str(config_path)]) == 0
     assert (dirs[0] / "metrics.jsonl").read_bytes() == (dirs[1] / "metrics.jsonl").read_bytes()
     assert (dirs[0] / "traces.jsonl").read_bytes() == (dirs[1] / "traces.jsonl").read_bytes()
+
+
+def test_run_reads_no_clock(tmp_path, monkeypatch):
+    # every budget is a count of work, so a run never reads the time
+    dirs = [tmp_path / "clock", tmp_path / "no_clock"]
+    for d in dirs:
+        d.mkdir()
+    assert main(["run", "--config", str(write_config(dirs[0]))]) == 0
+
+    def no_clock(*args):
+        raise AssertionError("the run read a clock")
+
+    with monkeypatch.context() as patch:
+        for name in ("monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
+                     "time", "time_ns"):
+            patch.setattr(time, name, no_clock)
+        assert main(["run", "--config", str(write_config(dirs[1]))]) == 0
+    for name in ("metrics.jsonl", "traces.jsonl", "ckpt/final.ckpt"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 def test_seed_override_changes_outcome_files(tmp_path):

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from skillnet import config as config_module
 from skillnet.config import BudgetsConfig, ConfigError, load_config, with_seed
 from skillnet.consolidate import ConsolidationConfig
 from skillnet.envs import GridMazeSpec, SuccessCriterion
 from skillnet.evolve import EsConfig
-from skillnet.network import NetConfig
+from skillnet.jsoncheck import NUMBER
+from skillnet.network import NET, NetConfig
 from skillnet.traces import ReplayPolicy
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,9 +115,11 @@ def test_bad_replay_mode_rejected(tmp_path):
 
 
 def test_bad_budget_unit_rejected(tmp_path):
-    config = base_config()
-    config["budgets"]["unit"] = "parsecs"
-    expect_error(tmp_path, config, "budgets.unit")
+    # a budget is a count of work; a wall-clock unit would make runs differ
+    for unit in ("parsecs", "wall_seconds"):
+        config = base_config()
+        config["budgets"]["unit"] = unit
+        expect_error(tmp_path, config, "budgets.unit")
 
 
 def test_non_positive_budgets_rejected(tmp_path):
@@ -219,6 +223,37 @@ def test_non_finite_numbers_rejected_by_field(tmp_path, section, key, fieldpath,
     path = write(tmp_path, config)
     assert ("NaN" if value != value else "Infinity") in path.read_text()
     expect_error(tmp_path, config, fieldpath)
+
+
+# every field read with jsoncheck.NUMBER, as (section path, key, dotted name)
+NUMBER_FIELDS = [
+    (section, key, f"{path}.{key}")
+    for section, path, table in [
+        (("net",), "net", NET),
+        (("tasks", 0, "maze"), "tasks[0].maze", config_module.MAZE),
+        (("tasks", 0, "criterion"), "tasks[0].criterion", config_module.CRITERION),
+        (("es",), "es", config_module.ES),
+        (("budgets",), "budgets", config_module.BUDGETS),
+        (("consolidation",), "consolidation", config_module.CONSOLIDATION),
+    ]
+    for key, (_, check) in table.items() if check in (NUMBER, config_module._float)
+]
+
+
+@pytest.mark.parametrize("section, key, fieldpath", NUMBER_FIELDS,
+                         ids=[f[2] for f in NUMBER_FIELDS])
+def test_integer_too_large_for_a_float_rejected_by_field(tmp_path, section, key, fieldpath):
+    config = base_config()
+    config["tasks"][0]["criterion"] = {}
+    config["es"] = {}
+    config["consolidation"] = {}
+    target = config
+    for part in section:
+        target = target[part]
+    target[key] = 10**400
+    with pytest.raises(ConfigError, match="must fit in a float") as exc:
+        load_config(write(tmp_path, config))
+    assert str(exc.value).startswith(f"{fieldpath}: ")
 
 
 UNKNOWN_KEYS = [

@@ -244,23 +244,12 @@ def test_regularizer_applied_every_interval():
     assert np.allclose(new_weights, weights * 0.25, atol=1e-6)
 
 
-def test_wall_clock_budget_runs_and_stops():
-    store = relevant_store()
-    _, weights = init_network(CFG)
-    _, report = consolidate(weights, store, ReplayPolicy(mode="all"),
-                            ConsolidationConfig(), net_config=CFG, seconds=0.2)
-    assert report.steps_run > 0
-
-
 def test_budget_argument_validation():
     store = relevant_store()
     _, weights = init_network(CFG)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
         consolidate(weights, store, ReplayPolicy(mode="all"), ConsolidationConfig(),
-                    net_config=CFG)
-    with pytest.raises(ValueError):
-        consolidate(weights, store, ReplayPolicy(mode="all"), ConsolidationConfig(),
-                    net_config=CFG, steps=3, seconds=1.0)
+                    net_config=CFG, steps=-1)
 
 
 def test_no_environment_contact_during_consolidation():

@@ -366,19 +366,6 @@ def test_race_fairness_with_asymmetric_episode_costs():
     assert abs(spent["warm"] - spent["scratch"]) <= outcome.max_batch_cost
 
 
-def test_wall_seconds_budget_is_best_effort():
-    cfg = net_config()
-    store = fresh_store(cfg)
-    _, weights = init_network(cfg)
-    outcome = try_solve_task(weights, weights, mock_task(False),
-                             Budget("wall_seconds", 0.05),
-                             EsConfig(population=2, seed=12), store, config=cfg)
-    assert not outcome.solved
-    for arm in ("warm", "scratch"):
-        assert outcome.budget_spent[arm] >= 0.05
-        assert outcome.evaluations[arm] >= 1
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget("generations", 5)

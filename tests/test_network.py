@@ -588,6 +588,7 @@ def test_checkpoint_header_types_checked(tmp_path, key, value):
     (True, r"weights\[0\]: must be a number"),
     ("0.1", r"weights\[0\]: must be a number"),
     (float("nan"), r"weights\[0\]: must be a finite number"),
+    pytest.param(10**400, r"weights\[0\]: must fit in a float", id="int-beyond-float"),
 ])
 def test_checkpoint_weights_checked_not_coerced(tmp_path, value, message):
     cfg = small_config()
