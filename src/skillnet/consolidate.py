@@ -134,15 +134,14 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
 
-    weights = np.asarray(weights, dtype=np.float64).copy()
     if steps == 0:
-        return weights, ConsolidationReport(steps_run=0, initial=None, final=None)
+        return np.array(weights, dtype=np.float64), ConsolidationReport(0, None, None)
 
     rng = np.random.default_rng(policy.rng_seed)
     net = Network(net_config, weights)
+    weights = net.weights  # a copy, updated in place; the net's matrices are views of it
     target_cache: dict[tuple[int, bool], TrialTargets] = {}
-    # the latest selection's (trial_id, relevant) keys and its padded batch;
-    # every mode but uniform_sample selects the same trials at every step
+    # the latest selection's (trial_id, relevant) keys and its padded batch
     cached_keys, cached = None, None
 
     def select_batch() -> ReplayBatch:
@@ -159,26 +158,29 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
             cached = ReplayBatch(net_config, [target_cache[key] for key in keys])
         return cached
 
-    probe_batch = select_batch()
+    probe_batch = batch = select_batch()
     initial = term_stats(net, probe_batch, config.term_weights)
+    resample = policy.mode == "uniform_sample"  # the store is fixed during a dream
 
     velocity = np.zeros_like(weights)
+    step = np.empty_like(weights)
     for step_idx in range(steps):
-        batch = probe_batch if step_idx == 0 else select_batch()
+        if resample and step_idx > 0:
+            batch = select_batch()
         grad, loss = bptt_gradient(net, batch, config.term_weights)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
             )
-        velocity = config.momentum * velocity + grad
-        weights = weights - config.base_lr * velocity
-        if not np.all(np.isfinite(weights)):
+        velocity *= config.momentum
+        velocity += grad
+        weights -= np.multiply(velocity, config.base_lr, out=step)
+        if not np.isfinite(weights).all():
             raise RuntimeError(
                 f"consolidation diverged: non-finite weights at gradient step {step_idx}"
             )
         if config.reg_interval > 0 and (step_idx + 1) % config.reg_interval == 0:
-            weights = apply_regularizer(weights, config.reg_strength, config.reg_kind)
-        net.set_weights(weights)
+            weights[:] = apply_regularizer(weights, config.reg_strength, config.reg_kind)
 
     final = term_stats(net, probe_batch, config.term_weights)
     return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final)

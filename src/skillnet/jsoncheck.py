@@ -38,7 +38,14 @@ def typed(accepts, what: str):
     return check
 
 
-INT = typed(is_json_int, "an integer")
+def INT(value, fieldpath: str):
+    """A JSON integer in the signed 64-bit range: a larger one is an error
+    here, not an overflow or a runaway loop where it is used."""
+    if not is_json_int(value):
+        raise ConfigError(fieldpath, "must be an integer")
+    if not -2**63 <= value < 2**63:
+        raise ConfigError(fieldpath, "must fit in a signed 64-bit integer")
+    return value
 
 
 def NUMBER(value, fieldpath: str):

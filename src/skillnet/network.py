@@ -29,6 +29,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,19 @@ def initial_state(config: NetConfig) -> np.ndarray:
     return np.zeros(config.hidden_dim)
 
 
+def _sigmoid(z, out=None):
+    # not np.negative(z, out=out): numpy 2.4.6 (AVX-512) writes -0.0 past
+    # the first element of an `out` strided by 8 elements
+    out = np.exp(np.negative(z), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+
+
 def _activation_fns(name):
+    """(activation, its derivative from the activation value), each writing
+    into `out` when given one."""
     if name == "tanh":
-        return np.tanh, lambda s: 1.0 - s * s
-    # sigmoid; derivative expressed via the activation value
-    return (lambda z: 1.0 / (1.0 + np.exp(-z))), lambda s: s * (1.0 - s)
+        return np.tanh, lambda s, out=None: np.subtract(1.0, np.multiply(s, s, out=out), out=out)
+    return _sigmoid, lambda s, out=None: np.multiply(s, np.subtract(1.0, s, out=out), out=out)
 
 
 class Network:
@@ -284,7 +293,9 @@ class ReplayBatch:
     (padded row p is trial `order[p]`, trial b is padded row `rows[b][0]`),
     which makes the trials still running at timestep t the leading
     `live[t]` rows; `groups` lists the runs of padded rows whose trials have
-    equal lengths.
+    equal lengths. The padded arrays, `order` and `live` are read-only: the
+    work buffers the first `bptt_gradient` or `batch_loss` call builds, and
+    later calls reuse, hold views of them.
     """
 
     def __init__(self, config: NetConfig, trials):
@@ -299,7 +310,7 @@ class ReplayBatch:
         self.order = np.array(sorted(range(len(lengths)), key=lambda b: -lengths[b]))
         padded_lengths = [lengths[b] for b in self.order]
         t_max = padded_lengths[0]
-        self.live = (np.array(lengths)[:, None] > np.arange(t_max)).sum(axis=0).tolist()
+        self.live = (np.array(lengths)[:, None] > np.arange(t_max)).sum(axis=0)
         # (padded row, length) of each trial, in trial order
         row_of = np.argsort(self.order)
         self.rows = [(int(row_of[b]), n) for b, n in enumerate(lengths)]
@@ -315,6 +326,8 @@ class ReplayBatch:
             for row, b in enumerate(self.order):
                 padded[row, : lengths[b]] = getattr(self.trials[b], name)
             setattr(self, name, padded)
+        for name in ("order", "live", *TrialTargets.__dataclass_fields__):
+            getattr(self, name).setflags(write=False)
 
     @classmethod
     def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
@@ -323,6 +336,10 @@ class ReplayBatch:
         if isinstance(batch, cls) and batch.config == config:
             return batch
         return cls(config, batch)
+
+    @cached_property
+    def _plan(self) -> "_BatchPlan":
+        return _BatchPlan(self)
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -340,52 +357,132 @@ def _matvec(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (w @ rows[..., None])[..., 0]
 
 
-def _forward_batch(net: Network, senses: np.ndarray, live):
-    """Unrolled forward pass over padded trials held longest first.
+class _BatchPlan:
+    """One ReplayBatch's work buffers and the views its passes use, built
+    once and refilled by every forward and backward pass.
 
-    `senses` is (B, T, input_width) and `live[t]` counts the leading rows still
-    running at step t. Returns the output rows (B, T, output_width) and every
-    micro-step state (B, T, micro_steps, hidden_dim); rows past a trial's end
-    keep zero states. Uses the same matrix-vector products as Network.step,
-    so replay activations agree bitwise with what the net computed online.
+    The hidden states sit in one zeroed array `hs` (B, T_max * k + 1, h) for
+    k micro steps: hs[:, 0] is the initial state and hs[:, 1 + t * k + j]
+    micro step j of timestep t, so hs[:, :-1] holds the state entering each
+    micro step. A pass writes only the rows still running, so rows past a
+    trial's end stay zero. Every product is the per-row gemv of `_matvec` on
+    the operands of Network.step, so replay agrees bitwise with online
+    stepping and with the per-trial loop. Passes over one batch must not run
+    concurrently.
     """
-    cfg = net.config
-    k = cfg.micro_steps
-    states = np.zeros(senses.shape[:2] + (k, cfg.hidden_dim))
-    drive = _matvec(net.w_in, senses) + net.b_h
-    state = np.zeros((senses.shape[0], cfg.hidden_dim))
-    for t, n in enumerate(live):
-        state = state[:n]
-        for j in range(k):
-            state = net._act(drive[:n, t] + _matvec(net.w_rec, state))
-            states[:n, t, j] = state
-    outputs = _matvec(net.w_out, states[:, :, k - 1]) + net.b_out
-    return outputs, states
+
+    def __init__(self, batch: ReplayBatch):
+        cfg = batch.config
+        k, h, o, pw = cfg.micro_steps, cfg.hidden_dim, cfg.action_dim, cfg.pred_width
+        n_rows, t_max = batch.senses.shape[:2]
+        live = batch.live.tolist()
+        self.senses = batch.senses[..., None]
+        self.drive = np.empty((n_rows, t_max, h))
+        self.hs = hs = np.zeros((n_rows, t_max * k + 1, h))
+        self.last = hs[:, k::k]  # each timestep's final micro state
+        self.outputs = np.empty((n_rows, t_max, cfg.output_width))
+        self.d_y = np.empty_like(self.outputs)
+        self.from_out = np.empty((n_rows, t_max, h))
+        self.d_act = np.empty((n_rows, t_max * k, h))
+        d_z = np.empty_like(self.d_act)
+        self.d_state = np.empty((n_rows, h))
+        product = np.empty((n_rows, h))  # a micro step's recurrent term
+        # per loss term: output slice, target, mask, masked residual (kept
+        # in the term's slice of d_y) and its square
+        spans = (slice(0, o), slice(o, o + pw), slice(o + pw, None))
+        targets = (batch.action_target, batch.pred_target, batch.return_target)
+        masks = (batch.action_mask, batch.pred_mask, batch.return_mask)
+        self.terms = [(self.outputs[..., span], target, mask[..., None], self.d_y[..., span],
+                       np.empty_like(target)) for span, target, mask in zip(spans, targets, masks)]
+        # each trial's three blocks of squares, in trial order
+        self.trial_squares = [tuple(term[4][row, :t_len] for term in self.terms)
+                              for row, t_len in batch.rows]
+        # forward micro steps: state in, recurrent term, drive, state out
+        self.forward_steps = [(hs[:n, c, :, None], product[:n, :, None], product[:n],
+                               self.drive[:n, t], hs[:n, c + 1])
+                              for t, n in enumerate(live) for c in range(t * k, t * k + k)]
+        # backward micro steps, last first: d_state, the output error entering
+        # at a timestep's last micro step (else None), d_act and d_z
+        self.backward_steps = [(self.d_state[:n], self.d_state[:n, :, None],
+                                self.from_out[:n, t] if c == t * k + k - 1 else None,
+                                self.d_act[:n, c], d_z[:n, c], d_z[:n, c, :, None])
+                               for t, n in reversed(list(enumerate(live)))
+                               for c in range(t * k + k - 1, t * k - 1, -1)]
+        # row p of `parts` is padded row p's gradient (flat layout), summed
+        # over its own rows: one stacked call per run of equal-length trials
+        # makes the same BLAS call per trial as that trial alone would
+        self.parts = np.empty((n_rows, cfg.n_params))
+        self.trial_order = np.argsort(batch.order)
+        senses_rep = np.repeat(batch.senses, k, axis=1)
+        self.group_terms = []
+        for start, stop, t_len in batch.groups:
+            rows, steps = slice(start, stop), t_len * k
+            dz, dy = d_z[rows, :steps], self.d_y[rows, :t_len]
+            self.group_terms.append((
+                (dz.transpose(0, 2, 1), senses_rep[rows, :steps], hs[rows, :steps], dz,
+                 dy.transpose(0, 2, 1), self.last[rows, :t_len], dy),
+                [part[rows] for part in unpack_weights(cfg, self.parts)]))
+
+    def forward(self, net: Network) -> None:
+        """Every hidden state into `hs` and every output row into `outputs`."""
+        np.matmul(net.w_in, self.senses, out=self.drive[..., None])
+        np.add(self.drive, net.b_h, out=self.drive)
+        w_rec, act = net.w_rec, net._act
+        for state_in, term_col, term, drive, state in self.forward_steps:
+            np.matmul(w_rec, state_in, out=term_col)
+            np.add(drive, term, out=state)
+            act(state, out=state)
+        np.matmul(net.w_out, self.last[..., None], out=self.outputs[..., None])
+        np.add(self.outputs, net.b_out, out=self.outputs)
+
+    def losses(self, term_weights) -> list[tuple[float, float, float]]:
+        """Each trial's three loss terms, in trial order, every term summed
+        over its own rows; leaves the masked residuals in `d_y`."""
+        for out, target, mask, res, sq in self.terms:
+            np.subtract(out, target, out=res)
+            np.multiply(res, mask, out=res)
+            np.multiply(res, res, out=sq)
+        return [tuple(w * float(np.add.reduce(sq, axis=None))
+                      for w, sq in zip(term_weights, squares))
+                for squares in self.trial_squares]
+
+    def gradient(self, net: Network, term_weights) -> np.ndarray:
+        """The flat gradient from the residuals `losses` left in `d_y`: the
+        sum of the per-trial gradients, added in trial order."""
+        for (_, _, _, res, _), w in zip(self.terms, term_weights):
+            np.multiply(res, 2.0 * w, out=res)
+        # backward through time over the running trials; a trial's error
+        # signal starts from zero at its last step
+        np.matmul(net.w_out.T, self.d_y[..., None], out=self.from_out[..., None])
+        net._act_deriv(self.hs[:, 1:], out=self.d_act)
+        self.d_state.fill(0.0)
+        w_rec_t = net.w_rec.T
+        for d_state, d_state_col, from_out, d_act, dz, dz_col in self.backward_steps:
+            if from_out is not None:
+                np.add(d_state, from_out, out=d_state)
+            np.multiply(d_state, d_act, out=dz)
+            np.matmul(w_rec_t, dz_col, out=d_state_col)
+
+        for (dz_t, senses, prev, dz, dy_t, last, dy), grads in self.group_terms:
+            g_w_in, g_w_rec, g_b_h, g_w_out, g_b_out = grads
+            np.matmul(dz_t, senses, out=g_w_in)
+            np.matmul(dz_t, prev, out=g_w_rec)
+            np.add.reduce(dz, axis=1, out=g_b_h)
+            np.matmul(dy_t, last, out=g_w_out)
+            np.add.reduce(dy, axis=1, out=g_b_out)
+        # added up from zero in trial order: a reduction over the outer axis
+        # adds whole rows one after another
+        return np.add.reduce(self.parts[self.trial_order], axis=0, initial=0.0)
 
 
 def _forward_trial(net: Network, senses: np.ndarray):
-    """`_forward_batch` on one trial: outputs (T, output_width) and states
-    (T, micro_steps, hidden_dim)."""
-    outputs, states = _forward_batch(net, senses[None], [1] * len(senses))
-    return outputs[0], states[0]
-
-
-def _masked_residuals(cfg: NetConfig, outputs: np.ndarray, batch: ReplayBatch, term_weights):
-    """Per-slice masked residuals over the padded batch, and each trial's
-    three loss terms in trial order, every term summed over its own rows."""
-    o, pw = cfg.action_dim, cfg.pred_width
-    residuals = (
-        (outputs[..., :o] - batch.action_target) * batch.action_mask[..., None],
-        (outputs[..., o : o + pw] - batch.pred_target) * batch.pred_mask[..., None],
-        (outputs[..., o + pw :] - batch.return_target) * batch.return_mask[..., None],
-    )
-    squares = [res * res for res in residuals]
-    losses = [
-        tuple(w * float(np.add.reduce(sq[row, :t_len], axis=None))
-              for w, sq in zip(term_weights, squares))
-        for row, t_len in batch.rows
-    ]
-    return residuals, losses
+    """One trial's replay outputs (T, output_width) and states (T, k, h)."""
+    cfg, t_len = net.config, len(senses)
+    widths = (cfg.action_dim, cfg.pred_width, cfg.return_width)
+    trial = TrialTargets(senses, *(np.zeros((t_len, w)) for w in widths), *np.zeros((3, t_len)))
+    plan = ReplayBatch(cfg, [trial])._plan
+    plan.forward(net)
+    return plan.outputs[0], plan.hs[0, 1:].reshape(t_len, cfg.micro_steps, cfg.hidden_dim)
 
 
 def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
@@ -395,11 +492,10 @@ def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     Returns (total, per_term) where per_term is a dict with the three slice
     sums, already scaled by term_weights.
     """
-    batch = ReplayBatch.wrap(net.config, batch)
-    outputs, _ = _forward_batch(net, batch.senses, batch.live)
-    _, losses = _masked_residuals(net.config, outputs, batch, term_weights)
+    plan = ReplayBatch.wrap(net.config, batch)._plan
+    plan.forward(net)
     per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
-    for la, lp, lr in losses:
+    for la, lp, lr in plan.losses(term_weights):
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
@@ -414,55 +510,10 @@ def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     of them in one pass over time. The batch gradient is the sum of per-trial
     gradients, added in trial order. Returns (flat gradient, loss).
     """
-    batch = ReplayBatch.wrap(net.config, batch)
-    cfg = net.config
-    k, h = cfg.micro_steps, cfg.hidden_dim
-    outputs, states = _forward_batch(net, batch.senses, batch.live)
-    residuals, losses = _masked_residuals(cfg, outputs, batch, term_weights)
-    d_y = np.concatenate([2.0 * w * res for w, res in zip(term_weights, residuals)], axis=2)
-
-    # backward through time over the running trials; a trial's error signal
-    # starts from zero at its last step
-    from_out = _matvec(net.w_out.T, d_y)
-    d_act = net._act_deriv(states)
-    w_rec_t = net.w_rec.T
-    d_z = np.zeros_like(states)
-    d_state = np.zeros((0, h))
-    for t in range(len(batch.live) - 1, -1, -1):
-        n = batch.live[t]
-        if n > len(d_state):
-            d_state = np.concatenate([d_state, np.zeros((n - len(d_state), h))])
-        d_state = d_state + from_out[:n, t]
-        for j in range(k - 1, -1, -1):
-            dz = d_state * d_act[:n, t, j]
-            d_z[:n, t, j] = dz
-            d_state = _matvec(w_rec_t, dz)
-
-    # states entering each micro step: previous micro state, crossing
-    # env-step boundaries back to the zero initial state
-    prev = np.zeros_like(states)
-    prev[:, :, 1:] = states[:, :, :-1]
-    prev[:, 1:, 0] = states[:, :-1, k - 1]
-    senses_rep = np.repeat(batch.senses, k, axis=1)
-
-    # row b of `parts` is trial b's gradient (flat layout), summed over its
-    # own rows: one stacked call per run of equal-length trials makes the
-    # same BLAS call per trial as that trial alone would
-    parts = np.zeros((len(batch), cfg.n_params))
-    p_w_in, p_w_rec, p_b_h, p_w_out, p_b_out = unpack_weights(cfg, parts)
-    for start, stop, t_len in batch.groups:
-        rows, members = slice(start, stop), batch.order[start:stop]
-        dy = d_y[rows, :t_len]
-        dz = d_z[rows, :t_len].reshape(stop - start, t_len * k, h)
-        dz_t = dz.transpose(0, 2, 1)
-        p_w_in[members] = dz_t @ senses_rep[rows, : t_len * k]
-        p_w_rec[members] = dz_t @ prev[rows, :t_len].reshape(stop - start, t_len * k, h)
-        p_b_h[members] = dz.sum(axis=1)
-        p_w_out[members] = dy.transpose(0, 2, 1) @ states[rows, :t_len, k - 1]
-        p_b_out[members] = dy.sum(axis=1)
-    # added up from zero in trial order: a reduction over the outer axis
-    # adds whole rows one after another
-    grad = np.add.reduce(parts, axis=0, initial=0.0)
+    plan = ReplayBatch.wrap(net.config, batch)._plan
+    plan.forward(net)
+    losses = plan.losses(term_weights)
+    grad = plan.gradient(net, term_weights)
     total_loss = 0.0
     for trial_losses in losses:
         total_loss += sum(trial_losses)

@@ -88,6 +88,16 @@ def test_run_integer_too_large_for_a_float_exits_1_naming_field(tmp_path, capsys
     assert "budgets.c0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("net", "micro_steps"), ("es", "population")])
+def test_run_integer_outside_64_bits_exits_1_naming_field(tmp_path, capsys, section, key):
+    config_path = write_config(tmp_path)
+    config = json.loads(config_path.read_text())
+    config[section][key] = 10**30
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert f"{section}.{key}: must fit in a signed 64-bit integer" in capsys.readouterr().err
+
+
 def test_run_non_positive_step_cap_exits_1_naming_criterion(tmp_path, capsys):
     config_path = write_config(tmp_path)
     config = json.loads(config_path.read_text())

@@ -8,7 +8,7 @@ from skillnet.config import BudgetsConfig, ConfigError, load_config, with_seed
 from skillnet.consolidate import ConsolidationConfig
 from skillnet.envs import GridMazeSpec, SuccessCriterion
 from skillnet.evolve import EsConfig
-from skillnet.jsoncheck import NUMBER
+from skillnet.jsoncheck import INT, NUMBER
 from skillnet.network import NET, NetConfig
 from skillnet.traces import ReplayPolicy
 
@@ -254,6 +254,47 @@ def test_integer_too_large_for_a_float_rejected_by_field(tmp_path, section, key,
     with pytest.raises(ConfigError, match="must fit in a float") as exc:
         load_config(write(tmp_path, config))
     assert str(exc.value).startswith(f"{fieldpath}: ")
+
+
+# every field read with jsoncheck.INT, as (section path, key, dotted name)
+INT_FIELDS = [((), "master_seed", "master_seed")] + [
+    (section, key, f"{path}.{key}")
+    for section, path, table in [
+        (("net",), "net", NET),
+        (("tasks", 0), "tasks[0]", config_module.TASK),
+        (("tasks", 0, "maze"), "tasks[0].maze", config_module.MAZE),
+        (("tasks", 0, "criterion"), "tasks[0].criterion", config_module.CRITERION),
+        (("es",), "es", config_module.ES),
+        (("consolidation",), "consolidation", config_module.CONSOLIDATION),
+        (("consolidation", "replay"), "consolidation.replay", config_module.REPLAY),
+    ]
+    for key, (_, check) in table.items() if check is INT
+]
+
+
+@pytest.mark.parametrize("section, key, fieldpath", INT_FIELDS, ids=[f[2] for f in INT_FIELDS])
+def test_integer_outside_64_bits_rejected_by_field(tmp_path, section, key, fieldpath):
+    # 10**30 used to fail late: an overflow at net.h, or a run that never
+    # ended at net.micro_steps or es.population
+    config = base_config()
+    config["tasks"][0]["criterion"] = {}
+    config["es"] = {}
+    config["consolidation"] = {"replay": {"mode": "recent", "k": 2}}
+    target = config
+    for part in section:
+        target = target[part]
+    target[key] = 10**30
+    with pytest.raises(ConfigError, match="must fit in a signed 64-bit integer") as exc:
+        load_config(write(tmp_path, config))
+    assert str(exc.value).startswith(f"{fieldpath}: ")
+
+
+def test_int_check_bounds_are_the_signed_64_bit_range():
+    for value in (2**63 - 1, -2**63, 0):
+        assert INT(value, "x") == value
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(ConfigError, match="^x: must fit in a signed 64-bit integer"):
+            INT(value, "x")
 
 
 UNKNOWN_KEYS = [

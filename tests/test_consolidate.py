@@ -7,6 +7,7 @@ from skillnet.consolidate import (
     build_targets,
     consolidate,
     retention_check,
+    term_stats,
 )
 from skillnet.envs import (
     GridMazeSpec,
@@ -15,7 +16,15 @@ from skillnet.envs import (
     step_counter,
 )
 from skillnet.evolve import Budget, EsConfig, try_solve_task
-from skillnet.network import NetConfig, Network, _forward_trial, batch_loss, init_network
+from skillnet.network import (
+    NetConfig,
+    Network,
+    _forward_trial,
+    apply_regularizer,
+    batch_loss,
+    bptt_gradient,
+    init_network,
+)
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
@@ -279,6 +288,92 @@ def test_fixed_replay_selection_is_padded_and_validated_once(monkeypatch):
                             ConsolidationConfig(base_lr=0.02), net_config=CFG, steps=50)
     assert report.steps_run == 50
     assert len(calls) == 3
+
+
+def reference_consolidate(weights, store, policy, config, *, net_config, steps):
+    """The dream loop written plainly: every step selects its replay batch,
+    builds new velocity and weight arrays and sets them on the net."""
+    weights = np.asarray(weights, dtype=np.float64).copy()
+    rng = np.random.default_rng(policy.rng_seed)
+    net = Network(net_config, weights)
+
+    def select_batch():
+        return build_batch(store.sample_replay(policy, rng=rng), net_config)
+
+    probe_batch = select_batch()
+    initial = term_stats(net, probe_batch, config.term_weights)
+    velocity = np.zeros_like(weights)
+    for step_idx in range(steps):
+        batch = probe_batch if step_idx == 0 else select_batch()
+        grad, loss = bptt_gradient(net, batch, config.term_weights)
+        if not np.isfinite(loss):
+            raise RuntimeError(
+                f"consolidation diverged: non-finite loss at gradient step {step_idx}"
+            )
+        velocity = config.momentum * velocity + grad
+        weights = weights - config.base_lr * velocity
+        if not np.all(np.isfinite(weights)):
+            raise RuntimeError(
+                f"consolidation diverged: non-finite weights at gradient step {step_idx}"
+            )
+        if config.reg_interval > 0 and (step_idx + 1) % config.reg_interval == 0:
+            weights = apply_regularizer(weights, config.reg_strength, config.reg_kind)
+        net.set_weights(weights)
+    return weights, initial, term_stats(net, probe_batch, config.term_weights)
+
+
+def mixed_store():
+    """Trials of several lengths, two of them relevant."""
+    rng = np.random.default_rng(16)
+    store = TraceStore(StoreDims.from_net_config(CFG))
+    for i, n_steps in enumerate((3, 5, 2, 5, 4)):
+        tid = store.append(make_trial([-0.01] * (n_steps - 1) + [1.0], success=True, rng=rng))
+        if i % 2:
+            store.mark_relevant(tid)
+    return store
+
+
+POLICIES = [ReplayPolicy(mode="all"), ReplayPolicy(mode="relevant_only"),
+            ReplayPolicy(mode="recent", k=3), ReplayPolicy(mode="uniform_sample", k=2, rng_seed=4)]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("micro_steps", [1, 2, 3])
+@pytest.mark.parametrize("reg_kind", [None, "decay", "prune"])
+@pytest.mark.parametrize("policy", POLICIES, ids=[p.mode for p in POLICIES])
+def test_dream_loop_matches_plain_loop_bit_for_bit(policy, reg_kind, micro_steps, activation):
+    net_config = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4,
+                           micro_steps=micro_steps, activation=activation, seed=3)
+    reg = {} if reg_kind is None else {"reg_interval": 3, "reg_strength": 0.05,
+                                       "reg_kind": reg_kind}
+    config = ConsolidationConfig(base_lr=0.05, **reg)
+    store = mixed_store()
+    _, weights = init_network(net_config)
+    given = weights.copy()
+    new_weights, report = consolidate(weights, store, policy, config,
+                                      net_config=net_config, steps=20)
+    assert np.array_equal(weights, given)  # the caller's array is left alone
+    ref_weights, initial, final = reference_consolidate(given, store, policy, config,
+                                                        net_config=net_config, steps=20)
+    assert new_weights.tobytes() == ref_weights.tobytes()
+    assert report.initial == initial and report.final == final
+
+
+@pytest.mark.parametrize("base_lr, message", [
+    (50.0, r"^consolidation diverged: non-finite loss at gradient step \d+$"),
+    (1e308, r"^consolidation diverged: non-finite weights at gradient step 0$"),
+])
+def test_divergence_messages_match_plain_loop(base_lr, message):
+    store = mixed_store()
+    _, weights = init_network(CFG)
+    config = ConsolidationConfig(base_lr=base_lr)
+    policy = ReplayPolicy(mode="all")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=message) as expected:
+            reference_consolidate(weights, store, policy, config, net_config=CFG, steps=50)
+        with pytest.raises(RuntimeError) as got:
+            consolidate(weights, store, policy, config, net_config=CFG, steps=50)
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

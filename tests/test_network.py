@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skillnet.network import (
@@ -502,6 +502,42 @@ def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
         assert terms == ref_terms
 
 
+@settings(max_examples=60, deadline=None)
+@given(replay_cases(), st.integers(0, 2**16))
+def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
+    # a ReplayBatch keeps its work buffers between calls; under new weights,
+    # and with losses and gradients interleaved, every call must match a
+    # fresh batch and the per-trial loop bit for bit, so no buffer may carry
+    # state over (padded rows past a trial's end stay zero)
+    cfg, batch, term_weights = case
+    assume(len({len(trial) for trial in batch}) > 1)
+    reused = ReplayBatch(cfg, batch)
+    rng = np.random.default_rng(seed)
+    for scale in (0.1, 1.0, 2.5):
+        net = Network(cfg, rng.uniform(-scale, scale, cfg.n_params))
+        ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
+        ref_loss_only = reference_batch_loss(net, batch, term_weights)
+        for _ in range(2):
+            assert batch_loss(net, reused, term_weights) == ref_loss_only
+            assert batch_loss(net, ReplayBatch(cfg, batch), term_weights) == ref_loss_only
+            for given_batch in (reused, ReplayBatch(cfg, batch)):
+                grad, loss = bptt_gradient(net, given_batch, term_weights)
+                assert grad.tobytes() == ref_grad.tobytes()
+                assert loss == ref_loss
+        hs = reused._plan.hs
+        for row, t_len in reused.rows:
+            assert not hs[row, 1 + t_len * cfg.micro_steps:].any()
+
+
+def test_replay_batch_arrays_are_read_only():
+    cfg = small_config()
+    rng = np.random.default_rng(15)
+    batch = ReplayBatch(cfg, [random_targets(cfg, t, rng) for t in (3, 2)])
+    for name in ("order", "live", *TrialTargets.__dataclass_fields__):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name)[0] = 0
+
+
 def test_replay_batch_iterates_trials_in_order_and_pads_with_zero_masks():
     cfg = small_config()
     rng = np.random.default_rng(12)
@@ -510,7 +546,7 @@ def test_replay_batch_iterates_trials_in_order_and_pads_with_zero_masks():
     assert list(batch) == trials
     assert len(batch) == 4 and sum(len(t) for t in batch) == 15
     assert batch.senses.shape == (4, 5, cfg.input_width)
-    assert batch.live == [4, 4, 3, 2, 2]
+    assert batch.live.tolist() == [4, 4, 3, 2, 2]
     for row, t_len in batch.rows:
         assert np.all(batch.pred_mask[row, t_len:] == 0.0)
         assert np.all(batch.action_mask[row, t_len:] == 0.0)
