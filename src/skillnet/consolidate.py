@@ -19,6 +19,7 @@ consolidated network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,7 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
         if resample and step_idx > 0:
             batch = select_batch()
         grad, loss = bptt_gradient(net, batch, config.term_weights)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise RuntimeError(
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
             )

@@ -283,13 +283,20 @@ def _validate_trial_targets(cfg: NetConfig, trial: TrialTargets) -> None:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
 
 
+# the TrialTargets target and mask fields, per loss term in output order
+_TERM_FIELDS = (("action_target", "pred_target", "return_target"),
+                ("action_mask", "pred_mask", "return_mask"))
+
+
 class ReplayBatch:
     """A list of TrialTargets, validated once and zero-padded to one length.
 
-    Iterating yields the trials in the order given. Every TrialTargets field
-    is also copied, at construction, into one zero-padded array,
-    (B, T_max, width) or (B, T_max) for the masks, so rows past a trial's
-    end carry zero masks. The padded arrays hold the trials longest first
+    Iterating yields the trials in the order given. At construction they
+    are copied into zero-padded arrays: `senses`, and `target` and `mask`
+    (B, T_max, output_width), which hold the targets in output column order
+    and each term's mask in every column of its `spans` slice, so rows past
+    a trial's end carry zero masks. The TrialTargets target and mask fields
+    are views of these. The padded arrays hold the trials longest first
     (padded row p is trial `order[p]`, trial b is padded row `rows[b][0]`),
     which makes the trials still running at timestep t the leading
     `live[t]` rows; `groups` lists the runs of padded rows whose trials have
@@ -320,20 +327,32 @@ class ReplayBatch:
             stop = start + len(list(run))
             self.groups.append((start, stop, t_len))
             start = stop
-        for name in TrialTargets.__dataclass_fields__:
-            first = getattr(self.trials[0], name)
-            padded = np.zeros((len(lengths), t_max) + first.shape[1:])
-            for row, b in enumerate(self.order):
-                padded[row, : lengths[b]] = getattr(self.trials[b], name)
-            setattr(self, name, padded)
-        for name in ("order", "live", *TrialTargets.__dataclass_fields__):
+        # each loss term's output columns
+        o, pw = config.action_dim, config.pred_width
+        self.spans = spans = (slice(0, o), slice(o, o + pw), slice(o + pw, config.output_width))
+        self.senses = np.zeros((len(lengths), t_max, config.input_width))
+        self.target = np.zeros((len(lengths), t_max, config.output_width))
+        # each term's mask, (B, 3, T_max), spread below over its columns
+        term_masks = np.zeros((len(lengths), 3, t_max))
+        for row, b in enumerate(self.order):
+            trial, t_len = self.trials[b], lengths[b]
+            self.senses[row, :t_len] = trial.senses
+            np.concatenate([getattr(trial, name) for name in _TERM_FIELDS[0]], 1,
+                           self.target[row, :t_len])
+            term_masks[row, :, :t_len] = [getattr(trial, name) for name in _TERM_FIELDS[1]]
+        self.mask = np.repeat(term_masks.transpose(0, 2, 1),
+                              [span.stop - span.start for span in spans], axis=2)
+        for name in ("order", "live", "senses", "target", "mask"):
             getattr(self, name).setflags(write=False)
+        for span, target, mask in zip(spans, *_TERM_FIELDS):
+            setattr(self, target, self.target[..., span])
+            setattr(self, mask, self.mask[..., span.start])
 
     @classmethod
     def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
         """`batch` itself if it is a ReplayBatch for `config`, else a new one
         built from its trials."""
-        if isinstance(batch, cls) and batch.config == config:
+        if isinstance(batch, cls) and (batch.config is config or batch.config == config):
             return batch
         return cls(config, batch)
 
@@ -367,53 +386,67 @@ class _BatchPlan:
     micro step. A pass writes only the rows still running, so rows past a
     trial's end stay zero. Every product is the per-row gemv of `_matvec` on
     the operands of Network.step, so replay agrees bitwise with online
-    stepping and with the per-trial loop. Passes over one batch must not run
-    concurrently.
+    stepping and with the per-trial loop. Where padded row 0 runs alone,
+    the recurrent products take 1-D views through np.dot, the same gemv
+    at less dispatch cost. The residual is formed over the full output
+    width; its squares go into one array per loss term, so one reduction
+    per term and run of equal-length trials sums each trial's contiguous
+    block as a reduction over it alone would. Passes over one batch must
+    not run concurrently.
     """
 
     def __init__(self, batch: ReplayBatch):
         cfg = batch.config
-        k, h, o, pw = cfg.micro_steps, cfg.hidden_dim, cfg.action_dim, cfg.pred_width
+        k, h = cfg.micro_steps, cfg.hidden_dim
         n_rows, t_max = batch.senses.shape[:2]
         live = batch.live.tolist()
-        self.senses = batch.senses[..., None]
+        self.spans = batch.spans
+        self.senses, self.target, self.mask = batch.senses[..., None], batch.target, batch.mask
         self.drive = np.empty((n_rows, t_max, h))
         self.hs = hs = np.zeros((n_rows, t_max * k + 1, h))
         self.last = hs[:, k::k]  # each timestep's final micro state
         self.outputs = np.empty((n_rows, t_max, cfg.output_width))
         self.d_y = np.empty_like(self.outputs)
+        self.scale = np.empty(cfg.output_width)  # 2 * each column's term weight
         self.from_out = np.empty((n_rows, t_max, h))
         self.d_act = np.empty((n_rows, t_max * k, h))
         d_z = np.empty_like(self.d_act)
         self.d_state = np.empty((n_rows, h))
+        # per loss term: its residual columns in d_y and their squares
+        self.squares = [(self.d_y[..., span], np.empty((n_rows, t_max, span.stop - span.start)))
+                        for span in self.spans]
+        # per term and run of equal-length trials: squares, and sums per row
+        self.sums = np.empty((3, n_rows))
+        self.sum_blocks = [(sq[start:stop, :t_len], sums[start:stop])
+                           for (_, sq), sums in zip(self.squares, self.sums)
+                           for start, stop, t_len in batch.groups]
+        # timesteps [0, t_one) run several rows, the rest padded row 0 alone
+        t_one = live.index(1) if 1 in live else t_max
         product = np.empty((n_rows, h))  # a micro step's recurrent term
-        # per loss term: output slice, target, mask, masked residual (kept
-        # in the term's slice of d_y) and its square
-        spans = (slice(0, o), slice(o, o + pw), slice(o + pw, None))
-        targets = (batch.action_target, batch.pred_target, batch.return_target)
-        masks = (batch.action_mask, batch.pred_mask, batch.return_mask)
-        self.terms = [(self.outputs[..., span], target, mask[..., None], self.d_y[..., span],
-                       np.empty_like(target)) for span, target, mask in zip(spans, targets, masks)]
-        # each trial's three blocks of squares, in trial order
-        self.trial_squares = [tuple(term[4][row, :t_len] for term in self.terms)
-                              for row, t_len in batch.rows]
         # forward micro steps: state in, recurrent term, drive, state out
-        self.forward_steps = [(hs[:n, c, :, None], product[:n, :, None], product[:n],
-                               self.drive[:n, t], hs[:n, c + 1])
-                              for t, n in enumerate(live) for c in range(t * k, t * k + k)]
-        # backward micro steps, last first: d_state, the output error entering
-        # at a timestep's last micro step (else None), d_act and d_z
-        self.backward_steps = [(self.d_state[:n], self.d_state[:n, :, None],
-                                self.from_out[:n, t] if c == t * k + k - 1 else None,
-                                self.d_act[:n, c], d_z[:n, c], d_z[:n, c, :, None])
-                               for t, n in reversed(list(enumerate(live)))
-                               for c in range(t * k + k - 1, t * k - 1, -1)]
+        self.forward_wide = [(hs[:n, c, :, None], product[:n, :, None], product[:n],
+                              self.drive[:n, t], hs[:n, c + 1])
+                             for t, n in enumerate(live[:t_one]) for c in range(t * k, t * k + k)]
+        self.forward_one = [(hs[0, c], self.drive[0, t], hs[0, c + 1])
+                            for t in range(t_one, t_max) for c in range(t * k, t * k + k)]
+        # backward micro steps, last first: the output error entering at a
+        # timestep's last micro step (else None), d_act and d_z
+        self.backward_one = [(self.from_out[0, t] if c == t * k + k - 1 else None,
+                              self.d_act[0, c], d_z[0, c])
+                             for t in range(t_max - 1, t_one - 1, -1)
+                             for c in range(t * k + k - 1, t * k - 1, -1)]
+        self.backward_wide = [(self.d_state[:n], self.d_state[:n, :, None],
+                               self.from_out[:n, t] if c == t * k + k - 1 else None,
+                               self.d_act[:n, c], d_z[:n, c], d_z[:n, c, :, None])
+                              for t, n in reversed(list(enumerate(live[:t_one])))
+                              for c in range(t * k + k - 1, t * k - 1, -1)]
         # row p of `parts` is padded row p's gradient (flat layout), summed
         # over its own rows: one stacked call per run of equal-length trials
         # makes the same BLAS call per trial as that trial alone would
         self.parts = np.empty((n_rows, cfg.n_params))
         self.trial_order = np.argsort(batch.order)
-        senses_rep = np.repeat(batch.senses, k, axis=1)
+        senses_rep = batch.senses if k == 1 else np.repeat(batch.senses, k, axis=1)
+        parts = unpack_weights(cfg, self.parts)
         self.group_terms = []
         for start, stop, t_len in batch.groups:
             rows, steps = slice(start, stop), t_len * k
@@ -421,58 +454,75 @@ class _BatchPlan:
             self.group_terms.append((
                 (dz.transpose(0, 2, 1), senses_rep[rows, :steps], hs[rows, :steps], dz,
                  dy.transpose(0, 2, 1), self.last[rows, :t_len], dy),
-                [part[rows] for part in unpack_weights(cfg, self.parts)]))
+                [part[rows] for part in parts]))
 
     def forward(self, net: Network) -> None:
         """Every hidden state into `hs` and every output row into `outputs`."""
-        np.matmul(net.w_in, self.senses, out=self.drive[..., None])
-        np.add(self.drive, net.b_h, out=self.drive)
+        add, matmul, dot = np.add, np.matmul, np.dot
+        matmul(net.w_in, self.senses, self.drive[..., None])
+        add(self.drive, net.b_h, self.drive)
         w_rec, act = net.w_rec, net._act
-        for state_in, term_col, term, drive, state in self.forward_steps:
-            np.matmul(w_rec, state_in, out=term_col)
-            np.add(drive, term, out=state)
-            act(state, out=state)
-        np.matmul(net.w_out, self.last[..., None], out=self.outputs[..., None])
-        np.add(self.outputs, net.b_out, out=self.outputs)
+        for state_in, term_col, term, drive, state in self.forward_wide:
+            matmul(w_rec, state_in, term_col)
+            add(drive, term, state)
+            act(state, state)
+        for state_in, drive, state in self.forward_one:
+            dot(w_rec, state_in, state)
+            add(drive, state, state)
+            act(state, state)
+        matmul(net.w_out, self.last[..., None], self.outputs[..., None])
+        add(self.outputs, net.b_out, self.outputs)
 
     def losses(self, term_weights) -> list[tuple[float, float, float]]:
         """Each trial's three loss terms, in trial order, every term summed
         over its own rows; leaves the masked residuals in `d_y`."""
-        for out, target, mask, res, sq in self.terms:
-            np.subtract(out, target, out=res)
-            np.multiply(res, mask, out=res)
-            np.multiply(res, res, out=sq)
-        return [tuple(w * float(np.add.reduce(sq, axis=None))
-                      for w, sq in zip(term_weights, squares))
-                for squares in self.trial_squares]
+        multiply, add_reduce = np.multiply, np.add.reduce
+        np.subtract(self.outputs, self.target, self.d_y)
+        multiply(self.d_y, self.mask, self.d_y)
+        for res, sq in self.squares:
+            multiply(res, res, sq)
+        for squares, sums in self.sum_blocks:
+            add_reduce(squares, (1, 2), None, sums)
+        (wa, wp, wr), (sa, sp, sr) = term_weights, self.sums.tolist()
+        return [(wa * sa[row], wp * sp[row], wr * sr[row]) for row in self.trial_order.tolist()]
 
     def gradient(self, net: Network, term_weights) -> np.ndarray:
         """The flat gradient from the residuals `losses` left in `d_y`: the
         sum of the per-trial gradients, added in trial order."""
-        for (_, _, _, res, _), w in zip(self.terms, term_weights):
-            np.multiply(res, 2.0 * w, out=res)
+        add, multiply, matmul, dot = np.add, np.multiply, np.matmul, np.dot
+        add_reduce = np.add.reduce
+        for span, w in zip(self.spans, term_weights):
+            self.scale[span] = 2.0 * w
+        multiply(self.d_y, self.scale, self.d_y)
         # backward through time over the running trials; a trial's error
         # signal starts from zero at its last step
-        np.matmul(net.w_out.T, self.d_y[..., None], out=self.from_out[..., None])
-        net._act_deriv(self.hs[:, 1:], out=self.d_act)
+        matmul(net.w_out.T, self.d_y[..., None], self.from_out[..., None])
+        net._act_deriv(self.hs[:, 1:], self.d_act)
         self.d_state.fill(0.0)
-        w_rec_t = net.w_rec.T
-        for d_state, d_state_col, from_out, d_act, dz, dz_col in self.backward_steps:
+        w_rec_t, d_state = net.w_rec.T, self.d_state[0]
+        for from_out, d_act, dz in self.backward_one:
             if from_out is not None:
-                np.add(d_state, from_out, out=d_state)
-            np.multiply(d_state, d_act, out=dz)
-            np.matmul(w_rec_t, dz_col, out=d_state_col)
+                add(d_state, from_out, d_state)
+            multiply(d_state, d_act, dz)
+            dot(w_rec_t, dz, d_state)
+        for d_state, d_state_col, from_out, d_act, dz, dz_col in self.backward_wide:
+            if from_out is not None:
+                add(d_state, from_out, d_state)
+            multiply(d_state, d_act, dz)
+            matmul(w_rec_t, dz_col, d_state_col)
 
         for (dz_t, senses, prev, dz, dy_t, last, dy), grads in self.group_terms:
             g_w_in, g_w_rec, g_b_h, g_w_out, g_b_out = grads
-            np.matmul(dz_t, senses, out=g_w_in)
-            np.matmul(dz_t, prev, out=g_w_rec)
-            np.add.reduce(dz, axis=1, out=g_b_h)
-            np.matmul(dy_t, last, out=g_w_out)
-            np.add.reduce(dy, axis=1, out=g_b_out)
+            matmul(dz_t, senses, g_w_in)
+            matmul(dz_t, prev, g_w_rec)
+            add_reduce(dz, 1, None, g_b_h)
+            matmul(dy_t, last, g_w_out)
+            add_reduce(dy, 1, None, g_b_out)
+        if len(self.parts) == 1:
+            return add(0.0, self.parts[0])
         # added up from zero in trial order: a reduction over the outer axis
         # adds whole rows one after another
-        return np.add.reduce(self.parts[self.trial_order], axis=0, initial=0.0)
+        return add_reduce(self.parts[self.trial_order], axis=0, initial=0.0)
 
 
 def _forward_trial(net: Network, senses: np.ndarray):

@@ -94,6 +94,8 @@ def trial_env_steps(trial: Trial) -> int:
 def evaluate_policy(weights: np.ndarray, config: NetConfig, task: TaskDescription,
                     n_trials: int, base_seed: int = 0) -> dict:
     """Run seeded evaluation episodes without recording; summary stats only."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     stack = np.repeat(np.asarray(weights, dtype=np.float64)[None], n_trials, axis=0)
     trials = run_trials(config, stack, task, [base_seed + i for i in range(n_trials)])
     successes = [t.success for t in trials]

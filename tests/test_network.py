@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skillnet.network import (
+    ACTIVATIONS,
     NetConfig,
     Network,
     ReplayBatch,
@@ -527,6 +529,52 @@ def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
         hs = reused._plan.hs
         for row, t_len in reused.rows:
             assert not hs[row, 1 + t_len * cfg.micro_steps:].any()
+
+
+@pytest.mark.parametrize("obs_dim,hidden_dim", [(25, 16), (81, 32)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("micro_steps", [1, 2])
+def test_batched_bptt_equals_per_trial_loop_at_workload_shapes(obs_dim, hidden_dim, activation,
+                                                               micro_steps):
+    # the maze workloads' nets are past the hypothesis cases' sizes, where
+    # one-row and stacked BLAS calls could take different kernels
+    cfg = NetConfig(obs_dim=obs_dim, goal_dim=4, reward_dim=1, action_dim=4,
+                    hidden_dim=hidden_dim, micro_steps=micro_steps, activation=activation,
+                    seed=obs_dim + hidden_dim, init_scale=0.5)
+    net, _ = init_network(cfg)
+    rng = np.random.default_rng(micro_steps)
+    term_weights = (1.0, 0.5, 2.0)
+    for lengths in ([9], [11, 5], [33, 9], rng.integers(1, 25, 32).tolist()):
+        batch = [random_targets(cfg, t_len, rng, relevant=rng.random() < 0.5)
+                 for t_len in lengths]
+        ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
+        grad, loss = bptt_gradient(net, batch, term_weights)
+        assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
+        assert loss == ref_loss
+        assert batch_loss(net, batch, term_weights) == \
+            reference_batch_loss(net, batch, term_weights)
+
+
+def test_reused_batch_gradient_allocates_no_batch_sized_buffer():
+    # after the first call, a gradient on a reused batch allocates only the
+    # returned gradient, the per-trial gradients gathered in trial order and
+    # numpy's fixed-size iterator buffers (at most three operands, of
+    # np.getbufsize() elements each)
+    cfg = small_config(obs_dim=25, goal_dim=4, action_dim=4, hidden_dim=16)
+    net, _ = init_network(cfg)
+    rng = np.random.default_rng(16)
+    batch = ReplayBatch(cfg, [random_targets(cfg, t_len, rng) for t_len in (6000, 2000, 1000)])
+    grad, _ = bptt_gradient(net, batch)
+    bound = grad.nbytes * (1 + len(batch)) + 3 * np.getbufsize() * 8 + 16384
+    # the narrowest batch-sized buffer: the return term's squares
+    assert batch.return_mask.size * cfg.return_width * 8 > bound
+    tracemalloc.start()
+    try:
+        bptt_gradient(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_replay_batch_arrays_are_read_only():

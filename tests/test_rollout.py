@@ -236,6 +236,14 @@ def test_run_trials_rejects_non_finite_senses():
         run_trials(cfg, np.zeros((3, cfg.n_params)), task, [0, 1, 2])
 
 
+def test_evaluate_policy_needs_a_trial():
+    cfg = maze_config()
+    weights = np.zeros(cfg.n_params)
+    for n_trials in (0, -1):
+        with pytest.raises(ValueError, match="n_trials"):
+            evaluate_policy(weights, cfg, maze_task(), n_trials)
+
+
 def test_run_trial_is_one_episode_of_run_trials():
     cfg = maze_config()
     weights = np.random.default_rng(1).normal(size=cfg.n_params)
