@@ -70,13 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     traces_p = sub.add_parser("traces", help="list, dump or export stored trials")
     traces_p.add_argument("trace_file")
     traces_p.add_argument("--task", default=None, help="filter by task id")
-    traces_p.add_argument("--success", action="store_true", help="only successful trials")
-    traces_p.add_argument("--failed", action="store_true", help="only failed trials")
+    outcome = traces_p.add_mutually_exclusive_group()
+    outcome.add_argument("--success", action="store_true", help="only successful trials")
+    outcome.add_argument("--failed", action="store_true", help="only failed trials")
     traces_p.add_argument("--relevant", action="store_true", help="only relevant trials")
-    traces_p.add_argument("--dump", type=int, default=None, metavar="TRIAL_ID",
-                          help="print one trial's full v1 JSON")
-    traces_p.add_argument("--export-v1", default=None, metavar="OUT",
-                          help="write the whole store to OUT as v1 JSON Lines")
+    output = traces_p.add_mutually_exclusive_group()
+    output.add_argument("--dump", type=int, default=None, metavar="TRIAL_ID",
+                        help="print one trial's full v1 JSON")
+    output.add_argument("--export-v1", default=None, metavar="OUT",
+                        help="write the whole store to OUT as v1 JSON Lines")
     return parser
 
 

@@ -9,7 +9,8 @@ Environments are duck-typed: anything with `obs_dim`, `reward_dim`,
 `deterministic`, `reset(seed)` and `step(action)` works. Rollouts step a task's
 episodes in lockstep through `make_env_batch`: a maze through the vectorized
 `GridMazeBatch`, any other environment through `EnvBatch`, which steps one
-single-episode environment per episode. All built-in environments bump the
+single-episode environment per episode; `lone_step` steps the last live
+episode of either alone. All built-in environments bump the
 module-level `step_counter` on every transition, which lets tests prove that
 consolidation never touches an environment.
 """
@@ -17,6 +18,7 @@ consolidation never touches an environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,35 +169,56 @@ class GridMaze:
         return self._observe(reward, reached)
 
 
+@lru_cache(maxsize=64)
+def _maze_tables(width: int, height: int, goal: int, rewards: bytes, goal_input: bytes):
+    """A maze's read-only tables: next cell per (cell, direction) as an array
+    and as tuples, sense row per cell and its reward. Floats come as bytes,
+    so 0.0 and -0.0 get tables of their own."""
+    n_cells = width * height
+    cells = np.arange(n_cells)
+    xs, ys = cells % width, cells // width
+    next_cell = np.empty((n_cells, len(DIRECTIONS)), dtype=np.intp)
+    for d, name in enumerate(DIRECTIONS):
+        dx, dy = _MOVES[name]
+        nx, ny = xs + dx, ys + dy
+        inside = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
+        next_cell[:, d] = np.where(inside, ny * width + nx, cells)
+    step_reward, goal_reward = np.frombuffer(rewards)
+    goal_input = np.frombuffer(goal_input)
+    rows = np.zeros((n_cells, n_cells + len(goal_input) + 1))
+    rows[cells, cells] = 1.0
+    rows[:, n_cells:-1] = goal_input
+    rows[:, -1] = step_reward
+    rows[goal, -1] = goal_reward
+    next_cell.setflags(write=False)
+    rows.setflags(write=False)
+    return next_cell, tuple(map(tuple, next_cell.tolist())), rows, tuple(rows[:, -1].tolist())
+
+
 class GridMazeBatch:
     """Lockstep episodes of one maze, one per seed, each bit for bit the
-    episode GridMaze runs with that seed.
+    episode GridMaze runs with that seed; `cap`, when given, replaces the
+    spec's episode cap.
 
     Episodes are cell indices in an int array. A step is one argmax over the
     first four action units and two table lookups: the next cell for each
     (cell, direction) and the net's sense row [one-hot cell | goal | reward]
-    for each cell. Slip draws come from one default_rng(seed) per episode,
-    in GridMaze.step's order.
+    for each cell (`sense_rows`). The tables are built once per maze and
+    goal input and shared read-only by every batch; a caller checks the
+    senses once by checking `sense_rows`. Slip draws come from one
+    default_rng(seed) per episode, in GridMaze.step's order. Once one
+    episode is left, `lone_step` steps it on Python ints.
     """
 
-    def __init__(self, spec: GridMazeSpec, goal: np.ndarray, seeds):
-        width, n_cells = spec.width, spec.width * spec.height
-        cells = np.arange(n_cells)
-        xs, ys = cells % width, cells // width
-        self._next = np.empty((n_cells, len(DIRECTIONS)), dtype=np.intp)
-        for d, name in enumerate(DIRECTIONS):
-            dx, dy = _MOVES[name]
-            nx, ny = xs + dx, ys + dy
-            inside = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < spec.height)
-            self._next[:, d] = np.where(inside, ny * width + nx, cells)
-        self._rows = np.zeros((n_cells, n_cells + len(goal) + 1))
-        self._rows[cells, cells] = 1.0
-        self._rows[:, n_cells:-1] = goal
-        self._rows[:, -1] = spec.step_reward
+    def __init__(self, spec: GridMazeSpec, goal: np.ndarray, seeds, cap: int | None = None):
+        width = spec.width
         self._goal = spec.goal_cell[1] * width + spec.goal_cell[0]
-        self._rows[self._goal, -1] = spec.goal_reward
+        self._next, self._next_tuples, self.sense_rows, self._rewards = _maze_tables(
+            width, spec.height, self._goal,
+            np.array([spec.step_reward, spec.goal_reward], dtype=np.float64).tobytes(),
+            np.asarray(goal, dtype=np.float64).tobytes())
         self._start = spec.start[1] * width + spec.start[0]
-        self._cap = spec.effective_cap
+        self.cap = spec.effective_cap if cap is None else cap
         self._slip = spec.slip_prob
         self._seeds = list(seeds)
         self._cells = self._steps = self._rngs = None
@@ -206,9 +229,9 @@ class GridMazeBatch:
         self._cells = np.full(n, self._start)
         self._steps = 0
         self._rngs = [np.random.default_rng(s) for s in self._seeds] if self._slip > 0 else []
-        senses = self._rows[self._cells]
+        senses = self.sense_rows[self._cells]
         senses[:, -1] = 0.0
-        return senses, [0.0] * n, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        return senses, senses[:, -1], np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
     def step(self, actions: np.ndarray):
         """Advance every live episode by its row of `actions` (at least four
@@ -221,32 +244,57 @@ class GridMazeBatch:
         self._cells = self._next[self._cells, d]
         self._steps += 1
         reached = self._cells == self._goal
-        done = reached if self._steps < self._cap else np.ones(len(d), dtype=bool)
-        senses = self._rows.take(self._cells, axis=0)
-        return senses, senses[:, -1].tolist(), done, reached
+        done = reached if self._steps < self.cap else np.ones(len(d), dtype=bool)
+        senses = self.sense_rows.take(self._cells, axis=0)
+        return senses, senses[:, -1], done, reached
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the episodes whose entry in `mask` is False."""
         self._cells = self._cells[mask]
         self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
 
+    def lone_step(self):
+        """A function that advances the one live episode by an action and
+        returns its (sense, reward, done, reached) as a read-only row of
+        `sense_rows`, a float and two bools."""
+        cell, steps = int(self._cells[0]), self._steps
+        rng = self._rngs[0] if self._rngs else None
+        next_cell, rows, rewards = self._next_tuples, self.sense_rows, self._rewards
+        goal, cap, slip = self._goal, self.cap, self._slip
+
+        def step(action):
+            nonlocal cell, steps
+            step_counter.count += 1
+            d = int(action[:4].argmax())
+            if rng is not None and rng.random() < slip:
+                d = int(rng.integers(4))
+            cell = next_cell[cell][d]
+            steps += 1
+            reached = cell == goal
+            return rows[cell], rewards[cell], reached or steps >= cap, reached
+        return step
+
 
 class EnvBatch:
     """Lockstep episodes over single-episode environments, one per seed:
-    the path for every environment that has no vectorized form."""
+    the path for every environment that has no vectorized form. It has no
+    step limit of its own (`cap` is None)."""
+
+    cap = None
 
     def __init__(self, envs, goal: np.ndarray, seeds):
         self._envs = list(envs)
         self._goal = goal
         self._seeds = list(seeds)
 
+    def _one(self, ob):
+        return (np.concatenate([ob.obs, self._goal, ob.reward]), float(ob.reward.sum()),
+                bool(ob.done), bool(ob.reached))
+
     def _collect(self, observations):
-        senses = np.array([np.concatenate([ob.obs, self._goal, ob.reward])
-                           for ob in observations], dtype=np.float64)
-        rewards = [float(ob.reward.sum()) for ob in observations]
-        done = np.array([ob.done for ob in observations], dtype=bool)
-        reached = np.array([ob.reached for ob in observations], dtype=bool)
-        return senses, rewards, done, reached
+        senses, rewards, done, reached = zip(*map(self._one, observations))
+        return (np.array(senses, dtype=np.float64), list(rewards),
+                np.array(done, dtype=bool), np.array(reached, dtype=bool))
 
     def reset(self):
         """(senses, rewards, done, reached) at the start of every episode."""
@@ -260,6 +308,12 @@ class EnvBatch:
     def keep(self, mask: np.ndarray) -> None:
         """Drop the episodes whose entry in `mask` is False."""
         self._envs = [env for env, k in zip(self._envs, mask) if k]
+
+    def lone_step(self):
+        """A function that advances the one live episode by an action and
+        returns its (sense, reward, done, reached)."""
+        env = self._envs[0]
+        return lambda action: self._one(env.step(action))
 
 
 @dataclass(frozen=True)
@@ -354,30 +408,22 @@ def goal_encoding(task: TaskDescription, goal_dim: int) -> np.ndarray:
     return vec
 
 
-def _capped_spec(task: TaskDescription):
-    """The task's env spec with any per-trial step limit from the success
-    criterion applied as the episode cap."""
-    spec = task.env_spec
-    cap = task.criterion.max_steps_per_trial
-    if cap is not None and hasattr(spec, "episode_cap"):
-        spec = replace(spec, episode_cap=cap)
-    return spec
-
-
 def make_env(task: TaskDescription):
     """Build the task's environment, applying any per-trial step limit from
     the success criterion as the episode cap."""
-    return _capped_spec(task).build()
+    spec, cap = task.env_spec, task.criterion.max_steps_per_trial
+    if cap is not None and hasattr(spec, "episode_cap"):
+        spec = replace(spec, episode_cap=cap)
+    return spec.build()
 
 
 def make_env_batch(task: TaskDescription, goal: np.ndarray, seeds):
     """Lockstep episodes of the task's environment, one per seed: a
     GridMazeBatch for a maze, an EnvBatch over `make_env` environments for
     anything else."""
-    spec = _capped_spec(task)
-    if isinstance(spec, GridMazeSpec):
-        return GridMazeBatch(spec, goal, seeds)
-    return EnvBatch([spec.build() for _ in seeds], goal, seeds)
+    if isinstance(task.env_spec, GridMazeSpec):
+        return GridMazeBatch(task.env_spec, goal, seeds, task.criterion.max_steps_per_trial)
+    return EnvBatch([make_env(task) for _ in seeds], goal, seeds)
 
 
 def check_success(trials, criterion: SuccessCriterion) -> bool:

@@ -212,7 +212,7 @@ class TraceStore:
             self._log.close()
             self._log = None
 
-    def _write(self, *parts: bytes) -> None:
+    def _write(self, *parts) -> None:
         for part in parts:
             self._log.write(part)
         self._log.flush()
@@ -479,10 +479,12 @@ def _read_frame(data: bytes, offset: int):
         raise ValueError(f"invalid JSON in frame: {exc}") from exc
 
 
-def _trial_record(trial: Trial) -> tuple[bytes, bytes, bytes]:
+def _trial_record(trial: Trial) -> tuple[bytes, bytes, np.ndarray]:
+    """A trial's record as parts to write in order; the rows go out as the
+    buffer of a C-contiguous little-endian array, not as a bytes copy."""
     head = {"trial_id": trial.trial_id, "task_id": trial.task_id, "success": trial.success,
             "relevant": trial.relevant, "final_cr": trial.final_return, "T": len(trial)}
-    return TRIAL_RECORD, _frame(head), trial.timesteps.astype(_ROW_DTYPE, copy=False).tobytes()
+    return TRIAL_RECORD, _frame(head), np.ascontiguousarray(trial.timesteps, _ROW_DTYPE)
 
 
 def _trial_fields(obj: dict) -> dict:

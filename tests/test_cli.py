@@ -532,6 +532,22 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--success", "--failed"], "--failed: not allowed with argument --success"),
+    (["--dump", "1", "--export-v1", "OUT"], "--export-v1: not allowed with argument --dump"),
+])
+def test_traces_contradictory_flags_are_usage_errors(tmp_path, capsys, flags, named):
+    config_path = write_config(tmp_path)
+    main(["run", "--config", str(config_path)])
+    capsys.readouterr()
+    flags = [str(tmp_path / "out.jsonl") if f == "OUT" else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        main(["traces", str(tmp_path / "traces.jsonl"), *flags])
+    assert exc.value.code == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])

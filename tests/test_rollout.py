@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillnet.envs import (
+    DIRECTIONS,
+    GridMazeBatch,
     GridMazeSpec,
     Observation,
     SuccessCriterion,
@@ -16,9 +18,17 @@ from skillnet.envs import (
     VectorRewardChainSpec,
     goal_encoding,
     make_env,
+    make_env_batch,
     step_counter,
 )
-from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network, initial_state
+from skillnet.network import (
+    ACTIVATIONS,
+    NetConfig,
+    Network,
+    init_network,
+    initial_state,
+    pack_weights,
+)
 from skillnet.rollout import evaluate_policy, run_trial, run_trials
 from skillnet.traces import Trial, frozen_rows
 
@@ -169,6 +179,125 @@ def adapter_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_lockstep_adapter_matches_single_episode_loop(case):
     assert_same_trials(*case)
+
+
+# ---------------------------------------------------------------------------
+# the workloads' shapes, with episodes that end at chosen steps
+
+
+def detour_moves(width, height, a):
+    """A simple path from (0, 0) to the far corner, 2 * a steps longer than
+    the shortest: a east, 1 north, a west, then north and east."""
+    return "E" * a + "N" + "W" * a + "N" * (height - 2) + "E" * (width - 1)
+
+
+def path_weights(cfg, width, height, moves, rng, noise=0.02):
+    """Dense weights whose greedy action follows `moves` from (0, 0) and
+    heads east, then north, on every other cell; hidden unit d fires on
+    the cells whose action is direction d. `moves` None stays put (west)."""
+    h, i = cfg.hidden_dim, cfg.input_width
+    action = {(x, y): "E" if x < width - 1 else "N" for x in range(width) for y in range(height)}
+    x, y = 0, 0
+    step = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
+    for move in moves or ():
+        action[(x, y)] = move
+        x, y = x + step[move][0], y + step[move][1]
+    w_in = rng.normal(0.0, noise, (h, i))
+    w_out = rng.normal(0.0, noise, (cfg.output_width, h))
+    for d, name in enumerate(DIRECTIONS):
+        for (cx, cy), move in action.items():
+            w_in[d, cy * width + cx] += 2.0 if (move if moves else "W") == name else -2.0
+        w_out[d, d] += 1.0
+    return pack_weights(w_in, rng.normal(0.0, noise, (h, h)), rng.normal(0.0, noise, h),
+                        w_out, rng.normal(0.0, noise, cfg.output_width))
+
+
+@pytest.mark.parametrize("slip_prob", [0.0, 0.3])
+@pytest.mark.parametrize("micro_steps", [1, 2])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("side, hidden_dim", [(5, 16), (9, 32)])
+def test_lone_episode_path_matches_reference_at_workload_shapes(
+        monkeypatch, side, hidden_dim, activation, micro_steps, slip_prob):
+    lone_steps = []
+    lone_step = GridMazeBatch.lone_step
+    monkeypatch.setattr(GridMazeBatch, "lone_step",
+                        lambda self: lone_steps.append(1) or lone_step(self))
+    cfg = NetConfig(obs_dim=side * side, goal_dim=4, reward_dim=1, action_dim=4,
+                    hidden_dim=hidden_dim, micro_steps=micro_steps, activation=activation)
+    rng = np.random.default_rng(side * 10 + micro_steps)
+    shortest = 2 * side - 2
+
+    def task(cap=None):
+        spec = GridMazeSpec(width=side, height=side, start=(0, 0), goal_cell=(side - 1, side - 1),
+                            slip_prob=slip_prob)
+        return TaskDescription(task_id="corner", goal_index=1, env_spec=spec,
+                               criterion=SuccessCriterion(max_steps_per_trial=cap))
+
+    def stack(detours):
+        return np.array([path_weights(cfg, side, side, None if a is None else
+                                      detour_moves(side, side, a), rng) for a in detours])
+
+    # staggered ends, the longest alone at the end; all ending together;
+    # mates ending one step before the lone one's cap; one-episode calls
+    staggered = [0, 1, 1, 2, 0, 3, 2, side - 1]
+    cases = [(stack(staggered), task(), 1), (stack([0] * 8), task(), 0),
+             (stack([0] * 7 + [None]), task(cap=shortest + 1), 1)]
+    cases += [(stack([a]), task(), 1) for a in (0, 2, side - 1, None)]
+    for k, (weights, case_task, handoffs) in enumerate(cases):
+        seeds = list(range(len(weights)))
+        lengths = [len(reference_run_trial(Network(cfg, w), case_task, s))
+                   for w, s in zip(weights, seeds)]
+        del lone_steps[:]
+        assert_same_trials(cfg, weights, case_task, seeds)
+        if slip_prob == 0.0:
+            assert len(lone_steps) == handoffs
+            if len(weights) == 8 and handoffs:
+                assert sorted(lengths)[-1] > sorted(lengths)[-2]
+        if k == 0:
+            assert len(set(lengths)) >= 4
+
+
+def test_maze_tables_are_built_once_and_never_written():
+    cfg = maze_config()
+    task = maze_task(slip_prob=0.3)
+    goal = goal_encoding(task, cfg.goal_dim)
+    tables = make_env_batch(task, goal, [0]).sense_rows
+    assert make_env_batch(task, goal, [1, 2]).sense_rows is tables
+    assert not tables.flags.writeable
+    other_goal = goal_encoding(maze_task(), cfg.goal_dim + 1)
+    assert make_env_batch(maze_task(), other_goal, [0]).sense_rows is not tables
+    before = tables.copy()
+    weights = np.random.default_rng(2).normal(size=(3, cfg.n_params))
+    for n in (3, 1):
+        run_trials(cfg, weights[:n], task, range(n))
+    assert tables.tobytes() == before.tobytes()
+    # a later call still starts from a zero reward and a fresh maze's sense
+    first = run_trials(cfg, weights[:2], task, [7, 8])[0].timesteps[0, : cfg.input_width]
+    obs = make_env(task).reset(seed=7)
+    assert first.tobytes() == np.concatenate([obs.obs, goal, obs.reward]).tobytes()
+    assert first[-1] == 0.0
+
+
+def test_maze_tables_tell_signed_zero_rewards_apart():
+    cfg = maze_config()
+    weights = np.random.default_rng(3).normal(size=(2, cfg.n_params))
+    for step_reward in (0.0, -0.0):
+        spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2),
+                            step_reward=step_reward, episode_cap=6)
+        task = TaskDescription(task_id="z", goal_index=0, env_spec=spec,
+                               criterion=SuccessCriterion())
+        assert_same_trials(cfg, weights, task, [0, 1])
+
+
+def test_maze_spec_with_list_cells_rolls_out():
+    cfg = maze_config()
+    weights = np.random.default_rng(4).normal(size=(3, cfg.n_params))
+    spec = GridMazeSpec(width=3, height=3, start=[0, 0], goal_cell=[2, 2], slip_prob=0.3)
+    task = TaskDescription(task_id="m", goal_index=0, env_spec=spec,
+                           criterion=SuccessCriterion())
+    assert_same_trials(cfg, weights, task, [0, 1, 2])
+    assert run_trials(cfg, weights, task, [0, 1, 2]) == \
+        run_trials(cfg, weights, maze_task(slip_prob=0.3), [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
