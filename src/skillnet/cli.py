@@ -106,6 +106,8 @@ def _load_checkpoint_or_usage_error(path):
         return load_checkpoint(path)
     except FileNotFoundError:
         raise ConfigError("checkpoint", f"file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError("checkpoint", f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError("checkpoint", f"malformed file {path}: {exc}") from None
 
@@ -224,6 +226,8 @@ def cmd_traces(args) -> int:
         store = TraceStore.load(args.trace_file)
     except FileNotFoundError:
         raise ConfigError("trace_file", f"file not found: {args.trace_file}") from None
+    except OSError as exc:
+        raise ConfigError("trace_file", f"cannot read {args.trace_file}: {exc.strerror}") from None
     if store.torn_tail_offset is not None:
         print(f"warning: {args.trace_file}: dropped a torn last record at byte "
               f"{store.torn_tail_offset}", file=sys.stderr)

@@ -192,6 +192,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("", f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"config is not valid JSON: {exc}") from exc
     return parse_config(raw, path.parent)

@@ -110,11 +110,8 @@ def term_stats(net: Network, batch, term_weights=(1.0, 1.0, 1.0)) -> dict:
     TrialTargets or a ReplayBatch)."""
     batch = ReplayBatch.wrap(net.config, batch)
     total, per_term = batch_loss(net, batch, term_weights)
-    counts = {
-        "action_steps": int(batch.action_mask.sum()),
-        "pred_steps": int(batch.pred_mask.sum()),
-        "return_steps": int(batch.return_mask.sum()),
-    }
+    counts = {f"{term}_steps": int(batch.mask[..., span.start].sum())
+              for term, span in zip(per_term, batch.spans)}
     return {"total": total, **per_term, **counts}
 
 

@@ -29,7 +29,6 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -283,26 +282,44 @@ def _validate_trial_targets(cfg: NetConfig, trial: TrialTargets) -> None:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
 
 
-# the TrialTargets target and mask fields, per loss term in output order
-_TERM_FIELDS = (("action_target", "pred_target", "return_target"),
-                ("action_mask", "pred_mask", "return_mask"))
+def _matvec(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`w @ row` for every row of `rows`, as one BLAS gemv per row.
+
+    Each result is bitwise what `w @ row` gives on its own; one stacked gemm
+    over the rows is not.
+    """
+    return (w @ rows[..., None])[..., 0]
 
 
 class ReplayBatch:
-    """A list of TrialTargets, validated once and zero-padded to one length.
+    """A list of TrialTargets, validated once and zero-padded to one length,
+    with the work buffers and step views of every pass over it.
 
     Iterating yields the trials in the order given. At construction they
     are copied into zero-padded arrays: `senses`, and `target` and `mask`
     (B, T_max, output_width), which hold the targets in output column order
     and each term's mask in every column of its `spans` slice, so rows past
-    a trial's end carry zero masks. The TrialTargets target and mask fields
-    are views of these. The padded arrays hold the trials longest first
-    (padded row p is trial `order[p]`, trial b is padded row `rows[b][0]`),
-    which makes the trials still running at timestep t the leading
-    `live[t]` rows; `groups` lists the runs of padded rows whose trials have
-    equal lengths. The padded arrays, `order` and `live` are read-only: the
-    work buffers the first `bptt_gradient` or `batch_loss` call builds, and
-    later calls reuse, hold views of them.
+    a trial's end carry zero masks. The padded arrays hold the trials longest
+    first (padded row p is trial `order[p]`, trial b is padded row
+    `trial_order[b]`), which makes the trials still running at timestep t the
+    leading `live[t]` rows; `groups` lists the runs of padded rows whose
+    trials have equal lengths. The padded arrays, `order` and `live` are
+    read-only.
+
+    The work buffers are built with the batch and refilled by every
+    `forward`, `losses` and `gradient` pass. The hidden states sit in one
+    zeroed array `hs` (B, T_max * k + 1, h) for k micro steps: hs[:, 0] is
+    the initial state and hs[:, 1 + t * k + j] micro step j of timestep t,
+    so hs[:, :-1] holds the state entering each micro step. A pass writes
+    only the rows still running, so rows past a trial's end stay zero.
+    Every product is the per-row gemv of `_matvec` on the operands of
+    Network.step, so replay agrees bitwise with online stepping and with the
+    per-trial loop. Where padded row 0 runs alone, the recurrent products
+    take 1-D views through np.dot, the same gemv at less dispatch cost. The
+    residual is formed over the full output width; its squares go into one
+    array per loss term, so one reduction per term and run of equal-length
+    trials sums each trial's contiguous block as a reduction over it alone
+    would. Passes over one batch must not run concurrently.
     """
 
     def __init__(self, config: NetConfig, trials):
@@ -313,14 +330,12 @@ class ReplayBatch:
         for trial in self.trials:
             _validate_trial_targets(config, trial)
         lengths = [len(trial) for trial in self.trials]
-        # trial index held in each padded row
+        # trial index held in each padded row, and padded row of each trial
         self.order = np.array(sorted(range(len(lengths)), key=lambda b: -lengths[b]))
+        self.trial_order = np.argsort(self.order)
         padded_lengths = [lengths[b] for b in self.order]
-        t_max = padded_lengths[0]
+        n_rows, t_max = len(lengths), padded_lengths[0]
         self.live = (np.array(lengths)[:, None] > np.arange(t_max)).sum(axis=0)
-        # (padded row, length) of each trial, in trial order
-        row_of = np.argsort(self.order)
-        self.rows = [(int(row_of[b]), n) for b, n in enumerate(lengths)]
         # runs of padded rows with equal lengths: (start, stop, length)
         self.groups, start = [], 0
         for t_len, run in itertools.groupby(padded_lengths):
@@ -330,96 +345,41 @@ class ReplayBatch:
         # each loss term's output columns
         o, pw = config.action_dim, config.pred_width
         self.spans = spans = (slice(0, o), slice(o, o + pw), slice(o + pw, config.output_width))
-        self.senses = np.zeros((len(lengths), t_max, config.input_width))
-        self.target = np.zeros((len(lengths), t_max, config.output_width))
+        self.senses = np.zeros((n_rows, t_max, config.input_width))
+        self.target = np.zeros((n_rows, t_max, config.output_width))
         # each term's mask, (B, 3, T_max), spread below over its columns
-        term_masks = np.zeros((len(lengths), 3, t_max))
+        term_masks = np.zeros((n_rows, 3, t_max))
         for row, b in enumerate(self.order):
             trial, t_len = self.trials[b], lengths[b]
             self.senses[row, :t_len] = trial.senses
-            np.concatenate([getattr(trial, name) for name in _TERM_FIELDS[0]], 1,
+            np.concatenate([trial.action_target, trial.pred_target, trial.return_target], 1,
                            self.target[row, :t_len])
-            term_masks[row, :, :t_len] = [getattr(trial, name) for name in _TERM_FIELDS[1]]
+            term_masks[row, :, :t_len] = [trial.action_mask, trial.pred_mask, trial.return_mask]
         self.mask = np.repeat(term_masks.transpose(0, 2, 1),
                               [span.stop - span.start for span in spans], axis=2)
         for name in ("order", "live", "senses", "target", "mask"):
             getattr(self, name).setflags(write=False)
-        for span, target, mask in zip(spans, *_TERM_FIELDS):
-            setattr(self, target, self.target[..., span])
-            setattr(self, mask, self.mask[..., span.start])
 
-    @classmethod
-    def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
-        """`batch` itself if it is a ReplayBatch for `config`, else a new one
-        built from its trials."""
-        if isinstance(batch, cls) and (batch.config is config or batch.config == config):
-            return batch
-        return cls(config, batch)
-
-    @cached_property
-    def _plan(self) -> "_BatchPlan":
-        return _BatchPlan(self)
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
-
-
-def _matvec(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`w @ row` for every row of `rows`, as one BLAS gemv per row.
-
-    Each result is bitwise what `w @ row` gives on its own; one stacked gemm
-    over the rows is not.
-    """
-    return (w @ rows[..., None])[..., 0]
-
-
-class _BatchPlan:
-    """One ReplayBatch's work buffers and the views its passes use, built
-    once and refilled by every forward and backward pass.
-
-    The hidden states sit in one zeroed array `hs` (B, T_max * k + 1, h) for
-    k micro steps: hs[:, 0] is the initial state and hs[:, 1 + t * k + j]
-    micro step j of timestep t, so hs[:, :-1] holds the state entering each
-    micro step. A pass writes only the rows still running, so rows past a
-    trial's end stay zero. Every product is the per-row gemv of `_matvec` on
-    the operands of Network.step, so replay agrees bitwise with online
-    stepping and with the per-trial loop. Where padded row 0 runs alone,
-    the recurrent products take 1-D views through np.dot, the same gemv
-    at less dispatch cost. The residual is formed over the full output
-    width; its squares go into one array per loss term, so one reduction
-    per term and run of equal-length trials sums each trial's contiguous
-    block as a reduction over it alone would. Passes over one batch must
-    not run concurrently.
-    """
-
-    def __init__(self, batch: ReplayBatch):
-        cfg = batch.config
-        k, h = cfg.micro_steps, cfg.hidden_dim
-        n_rows, t_max = batch.senses.shape[:2]
-        live = batch.live.tolist()
-        self.spans = batch.spans
-        self.senses, self.target, self.mask = batch.senses[..., None], batch.target, batch.mask
+        k, h = config.micro_steps, config.hidden_dim
+        live = self.live.tolist()
         self.drive = np.empty((n_rows, t_max, h))
         self.hs = hs = np.zeros((n_rows, t_max * k + 1, h))
         self.last = hs[:, k::k]  # each timestep's final micro state
-        self.outputs = np.empty((n_rows, t_max, cfg.output_width))
+        self.outputs = np.empty((n_rows, t_max, config.output_width))
         self.d_y = np.empty_like(self.outputs)
-        self.scale = np.empty(cfg.output_width)  # 2 * each column's term weight
+        self.scale = np.empty(config.output_width)  # 2 * each column's term weight
         self.from_out = np.empty((n_rows, t_max, h))
         self.d_act = np.empty((n_rows, t_max * k, h))
         d_z = np.empty_like(self.d_act)
         self.d_state = np.empty((n_rows, h))
         # per loss term: its residual columns in d_y and their squares
         self.squares = [(self.d_y[..., span], np.empty((n_rows, t_max, span.stop - span.start)))
-                        for span in self.spans]
+                        for span in spans]
         # per term and run of equal-length trials: squares, and sums per row
         self.sums = np.empty((3, n_rows))
         self.sum_blocks = [(sq[start:stop, :t_len], sums[start:stop])
                            for (_, sq), sums in zip(self.squares, self.sums)
-                           for start, stop, t_len in batch.groups]
+                           for start, stop, t_len in self.groups]
         # timesteps [0, t_one) run several rows, the rest padded row 0 alone
         t_one = live.index(1) if 1 in live else t_max
         product = np.empty((n_rows, h))  # a micro step's recurrent term
@@ -443,12 +403,11 @@ class _BatchPlan:
         # row p of `parts` is padded row p's gradient (flat layout), summed
         # over its own rows: one stacked call per run of equal-length trials
         # makes the same BLAS call per trial as that trial alone would
-        self.parts = np.empty((n_rows, cfg.n_params))
-        self.trial_order = np.argsort(batch.order)
-        senses_rep = batch.senses if k == 1 else np.repeat(batch.senses, k, axis=1)
-        parts = unpack_weights(cfg, self.parts)
+        self.parts = np.empty((n_rows, config.n_params))
+        senses_rep = self.senses if k == 1 else np.repeat(self.senses, k, axis=1)
+        parts = unpack_weights(config, self.parts)
         self.group_terms = []
-        for start, stop, t_len in batch.groups:
+        for start, stop, t_len in self.groups:
             rows, steps = slice(start, stop), t_len * k
             dz, dy = d_z[rows, :steps], self.d_y[rows, :t_len]
             self.group_terms.append((
@@ -456,10 +415,24 @@ class _BatchPlan:
                  dy.transpose(0, 2, 1), self.last[rows, :t_len], dy),
                 [part[rows] for part in parts]))
 
+    @classmethod
+    def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
+        """`batch` itself if it is a ReplayBatch for `config`, else a new one
+        built from its trials."""
+        if isinstance(batch, cls) and (batch.config is config or batch.config == config):
+            return batch
+        return cls(config, batch)
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def __iter__(self):
+        return iter(self.trials)
+
     def forward(self, net: Network) -> None:
         """Every hidden state into `hs` and every output row into `outputs`."""
         add, matmul, dot = np.add, np.matmul, np.dot
-        matmul(net.w_in, self.senses, self.drive[..., None])
+        matmul(net.w_in, self.senses[..., None], self.drive[..., None])
         add(self.drive, net.b_h, self.drive)
         w_rec, act = net.w_rec, net._act
         for state_in, term_col, term, drive, state in self.forward_wide:
@@ -530,9 +503,9 @@ def _forward_trial(net: Network, senses: np.ndarray):
     cfg, t_len = net.config, len(senses)
     widths = (cfg.action_dim, cfg.pred_width, cfg.return_width)
     trial = TrialTargets(senses, *(np.zeros((t_len, w)) for w in widths), *np.zeros((3, t_len)))
-    plan = ReplayBatch(cfg, [trial])._plan
-    plan.forward(net)
-    return plan.outputs[0], plan.hs[0, 1:].reshape(t_len, cfg.micro_steps, cfg.hidden_dim)
+    batch = ReplayBatch(cfg, [trial])
+    batch.forward(net)
+    return batch.outputs[0], batch.hs[0, 1:].reshape(t_len, cfg.micro_steps, cfg.hidden_dim)
 
 
 def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
@@ -542,10 +515,10 @@ def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     Returns (total, per_term) where per_term is a dict with the three slice
     sums, already scaled by term_weights.
     """
-    plan = ReplayBatch.wrap(net.config, batch)._plan
-    plan.forward(net)
+    batch = ReplayBatch.wrap(net.config, batch)
+    batch.forward(net)
     per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
-    for la, lp, lr in plan.losses(term_weights):
+    for la, lp, lr in batch.losses(term_weights):
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
@@ -560,10 +533,10 @@ def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     of them in one pass over time. The batch gradient is the sum of per-trial
     gradients, added in trial order. Returns (flat gradient, loss).
     """
-    plan = ReplayBatch.wrap(net.config, batch)._plan
-    plan.forward(net)
-    losses = plan.losses(term_weights)
-    grad = plan.gradient(net, term_weights)
+    batch = ReplayBatch.wrap(net.config, batch)
+    batch.forward(net)
+    losses = batch.losses(term_weights)
+    grad = batch.gradient(net, term_weights)
     total_loss = 0.0
     for trial_losses in losses:
         total_loss += sum(trial_losses)

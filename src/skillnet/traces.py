@@ -43,6 +43,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,10 @@ class StoreDims:
     def return_pred_dim(self) -> int:
         return self.reward_dim + 1
 
-    @property
+    @cached_property
     def columns(self) -> dict[str, slice]:
-        """Each v1 JSON timestep key's column slice in a trial row, in key order."""
+        """Each v1 JSON timestep key's column slice in a trial row, in key
+        order; built once per instance and shared, so not to be modified."""
         widths = (("in", self.obs_dim), ("goal", self.goal_dim), ("r", self.reward_dim),
                   ("out", self.action_dim), ("pred", self.pred_dim),
                   ("pr", self.return_pred_dim))

@@ -560,6 +560,23 @@ def test_missing_trace_file_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, named", [
+    ("traces", "error: trace_file: cannot read"),
+    ("run", "cannot read config file"),
+    ("eval", "error: checkpoint: cannot read"),
+])
+def test_unreadable_path_is_usage_error(tmp_path, capsys, command, named):
+    # a path that exists but cannot be read (a directory) is the user's
+    # input error (exit 1), like a missing file
+    config_path = write_config(tmp_path)
+    argv = {"traces": ["traces", str(tmp_path)],
+            "run": ["run", "--config", str(tmp_path)],
+            "eval": ["eval", "--checkpoint", str(tmp_path), "--config", str(config_path),
+                     "--task", "corner_ne"]}[command]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_checkpoint_round_trip_through_cli_artifacts(tmp_path):
     config_path = write_config(tmp_path)
     main(["run", "--config", str(config_path)])

@@ -19,6 +19,7 @@ from skillnet.evolve import Budget, EsConfig, try_solve_task
 from skillnet.network import (
     NetConfig,
     Network,
+    ReplayBatch,
     _forward_trial,
     apply_regularizer,
     batch_loss,
@@ -120,6 +121,23 @@ def test_vector_reward_remaining_sums_are_per_channel():
     entry = build_targets(trial, relevant_now=True, config=cfg)
     assert np.allclose(entry.return_target[0], [-0.01, 1.0, 0.99])
     assert np.allclose(entry.return_target[1], [0.0, 1.0, 1.0])
+
+
+def test_term_stats_counts_each_terms_masked_steps():
+    # relevant and failed trials of mixed lengths: each count is the sum of
+    # that term's per-trial masks, whether or not the batch is padded yet
+    rng = np.random.default_rng(9)
+    trials = [make_trial(np.zeros(t_len), relevant=relevant, rng=rng)
+              for t_len, relevant in ((4, True), (1, True), (6, False), (3, True), (2, False))]
+    entries = build_batch(trials, CFG)
+    net, _ = init_network(CFG)
+    for batch in (entries, ReplayBatch(CFG, entries)):
+        stats = term_stats(net, batch)
+        for term in ("action", "pred", "return"):
+            expected = sum(getattr(entry, f"{term}_mask").sum() for entry in entries)
+            assert stats[f"{term}_steps"] == expected
+            assert type(stats[f"{term}_steps"]) is int
+        assert (stats["action_steps"], stats["pred_steps"], stats["return_steps"]) == (5, 11, 5)
 
 
 def test_replayed_senses_reproduce_recorded_outputs():

@@ -526,9 +526,8 @@ def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
                 grad, loss = bptt_gradient(net, given_batch, term_weights)
                 assert grad.tobytes() == ref_grad.tobytes()
                 assert loss == ref_loss
-        hs = reused._plan.hs
-        for row, t_len in reused.rows:
-            assert not hs[row, 1 + t_len * cfg.micro_steps:].any()
+        for row, b in enumerate(reused.order):
+            assert not reused.hs[row, 1 + len(batch[b]) * cfg.micro_steps:].any()
 
 
 @pytest.mark.parametrize("obs_dim,hidden_dim", [(25, 16), (81, 32)])
@@ -567,7 +566,7 @@ def test_reused_batch_gradient_allocates_no_batch_sized_buffer():
     grad, _ = bptt_gradient(net, batch)
     bound = grad.nbytes * (1 + len(batch)) + 3 * np.getbufsize() * 8 + 16384
     # the narrowest batch-sized buffer: the return term's squares
-    assert batch.return_mask.size * cfg.return_width * 8 > bound
+    assert batch.mask[..., batch.spans[2]].nbytes > bound
     tracemalloc.start()
     try:
         bptt_gradient(net, batch)
@@ -581,7 +580,7 @@ def test_replay_batch_arrays_are_read_only():
     cfg = small_config()
     rng = np.random.default_rng(15)
     batch = ReplayBatch(cfg, [random_targets(cfg, t, rng) for t in (3, 2)])
-    for name in ("order", "live", *TrialTargets.__dataclass_fields__):
+    for name in ("order", "live", "senses", "target", "mask"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(batch, name)[0] = 0
 
@@ -595,12 +594,13 @@ def test_replay_batch_iterates_trials_in_order_and_pads_with_zero_masks():
     assert len(batch) == 4 and sum(len(t) for t in batch) == 15
     assert batch.senses.shape == (4, 5, cfg.input_width)
     assert batch.live.tolist() == [4, 4, 3, 2, 2]
-    for row, t_len in batch.rows:
-        assert np.all(batch.pred_mask[row, t_len:] == 0.0)
-        assert np.all(batch.action_mask[row, t_len:] == 0.0)
-        assert np.all(batch.return_mask[row, t_len:] == 0.0)
-    for (row, t_len), trial in zip(batch.rows, trials):
-        assert np.array_equal(batch.senses[row, :t_len], trial.senses)
+    assert batch.order.tolist() == [1, 3, 2, 0]
+    assert batch.trial_order.tolist() == [3, 0, 2, 1]
+    for row, b in enumerate(batch.order):
+        t_len = len(trials[b])
+        assert np.all(batch.mask[row, t_len:] == 0.0)
+        assert np.all(batch.target[row, t_len:] == 0.0)
+        assert np.array_equal(batch.senses[row, :t_len], trials[b].senses)
 
 
 def test_replay_batch_validates_every_trial():

@@ -45,6 +45,15 @@ def make_trial(task_id="a", n_steps=3, success=False, relevant=False, rng=None, 
     )
 
 
+def test_store_dims_columns_are_built_once_and_leave_equality_alone():
+    dims = StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2)
+    assert dims.columns is dims.columns
+    assert [(c.start, c.stop) for c in dims.columns.values()] == \
+        [(0, 2), (2, 4), (4, 5), (5, 7), (7, 10), (10, 12)]
+    assert dims.row_width == 12
+    assert dims == DIMS and hash(dims) == hash(DIMS)
+
+
 def test_appended_ids_count_up_from_one():
     store = TraceStore(DIMS)
     assert store.append(make_trial()) == 1
