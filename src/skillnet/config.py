@@ -194,6 +194,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("", f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError("", f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", f"config file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"config is not valid JSON: {exc}") from exc
     return parse_config(raw, path.parent)

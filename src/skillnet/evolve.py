@@ -94,6 +94,12 @@ def perturb(weights: np.ndarray, sigma: float, rng: np.random.Generator) -> np.n
     return weights + rng.normal(0.0, sigma, size=weights.shape)
 
 
+def candidate_fitness(returns, n_trials: int) -> np.ndarray:
+    """Each candidate's mean final return over its n_trials consecutive
+    trials; bit for bit one np.mean per candidate."""
+    return np.mean(np.reshape(returns, (-1, n_trials)), axis=1)
+
+
 @dataclass
 class _Arm:
     name: str
@@ -152,21 +158,20 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                               [seed + i for seed in seeds for i in range(n_trials)])
         results = [episodes[c * n_trials : (c + 1) * n_trials]
                    for c in range(len(candidates))]
-
-        cost = 0.0
-        best_idx, best_fit = -1, -np.inf
-        for idx, trials in enumerate(results):
-            for t in trials:
-                t.trial_id = store.append(t)
-                all_trial_ids.append(t.trial_id)
-            arm.evaluations += 1
-            if budget.unit == "env_steps":
-                cost += sum(trial_env_steps(t) for t in trials)
-            else:
-                cost += 1
-            fit = float(np.mean([t.final_return for t in trials]))
-            if fit > best_fit:
-                best_idx, best_fit = idx, fit
+        ids = store.extend(episodes)
+        for t, trial_id in zip(episodes, ids):
+            t.trial_id = trial_id
+        all_trial_ids.extend(ids)
+        arm.evaluations += len(candidates)
+        if budget.unit == "env_steps":
+            cost = float(sum(trial_env_steps(t) for t in episodes))
+        else:
+            cost = float(len(candidates))
+        fitness = candidate_fitness([t.final_return for t in episodes], n_trials)
+        # extend checked every return finite, so argmax's pick is the first
+        # best candidate
+        best_idx = int(np.argmax(fitness))
+        best_fit = float(fitness[best_idx])
 
         if not arm.parent_evaluated:
             arm.parent_evaluated = True

@@ -12,10 +12,10 @@ from dataclasses import MISSING, fields
 
 
 class ConfigError(ValueError):
-    """A malformed JSON field; the message names its dotted path."""
+    """A malformed JSON field; the message names its dotted path, if any."""
 
     def __init__(self, fieldpath: str, message: str):
-        super().__init__(f"{fieldpath}: {message}")
+        super().__init__(f"{fieldpath}: {message}" if fieldpath else message)
         self.fieldpath = fieldpath
 
 

@@ -24,6 +24,9 @@ UTF-8 JSON. Each record is one type byte and a frame:
   * ``F`` flag: the frame holds one flag change, ``{"mark_relevant": id}``
     or ``{"supersede_task": task_id}``, applied in file order on load.
 
+`append` writes one trial's record and `extend` a whole ES generation's,
+each flushing the file once per call.
+
 A file that ends partway through its last record (a writer killed
 mid-record) loads without that record; `torn_tail_offset` says where it
 began. Nothing in the file depends on the wall clock.
@@ -49,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .jsoncheck import fill, is_json_int, versioned
-from .network import NET, NetConfig, atomic_write, cumulative_reward
+from .network import NET, NetConfig, atomic_write
 
 V1_FORMAT_VERSION = 1
 MAGIC = b"SKILLNET-TRACES 2\n"
@@ -58,6 +61,8 @@ _FRAME_LEN = struct.Struct("<I")
 # one encoder for every frame: given separators, json.dumps builds a new
 # encoder on each call
 _FRAME_JSON = json.JSONEncoder(separators=(",", ":")).encode
+# decodes str only: json.loads(bytes) would detect the encoding on every call
+_FRAME_DECODE = json.JSONDecoder().decode
 _ROW_DTYPE = np.dtype("<f8")
 
 FINAL_RETURN_TOL = 1e-9
@@ -198,10 +203,10 @@ class TraceStore:
     @classmethod
     def create(cls, path, dims: StoreDims) -> "TraceStore":
         """An empty store streamed to a new v2 file at `path`, replacing any
-        file there. `append`, `supersede_task` and `mark_relevant` each write
-        and flush their record, so the file holds every complete record even
-        if the process is killed. `save(path)` makes it durable; `close`
-        ends the stream."""
+        file there. `append`, `extend`, `supersede_task` and `mark_relevant`
+        each write their records and flush once, so the file holds every
+        complete record even if the process is killed. `save(path)` makes
+        it durable; `close` ends the stream."""
         store = cls(dims)
         store._log = open(path, "wb")
         store._log_path = Path(path).resolve()
@@ -251,9 +256,11 @@ class TraceStore:
             raise ValueError("trial has no timesteps")
         if trial.relevant and not trial.success:
             raise ValueError("only successful trials may be marked relevant")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise ValueError("timesteps contain non-finite entries")
-        recomputed = float(cumulative_reward(rows[:, self.dims.columns["r"]])[-1])
+        # network.cumulative_reward's row sum and cumsum, so the same bits;
+        # its finiteness check would repeat the one above
+        recomputed = float(rows[:, self.dims.columns["r"]].sum(axis=1).cumsum()[-1])
         if not abs(recomputed - trial.final_return) <= FINAL_RETURN_TOL:  # NaN fails too
             raise ValueError(
                 f"final_return {trial.final_return!r} does not match rewards "
@@ -266,20 +273,26 @@ class TraceStore:
         self._next_id = trial.trial_id + 1
 
     def append(self, trial: Trial) -> int:
-        """Persist a trial (copying its rows) and return its assigned id."""
-        stored = Trial(
-            task_id=trial.task_id,
-            success=trial.success,
-            relevant=trial.relevant,
-            timesteps=frozen_rows(trial.timesteps),
-            final_return=float(trial.final_return),
-            trial_id=self._next_id,
-        )
-        self._validate(stored)
-        self._add(stored)
+        """Persist a trial (copying its rows) and return its assigned id; on
+        a streamed store, write its record and flush."""
+        return self.extend([trial])[0]
+
+    def extend(self, trials) -> list[int]:
+        """Persist trials in order (copying their rows) and return their
+        assigned ids. Every trial is checked before any is added, so a bad
+        one leaves the store and its file unchanged; a streamed store then
+        writes every record and flushes once."""
+        stored = [Trial(task_id=t.task_id, success=t.success, relevant=t.relevant,
+                        timesteps=frozen_rows(t.timesteps),
+                        final_return=float(t.final_return), trial_id=self._next_id + i)
+                  for i, t in enumerate(trials)]
+        for trial in stored:
+            self._validate(trial)
+        for trial in stored:
+            self._add(trial)
         if self._log is not None:
-            self._write(*_trial_record(stored))
-        return stored.trial_id
+            self._write(*(part for trial in stored for part in _trial_record(trial)))
+        return [trial.trial_id for trial in stored]
 
     def supersede_task(self, task_id: str) -> int:
         """Clear the relevant flag on all trials of a task; returns how many.
@@ -476,7 +489,7 @@ def _read_frame(data: bytes, offset: int):
     if body + length > len(data):
         return None, offset
     try:
-        return json.loads(data[body:body + length]), body + length
+        return _FRAME_DECODE(data[body:body + length].decode("utf-8")), body + length
     except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise ValueError(f"invalid JSON in frame: {exc}") from exc
 

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 import skillnet
+import skillnet.cli
 from skillnet.cli import main
-from skillnet.metrics import read_metrics, validate_event
+from skillnet.config import load_config
+from skillnet.consolidate import retention_check
+from skillnet.curriculum import retention_event
+from skillnet.envs import step_counter
+from skillnet.metrics import read_metrics, scrub, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
 from skillnet.traces import MAGIC, TraceStore
 
@@ -546,6 +551,52 @@ def test_traces_contradictory_flags_are_usage_errors(tmp_path, capsys, flags, na
     assert exc.value.code == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_final_sweep_reports_retention_without_running_episodes(tmp_path, monkeypatch):
+    config_path = write_config(tmp_path)
+    curriculum_end = {}
+    run_curriculum = skillnet.cli.run_curriculum
+
+    def spy(*args, **kwargs):
+        weights, report = run_curriculum(*args, **kwargs)
+        curriculum_end.update(weights=weights, report=report, steps=step_counter.count)
+        return weights, report
+
+    monkeypatch.setattr(skillnet.cli, "run_curriculum", spy)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert step_counter.count == curriculum_end["steps"]  # no episode after the curriculum
+    events = read_metrics(tmp_path / "metrics.jsonl")
+    final = [e for e in events if e["event"] == "retention_check" and e["phase"] == "final"]
+    # what an explicit sweep on the final weights reports, in config order
+    config = load_config(config_path)
+    report = curriculum_end["report"]
+    solved = {r.task_id for r in report.solved}
+    results = retention_check(curriculum_end["weights"],
+                              [t for t in config.tasks if t.task_id in solved],
+                              config.net, base_seed=config.master_seed)
+    assert len(final) == len(solved) == 2
+    assert final == [scrub(retention_event(task_id, res, pass_number=report.pass_count,
+                                           phase="final"))
+                     for task_id, res in results.items()]
+
+
+def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(bytes.fromhex("fffe7b"))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("absent.json", "config file not found: {path}"),
+    ("", "cannot read config file {path}: Is a directory"),
+], ids=["missing", "directory"])
+def test_config_file_error_prints_message_alone(tmp_path, capsys, name, message):
+    path = tmp_path / name
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 def test_help_exits_0(capsys):

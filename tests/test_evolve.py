@@ -3,11 +3,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillnet.envs import GridMazeSpec, Observation, SuccessCriterion, TaskDescription
 from skillnet.evolve import (
     Budget,
     EsConfig,
+    candidate_fitness,
     perturb,
     try_solve_task,
 )
@@ -256,6 +259,38 @@ def test_trace_completeness_trials_equal_evaluation_episodes():
     n_evals = outcome.evaluations["warm"] + outcome.evaluations["scratch"]
     # one validation trial per evaluation for this criterion
     assert len(store) == n_evals == len(outcome.all_trial_ids)
+
+
+def test_each_generation_is_stored_with_one_extend(monkeypatch):
+    cfg = net_config()
+    store = fresh_store(cfg)
+    calls = []
+    extend = store.extend
+
+    def spy(trials):
+        calls.append(len(trials))
+        return extend(trials)
+
+    monkeypatch.setattr(store, "extend", spy)
+    monkeypatch.setattr(store, "append", None)
+    _, weights = init_network(cfg)
+    outcome = try_solve_task(weights, weights, mock_task(False), Budget("evaluations", 7),
+                             EsConfig(population=3, seed=6), store, config=cfg)
+    # each arm's parent, then generations of three children; one trial each
+    generations = outcome.batch_costs["warm"] + outcome.batch_costs["scratch"]
+    assert sorted(calls) == sorted(int(cost) for cost in generations) == [1, 1, 3, 3, 3, 3]
+    assert outcome.all_trial_ids == list(range(1, len(store) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 12), st.data())
+def test_candidate_fitness_is_one_mean_per_candidate_bit_for_bit(n_trials, n_candidates, data):
+    returns = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n_candidates * n_trials,
+                                 max_size=n_candidates * n_trials))
+    fitness = candidate_fitness(returns, n_trials)
+    expected = [float(np.mean(returns[c * n_trials:(c + 1) * n_trials]))
+                for c in range(n_candidates)]
+    assert [f.hex() for f in fitness.tolist()] == [f.hex() for f in expected]
 
 
 def test_solve_supersedes_older_relevant_trials_of_task():

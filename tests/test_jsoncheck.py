@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from skillnet.config import load_config
+from skillnet.jsoncheck import ConfigError
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
 from skillnet.traces import MAGIC, StoreDims, TraceStore
 
@@ -74,3 +75,9 @@ def test_shared_net_keys_get_one_verdict(tmp_path, key, value):
             reasons[read.__name__] = str(exc)[len(prefix):]
     assert len(set(reasons.values())) == 1, reasons
     assert None not in reasons.values()
+
+
+def test_config_error_names_a_path_only_when_there_is_one():
+    assert str(ConfigError("net.h", "must be an integer")) == "net.h: must be an integer"
+    assert str(ConfigError("", "config root must be a JSON object")) == \
+        "config root must be a JSON object"

@@ -529,6 +529,71 @@ def test_torn_tail_is_dropped_at_every_byte(tmp_path):
         assert exc.value.offset == len(MAGIC)
 
 
+@pytest.fixture
+def streamed(tmp_path):
+    """Creates streamed stores under tmp_path, closed however the test ends."""
+    stores = []
+
+    def create(name="traces.jsonl"):
+        stores.append(TraceStore.create(tmp_path / name, DIMS))
+        return stores[-1], tmp_path / name
+
+    yield create
+    for store in stores:
+        store.close()
+
+
+def test_extend_with_a_bad_trial_leaves_store_and_file_unchanged(streamed):
+    rng = np.random.default_rng(20)
+    store, path = streamed()
+    store.append(make_trial("a", rng=rng))
+    data = path.read_bytes()
+    bad = make_trial("b", rng=rng)
+    bad.final_return += 1.0
+    with pytest.raises(ValueError, match="final_return"):
+        store.extend([make_trial("b", rng=rng), make_trial("b", rng=rng), bad])
+    assert len(store) == 1
+    assert path.read_bytes() == data
+    assert store.extend([make_trial("c", rng=rng)]) == [2]  # no id was used up
+
+
+class _FlushSpy:
+    """Stands in for a streamed store's file and counts its flushes."""
+
+    def __init__(self, fh):
+        self.fh, self.flushes = fh, 0
+        self.write, self.close = fh.write, fh.close
+
+    def flush(self):
+        self.flushes += 1
+        self.fh.flush()
+
+
+def test_streamed_extend_flushes_once_per_call(streamed):
+    rng = np.random.default_rng(21)
+    store, path = streamed()
+    spy = store._log = _FlushSpy(store._log)
+    trials = [make_trial("a", n_steps=n, rng=rng) for n in (1, 2, 3)]
+    assert store.extend(trials) == [1, 2, 3]
+    assert spy.flushes == 1
+    assert TraceStore.load(path).trials == store.trials  # flushed, so all on disk
+    store.append(make_trial("b", rng=rng))
+    assert spy.flushes == 2
+
+
+def test_one_extend_writes_the_bytes_of_appends_one_at_a_time(streamed):
+    rng = np.random.default_rng(22)
+    trials = [make_trial("a", n_steps=n, success=n % 2 == 1, rng=rng) for n in (1, 4, 2, 3)]
+    one, one_path = streamed("one.bin")
+    assert one.extend(trials) == [1, 2, 3, 4]
+    one.close()
+    each, each_path = streamed("each.bin")
+    assert [each.append(t) for t in trials] == [1, 2, 3, 4]
+    each.close()
+    assert one_path.read_bytes() == each_path.read_bytes()
+    assert one.trials == each.trials
+
+
 def _second_record(tmp_path, second):
     """A streamed file of one failed trial, then `second` (a store call);
     returns (file bytes, offset of the second record)."""
@@ -566,6 +631,22 @@ def test_corrupt_complete_record_names_its_offset(tmp_path, corrupt, match):
         TraceStore.load(path)
     assert exc.value.offset == start
     assert f"byte {start}" in str(exc.value)
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: text.encode("utf-16"),
+    lambda text: b"\xef\xbb\xbf" + text.encode(),
+    lambda text: text.encode()[:-1] + b"\xff",
+], ids=["utf16", "bom", "bad_byte"])
+def test_frame_that_is_not_plain_utf8_names_its_offset(tmp_path, encode):
+    # the format says UTF-8: a UTF-16 or BOM-prefixed frame is corrupt
+    data, start = _second_record(tmp_path, lambda s: None)
+    body = encode('{"mark_relevant":1}')
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data + FLAG_RECORD + struct.pack("<I", len(body)) + body)
+    with pytest.raises(TraceFormatError, match="invalid JSON in frame") as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
 
 
 @pytest.mark.parametrize("flag, match", [
