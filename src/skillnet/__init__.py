@@ -9,7 +9,6 @@ further environment interaction needed.
 from .consolidate import (
     ConsolidationConfig,
     ConsolidationReport,
-    build_batch,
     build_targets,
     consolidate,
     retention_check,
@@ -36,9 +35,7 @@ from .network import (
     apply_regularizer,
     batch_loss,
     bptt_gradient,
-    cumulative_reward,
     init_network,
-    initial_state,
     load_checkpoint,
     save_checkpoint,
 )
@@ -73,16 +70,13 @@ __all__ = [
     "apply_regularizer",
     "batch_loss",
     "bptt_gradient",
-    "build_batch",
     "build_targets",
     "check_success",
     "consolidate",
     "corner_tasks",
-    "cumulative_reward",
     "evaluate_policy",
     "goal_encoding",
     "init_network",
-    "initial_state",
     "load_checkpoint",
     "make_env",
     "perturb",

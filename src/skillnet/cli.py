@@ -31,6 +31,7 @@ from .config import (
 from .consolidate import retention_check  # noqa: F401
 from .curriculum import run_curriculum
 from .evolve import Budget, try_solve_task
+from .jsoncheck import SEED
 from .metrics import MetricsWriter, scrub, validate_event
 from .network import NET, init_network, load_checkpoint, save_checkpoint
 from .rollout import evaluate_policy
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(config_path: str, seed: int | None) -> ExperimentConfig:
     config = load_config(config_path)
     if seed is not None:
-        config = with_seed(config, seed)
+        config = with_seed(config, SEED(seed, "--seed"))
     return config
 
 
@@ -187,7 +188,7 @@ def cmd_eval(args) -> int:
     trials = args.trials if args.trials is not None else task.criterion.min_success_trials
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
-    stats = evaluate_policy(weights, net_config, task, trials, base_seed=args.seed)
+    stats = evaluate_policy(weights, net_config, task, trials, base_seed=SEED(args.seed, "--seed"))
     print(f"task {task.task_id}: success_rate={stats['success_rate']:.3f} "
           f"mean_return={stats['mean_return']:.4f} mean_length={stats['mean_length']:.1f} "
           f"over {trials} trials")

@@ -22,7 +22,7 @@ from pathlib import Path
 from .consolidate import ConsolidationConfig
 from .envs import GridMazeSpec, SuccessCriterion, TaskDescription
 from .evolve import BUDGET_UNITS, EsConfig
-from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, fill, is_json_int, join, known
+from .jsoncheck import BOOL, INT, NUMBER, SEED, STRING, ConfigError, fill, is_json_int, join, known
 from .network import NET, NetConfig
 from .traces import ReplayPolicy
 
@@ -96,7 +96,7 @@ BUDGETS = {"c0": ("c0", _float), "lambda": ("dream_multiplier", _float),
 CONSOLIDATION = _same(base_lr=NUMBER, momentum=NUMBER, action_weight=NUMBER,
                       pred_weight=NUMBER, return_weight=NUMBER, reg_interval=INT,
                       reg_strength=NUMBER, reg_kind=STRING)
-REPLAY = _same(mode=STRING, k=INT, rng_seed=INT)
+REPLAY = _same(mode=STRING, k=INT, rng_seed=SEED)
 PATHS = ("trace_file", "metrics_file", "checkpoint_dir")
 
 
@@ -158,7 +158,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     known(raw, "", ("master_seed", "net", "tasks", "es", "budgets", "consolidation", "paths"))
     if "master_seed" not in raw:
         raise ConfigError("master_seed", "missing required field")
-    master_seed = INT(raw["master_seed"], "master_seed")
+    master_seed = SEED(raw["master_seed"], "master_seed")
     net = fill(NetConfig, _section(raw, "net", ""), "net", NET, seed=master_seed)
     tasks_raw = raw.get("tasks")
     if not isinstance(tasks_raw, list) or not tasks_raw:

@@ -100,11 +100,6 @@ def build_targets(trial: Trial, relevant_now: bool, config: NetConfig) -> TrialT
     )
 
 
-def build_batch(trials, config: NetConfig) -> list[TrialTargets]:
-    """Replay entries for a list of stored trials, honoring current flags."""
-    return [build_targets(t, t.relevant, config) for t in trials]
-
-
 def term_stats(net: Network, batch, term_weights=(1.0, 1.0, 1.0)) -> dict:
     """Per-term loss sums plus masked-timestep counts over a batch (a list of
     TrialTargets or a ReplayBatch)."""

@@ -1,18 +1,18 @@
 """Task abstraction and built-in benchmark environments.
 
 A task couples an environment spec with a unique one-hot goal encoding and a
-success criterion. The standard benchmark is a deterministic grid maze with
-corner-goal tasks; an action-slip probability turns it stochastic, and a
-small two-channel chain environment exercises vector-valued rewards.
+success criterion. The built-in benchmark is a grid maze with corner-goal
+tasks; an action-slip probability turns it stochastic.
 
-Environments are duck-typed: anything with `obs_dim`, `reward_dim`,
-`deterministic`, `reset(seed)` and `step(action)` works. Rollouts step a task's
-episodes in lockstep through `make_env_batch`: a maze through the vectorized
-`GridMazeBatch`, any other environment through `EnvBatch`, which steps one
-single-episode environment per episode; `lone_step` steps the last live
-episode of either alone. All built-in environments bump the
-module-level `step_counter` on every transition, which lets tests prove that
-consolidation never touches an environment.
+Environments are duck-typed: a spec with `build()` (and optionally
+`episode_cap` and `deterministic`) whose environment has `reset(seed)` and
+`step(action)`, each returning an Observation, works; its reward may have
+any number of channels. Rollouts step a task's episodes in lockstep through
+`make_env_batch`: a maze through the vectorized `GridMazeBatch`, any other
+environment through `EnvBatch`, which steps one single-episode environment
+per episode; `lone_step` steps the last live episode of either alone. The
+maze bumps the module-level `step_counter` on every transition, which lets
+tests prove that consolidation never touches an environment.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ class StepCounter:
     """Global transition counter used to instrument environment contact."""
 
     def __init__(self):
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-
-    def reset(self) -> None:
         self.count = 0
 
 
@@ -118,6 +112,8 @@ class GridMazeSpec:
         return GridMaze(self)
 
 
+# rollouts step mazes through GridMazeBatch; this single-episode form stays
+# because the benchmark's tracer wraps its `step` and tests use it as the reference
 class GridMaze:
     """The maze environment. Cell (x, y) maps to one-hot index y * width + x;
     north is +y, east is +x. Blocked moves leave the agent in place."""
@@ -153,7 +149,7 @@ class GridMaze:
         action = np.asarray(action)
         if action.shape[0] < 4:
             raise ValueError("maze actions need at least 4 action units")
-        step_counter.increment()
+        step_counter.count += 1
         d = int(np.argmax(action[:4]))
         if self.spec.slip_prob > 0.0 and self._rng.random() < self.spec.slip_prob:
             d = int(self._rng.integers(4))
@@ -314,73 +310,6 @@ class EnvBatch:
         returns its (sense, reward, done, reached)."""
         env = self._envs[0]
         return lambda action: self._one(env.step(action))
-
-
-@dataclass(frozen=True)
-class VectorRewardChainSpec:
-    """A 1-D chain with a two-channel reward: channel 0 carries the per-move
-    cost, channel 1 the terminal goal bonus. Demonstrates vector rewards."""
-
-    length: int = 4
-    move_reward: float = -0.01
-    goal_reward: float = 1.0
-    episode_cap: int | None = None
-
-    def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("chain needs at least 2 positions")
-
-    @property
-    def effective_cap(self) -> int:
-        return self.episode_cap if self.episode_cap is not None else 4 * self.length
-
-    @property
-    def deterministic(self) -> bool:
-        return True
-
-    def build(self) -> "VectorRewardChain":
-        return VectorRewardChain(self)
-
-
-class VectorRewardChain:
-    """Chain environment: argmax over the first two action units picks
-    forward/back; the goal is the last position."""
-
-    def __init__(self, spec: VectorRewardChainSpec):
-        self.spec = spec
-        self.obs_dim = spec.length
-        self.reward_dim = 2
-        self.deterministic = True
-        self._pos = 0
-        self._steps = 0
-        self._done = True
-
-    def _observe(self, reward, reached) -> Observation:
-        onehot = np.zeros(self.obs_dim)
-        onehot[self._pos] = 1.0
-        return Observation(obs=onehot, reward=np.asarray(reward, dtype=np.float64),
-                           done=self._done, reached=reached)
-
-    def reset(self, seed: int = 0) -> Observation:
-        self._pos = 0
-        self._steps = 0
-        self._done = False
-        return self._observe([0.0, 0.0], reached=False)
-
-    def step(self, action: np.ndarray) -> Observation:
-        if self._done:
-            raise RuntimeError("episode is finished; call reset first")
-        action = np.asarray(action)
-        if action.shape[0] < 2:
-            raise ValueError("chain actions need at least 2 action units")
-        step_counter.increment()
-        move = 1 if int(np.argmax(action[:2])) == 0 else -1
-        self._pos = min(max(self._pos + move, 0), self.spec.length - 1)
-        self._steps += 1
-        reached = self._pos == self.spec.length - 1
-        reward = [0.0, self.spec.goal_reward] if reached else [self.spec.move_reward, 0.0]
-        self._done = reached or self._steps >= self.spec.effective_cap
-        return self._observe(reward, reached)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ def INT(value, fieldpath: str):
     return value
 
 
+def SEED(value, fieldpath: str):
+    """A JSON integer >= 0: numpy's generators take no negative seed."""
+    if INT(value, fieldpath) < 0:
+        raise ConfigError(fieldpath, f"must be >= 0, got {value}")
+    return value
+
+
 def NUMBER(value, fieldpath: str):
     """A JSON number that is a finite float or an integer within the float
     range: a larger integer is an error here, not an OverflowError where it

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsoncheck import INT, NUMBER, STRING, ConfigError, fill, versioned
+from .jsoncheck import INT, NUMBER, SEED, STRING, ConfigError, fill, versioned
 
 ACTIVATIONS = ("tanh", "sigmoid")
 REG_KINDS = ("decay", "prune")
@@ -43,7 +43,7 @@ CHECKPOINT_VERSION = 1
 # checkpoint header (and config "net" section) key -> (NetConfig field, check)
 NET = {"m": ("obs_dim", INT), "p": ("goal_dim", INT), "n": ("reward_dim", INT),
        "o": ("action_dim", INT), "h": ("hidden_dim", INT), "micro_steps": ("micro_steps", INT),
-       "activation": ("activation", STRING), "seed": ("seed", INT),
+       "activation": ("activation", STRING), "seed": ("seed", SEED),
        "init_scale": ("init_scale", NUMBER)}
 
 
@@ -106,11 +106,6 @@ class StepOutput:
     return_pred: np.ndarray
 
 
-def initial_state(config: NetConfig) -> np.ndarray:
-    """All-zero hidden state, used at the start of every trial."""
-    return np.zeros(config.hidden_dim)
-
-
 def _sigmoid(z, out=None):
     # not np.negative(z, out=out): numpy 2.4.6 (AVX-512) writes -0.0 past
     # the first element of an `out` strided by 8 elements
@@ -150,9 +145,6 @@ class Network:
         (self.w_in, self.w_rec, self.b_h, self.w_out, self.b_out) = unpack_weights(
             self.config, self.weights
         )
-
-    def get_weights(self) -> np.ndarray:
-        return self.weights.copy()
 
     def step(self, state: np.ndarray, sense: np.ndarray) -> tuple[np.ndarray, StepOutput]:
         """Run micro_steps recurrent updates on a fixed input, then read outputs.
@@ -197,10 +189,6 @@ def unpack_weights(config: NetConfig, weights: np.ndarray):
     return w_in, w_rec, b_h, w_out, b_out
 
 
-def pack_weights(w_in, w_rec, b_h, w_out, b_out) -> np.ndarray:
-    return np.concatenate([w_in.ravel(), w_rec.ravel(), b_h, w_out.ravel(), b_out])
-
-
 def init_network(config: NetConfig) -> tuple[Network, np.ndarray]:
     """Build a network with weights drawn uniformly from [-init_scale, +init_scale].
 
@@ -209,20 +197,6 @@ def init_network(config: NetConfig) -> tuple[Network, np.ndarray]:
     rng = np.random.default_rng(config.seed)
     weights = rng.uniform(-config.init_scale, config.init_scale, size=config.n_params)
     return Network(config, weights), weights.copy()
-
-
-def cumulative_reward(rewards) -> np.ndarray:
-    """Prefix sums of per-step total rewards over a trial.
-
-    Takes a (T, n) array (or sequence of reward vectors) and returns the
-    length-T series of running totals.
-    """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim == 1:
-        rewards = rewards[:, None]
-    if not np.all(np.isfinite(rewards)):
-        raise ValueError("rewards contain non-finite entries")
-    return np.cumsum(rewards.sum(axis=1))
 
 
 def apply_regularizer(weights: np.ndarray, strength: float, kind: str = "decay") -> np.ndarray:
@@ -496,16 +470,6 @@ class ReplayBatch:
         # added up from zero in trial order: a reduction over the outer axis
         # adds whole rows one after another
         return add_reduce(self.parts[self.trial_order], axis=0, initial=0.0)
-
-
-def _forward_trial(net: Network, senses: np.ndarray):
-    """One trial's replay outputs (T, output_width) and states (T, k, h)."""
-    cfg, t_len = net.config, len(senses)
-    widths = (cfg.action_dim, cfg.pred_width, cfg.return_width)
-    trial = TrialTargets(senses, *(np.zeros((t_len, w)) for w in widths), *np.zeros((3, t_len)))
-    batch = ReplayBatch(cfg, [trial])
-    batch.forward(net)
-    return batch.outputs[0], batch.hs[0, 1:].reshape(t_len, cfg.micro_steps, cfg.hidden_dim)
 
 
 def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):

@@ -243,9 +243,6 @@ class TraceStore:
     def relevant_trials(self) -> list[Trial]:
         return [t for t in self._trials if t.relevant]
 
-    def task_trials(self, task_id: str) -> list[Trial]:
-        return [t for t in self._trials if t.task_id == task_id]
-
     def _validate(self, trial: Trial) -> None:
         rows = trial.timesteps
         if rows.ndim != 2 or rows.shape[1] != self.dims.row_width:
@@ -258,8 +255,7 @@ class TraceStore:
             raise ValueError("only successful trials may be marked relevant")
         if not np.isfinite(rows).all():
             raise ValueError("timesteps contain non-finite entries")
-        # network.cumulative_reward's row sum and cumsum, so the same bits;
-        # its finiteness check would repeat the one above
+        # the rewards added in step order, as run_trials adds them
         recomputed = float(rows[:, self.dims.columns["r"]].sum(axis=1).cumsum()[-1])
         if not abs(recomputed - trial.final_return) <= FINAL_RETURN_TOL:  # NaN fails too
             raise ValueError(

@@ -17,7 +17,6 @@ from skillnet.cli import main
 from skillnet.consolidate import (
     ConsolidationConfig,
     ConsolidationReport,
-    build_batch,
     consolidate,
     retention_check,
     term_stats,
@@ -28,14 +27,13 @@ from skillnet.evolve import Budget, EsConfig, SearchOutcome, try_solve_task
 from skillnet.metrics import validate_event
 from skillnet.network import (
     NetConfig,
-    Network,
     batch_loss,
     bptt_gradient,
-    init_network,
     save_checkpoint,
 )
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
+from reference import Network, build_batch, init_network
 
 MASTER_SEEDS = (1, 2, 3, 4, 5)
 

@@ -103,6 +103,20 @@ def test_run_integer_outside_64_bits_exits_1_naming_field(tmp_path, capsys, sect
     assert f"{section}.{key}: must fit in a signed 64-bit integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "transfer-probe", "eval"])
+def test_negative_seed_flag_exits_1_naming_it(tmp_path, capsys, command):
+    # numpy takes no negative seed; eval draws from its seed only on a slip
+    # maze, so every command checks the flag before it runs anything
+    config_path = write_config(tmp_path)
+    cfg = NetConfig(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4, hidden_dim=12)
+    save_checkpoint(tmp_path / "x.ckpt", cfg, init_network(cfg)[1])
+    args = [] if command == "run" else ["--checkpoint", str(tmp_path / "x.ckpt"),
+                                        "--task", "corner_ne"]
+    assert main([command, "--config", str(config_path), "--seed", "-3", *args]) == 1
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -3\n"
+    assert not (tmp_path / "traces.jsonl").exists()
+
+
 def test_run_non_positive_step_cap_exits_1_naming_criterion(tmp_path, capsys):
     config_path = write_config(tmp_path)
     config = json.loads(config_path.read_text())

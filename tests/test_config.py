@@ -8,7 +8,7 @@ from skillnet.config import BudgetsConfig, ConfigError, load_config, with_seed
 from skillnet.consolidate import ConsolidationConfig
 from skillnet.envs import GridMazeSpec, SuccessCriterion
 from skillnet.evolve import EsConfig
-from skillnet.jsoncheck import INT, NUMBER
+from skillnet.jsoncheck import INT, NUMBER, SEED
 from skillnet.network import NET, NetConfig
 from skillnet.traces import ReplayPolicy
 
@@ -256,7 +256,7 @@ def test_integer_too_large_for_a_float_rejected_by_field(tmp_path, section, key,
     assert str(exc.value).startswith(f"{fieldpath}: ")
 
 
-# every field read with jsoncheck.INT, as (section path, key, dotted name)
+# every field read with jsoncheck.INT or SEED, as (section path, key, dotted name)
 INT_FIELDS = [((), "master_seed", "master_seed")] + [
     (section, key, f"{path}.{key}")
     for section, path, table in [
@@ -268,7 +268,7 @@ INT_FIELDS = [((), "master_seed", "master_seed")] + [
         (("consolidation",), "consolidation", config_module.CONSOLIDATION),
         (("consolidation", "replay"), "consolidation.replay", config_module.REPLAY),
     ]
-    for key, (_, check) in table.items() if check is INT
+    for key, (_, check) in table.items() if check in (INT, SEED)
 ]
 
 
@@ -287,6 +287,24 @@ def test_integer_outside_64_bits_rejected_by_field(tmp_path, section, key, field
     with pytest.raises(ConfigError, match="must fit in a signed 64-bit integer") as exc:
         load_config(write(tmp_path, config))
     assert str(exc.value).startswith(f"{fieldpath}: ")
+
+
+@pytest.mark.parametrize("section, key, fieldpath", [
+    ((), "master_seed", "master_seed"), (("net",), "seed", "net.seed"),
+    (("consolidation", "replay"), "rng_seed", "consolidation.replay.rng_seed"),
+], ids=["master_seed", "net.seed", "rng_seed"])
+def test_negative_seed_rejected_by_field(tmp_path, section, key, fieldpath):
+    # numpy takes no negative seed, and the replay seed is first drawn from at
+    # the first dream, after the search: the loader rejects each one
+    config = base_config()
+    config["consolidation"] = {"replay": {}}
+    target = config
+    for part in section:
+        target = target[part]
+    target[key] = -1
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, config))
+    assert str(exc.value) == f"{fieldpath}: must be >= 0, got -1"
 
 
 def test_int_check_bounds_are_the_signed_64_bit_range():

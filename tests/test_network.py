@@ -15,14 +15,12 @@ from skillnet.network import (
     apply_regularizer,
     batch_loss,
     bptt_gradient,
-    cumulative_reward,
     init_network,
-    initial_state,
     load_checkpoint,
-    pack_weights,
     save_checkpoint,
     unpack_weights,
 )
+from reference import pack_weights, replay_forward
 
 
 def small_config(**overrides):
@@ -119,7 +117,7 @@ def test_weight_vector_length_enforced():
 def test_zero_weights_give_zero_outputs():
     cfg = small_config(init_scale=0.0)
     net, _ = init_network(cfg)
-    state = initial_state(cfg)
+    state = np.zeros(cfg.hidden_dim)
     sense = np.ones(cfg.input_width)
     new_state, out = net.step(state, sense)
     assert np.all(new_state == 0.0)
@@ -166,7 +164,7 @@ def test_micro_steps_change_result_and_match_reference():
     for micro in (1, 2):
         cfg = small_config(micro_steps=micro, seed=5)
         net, weights = init_network(cfg)
-        state = initial_state(cfg)
+        state = np.zeros(cfg.hidden_dim)
         new_state, out = net.step(state, sense)
         ref_state, ref_y = reference_step(cfg, weights, state, sense)
         assert np.allclose(new_state, ref_state, atol=0, rtol=0)
@@ -182,18 +180,18 @@ def test_step_rejects_bad_inputs():
     with pytest.raises(ValueError):
         net.step(np.zeros(cfg.hidden_dim + 1), np.zeros(cfg.input_width))
     with pytest.raises(ValueError):
-        net.step(initial_state(cfg), np.zeros(cfg.input_width + 2))
+        net.step(np.zeros(cfg.hidden_dim), np.zeros(cfg.input_width + 2))
     bad = np.zeros(cfg.input_width)
     bad[0] = np.inf
     with pytest.raises(ValueError):
-        net.step(initial_state(cfg), bad)
+        net.step(np.zeros(cfg.hidden_dim), bad)
 
 
 def test_output_slices_partition_output_units():
     cfg = small_config()
     net, _ = init_network(cfg)
     rng = np.random.default_rng(1)
-    state, out = net.step(initial_state(cfg), rng.normal(size=cfg.input_width))
+    state, out = net.step(np.zeros(cfg.hidden_dim), rng.normal(size=cfg.input_width))
     y = net.w_out @ state + net.b_out
     assert len(out.action) == cfg.action_dim
     assert len(out.pred) == cfg.obs_dim + cfg.reward_dim
@@ -205,22 +203,8 @@ def test_output_slices_partition_output_units():
 def test_sigmoid_activation_supported():
     cfg = small_config(activation="sigmoid", init_scale=0.0)
     net, _ = init_network(cfg)
-    state, _ = net.step(initial_state(cfg), np.zeros(cfg.input_width))
+    state, _ = net.step(np.zeros(cfg.hidden_dim), np.zeros(cfg.input_width))
     assert np.allclose(state, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# rewards
-
-
-def test_cumulative_reward_zero_case():
-    cr = cumulative_reward(np.zeros((4, 2)))
-    assert np.array_equal(cr, np.zeros(4))
-
-
-def test_cumulative_reward_prefix_sums():
-    cr = cumulative_reward(np.array([[1.0], [0.0], [2.0]]))
-    assert np.array_equal(cr, np.array([1.0, 1.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +273,7 @@ def test_batch_gradient_is_sum_of_per_trial_gradients():
 
 def finite_difference_gradient(net, batch, term_weights=(1.0, 1.0, 1.0), eps=1e-5):
     """Central-difference loss gradient, independent of the BPTT path."""
-    base = net.get_weights()
+    base = net.weights.copy()
     grad = np.zeros_like(base)
     for i in range(len(base)):
         w_plus = base.copy()
@@ -349,15 +333,13 @@ def test_bptt_rejects_empty_batch_and_bad_shapes():
 def test_replay_forward_matches_online_stepping():
     # the training-time unrolled forward pass must agree bitwise with the
     # step-by-step pass used during rollouts
-    from skillnet.network import _forward_trial
-
     for micro, activation in ((1, "tanh"), (3, "tanh"), (2, "sigmoid")):
         cfg = small_config(micro_steps=micro, activation=activation, seed=21)
         net, _ = init_network(cfg)
         rng = np.random.default_rng(31)
         senses = rng.normal(size=(6, cfg.input_width))
-        outputs, states = _forward_trial(net, senses)
-        state = initial_state(cfg)
+        outputs, states = replay_forward(net, senses)
+        state = np.zeros(cfg.hidden_dim)
         for t in range(6):
             state, out = net.step(state, senses[t])
             assert np.array_equal(state, states[t, -1])
@@ -652,6 +634,7 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     ("o", None),
     ("seed", "x"),
     ("seed", 1.5),
+    ("seed", -1),
     ("init_scale", True),
     ("bogus", 1),
 ])

@@ -15,22 +15,15 @@ from skillnet.envs import (
     Observation,
     SuccessCriterion,
     TaskDescription,
-    VectorRewardChainSpec,
     goal_encoding,
     make_env,
     make_env_batch,
     step_counter,
 )
-from skillnet.network import (
-    ACTIVATIONS,
-    NetConfig,
-    Network,
-    init_network,
-    initial_state,
-    pack_weights,
-)
+from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
 from skillnet.rollout import evaluate_policy, run_trial, run_trials
 from skillnet.traces import Trial, frozen_rows
+from reference import VectorRewardChainSpec, pack_weights
 
 
 def reference_run_trial(net: Network, task: TaskDescription, seed: int) -> Trial:
@@ -39,7 +32,7 @@ def reference_run_trial(net: Network, task: TaskDescription, seed: int) -> Trial
     env = make_env(task)
     goal = goal_encoding(task, cfg.goal_dim)
     obs = env.reset(seed=seed)
-    state = initial_state(cfg)
+    state = np.zeros(cfg.hidden_dim)
     rows = []
     total = 0.0
     while True:
@@ -87,14 +80,15 @@ class CountdownEnv:
         return self._obs(np.zeros(self.obs_dim), [0.0, 0.0])
 
     def step(self, action):
-        step_counter.increment()
+        step_counter.count += 1
         self._left -= 1
         obs = np.tanh(np.asarray(action[: self.obs_dim]) * 3.0)
         return self._obs(obs, [float(action[0]), 0.1 * self._left])
 
 
 def assert_same_trials(cfg, weights, task, seeds):
-    """run_trials against one reference episode per (weights row, seed)."""
+    """run_trials against one reference episode per (weights row, seed);
+    returns run_trials' trials."""
     before = step_counter.count
     expected = [reference_run_trial(Network(cfg, w), task, s) for w, s in zip(weights, seeds)]
     reference_steps = step_counter.count - before
@@ -109,6 +103,7 @@ def assert_same_trials(cfg, weights, task, seeds):
         assert g.final_return == e.final_return
         assert g.task_id == task.task_id and not g.relevant
         assert not g.timesteps.flags.writeable
+    return got
 
 
 @st.composite
@@ -161,15 +156,17 @@ def test_lockstep_maze_matches_single_episode_loop(case):
 
 @st.composite
 def adapter_cases(draw):
+    cap = None
     if draw(st.booleans()):
         length = draw(st.integers(2, 6))
         spec = VectorRewardChainSpec(length=length, episode_cap=draw(st.integers(1, 30)))
+        cap = draw(st.none() | st.integers(1, 30))
         cfg = draw(net_configs(length, 2, 2))
     else:
         spec = CountdownSpec()
         cfg = draw(net_configs(spec.obs_dim, 2, 3))
     task = TaskDescription(task_id="adapter", goal_index=0, env_spec=spec,
-                           criterion=SuccessCriterion())
+                           criterion=SuccessCriterion(max_steps_per_trial=cap))
     n_episodes = draw(st.integers(1, 9))
     seeds = draw(st.lists(st.integers(0, 50), min_size=n_episodes, max_size=n_episodes))
     return cfg, draw(weight_stacks(cfg, n_episodes)), task, seeds
@@ -178,7 +175,9 @@ def adapter_cases(draw):
 @given(adapter_cases())
 @settings(max_examples=100, deadline=None)
 def test_lockstep_adapter_matches_single_episode_loop(case):
-    assert_same_trials(*case)
+    # make_env applies a criterion step cap as the env's episode cap
+    cap = case[2].criterion.max_steps_per_trial or np.inf
+    assert all(len(trial) - 1 <= cap for trial in assert_same_trials(*case))
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,11 @@ def test_supersede_clears_relevant_flags():
     store.append(make_trial("b", success=True, relevant=True, rng=rng))
     count = store.supersede_task("a")
     assert count == 3
-    assert all(not t.relevant for t in store.task_trials("a"))
+    a_trials = [t for t in store if t.task_id == "a"]
+    assert all(not t.relevant for t in a_trials)
     assert len(store.relevant_trials()) == 1
     # traces themselves stay available (prediction training still sees them)
-    assert len(store.task_trials("a")) == 3
+    assert len(a_trials) == 3
 
 
 def test_supersede_unknown_task_returns_zero():
@@ -465,9 +466,22 @@ def frame(obj) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-def test_streamed_file_holds_each_record_once_its_call_returns(tmp_path):
-    path = tmp_path / "traces.jsonl"
-    store = TraceStore.create(path, DIMS)
+@pytest.fixture
+def streamed(tmp_path):
+    """Creates streamed stores under tmp_path, closed however the test ends."""
+    stores = []
+
+    def create(name="traces.jsonl"):
+        stores.append(TraceStore.create(tmp_path / name, DIMS))
+        return stores[-1], tmp_path / name
+
+    yield create
+    for store in stores:
+        store.close()
+
+
+def test_streamed_file_holds_each_record_once_its_call_returns(tmp_path, streamed):
+    store, path = streamed()
     assert path.read_bytes().startswith(MAGIC)
     assert len(TraceStore.load(path)) == 0
     rng = np.random.default_rng(15)
@@ -490,7 +504,7 @@ def test_streamed_file_holds_each_record_once_its_call_returns(tmp_path):
     assert path.read_bytes() == data
 
 
-def test_torn_tail_is_dropped_at_every_byte(tmp_path):
+def test_torn_tail_is_dropped_at_every_byte(tmp_path, streamed):
     rng = np.random.default_rng(16)
     trials = [make_trial("a", success=True, rng=rng),
               make_trial("b", n_steps=2, rng=rng),
@@ -503,8 +517,7 @@ def test_torn_tail_is_dropped_at_every_byte(tmp_path):
         lambda s: s.supersede_task("a"),
         lambda s: s.mark_relevant(3),
     ]
-    path = tmp_path / "traces.jsonl"
-    store = TraceStore.create(path, DIMS)
+    store, path = streamed()
     ends = [path.stat().st_size]
     for op in ops:
         op(store)
@@ -527,20 +540,6 @@ def test_torn_tail_is_dropped_at_every_byte(tmp_path):
         with pytest.raises(TraceFormatError, match="truncated") as exc:
             TraceStore.load(cut_path)
         assert exc.value.offset == len(MAGIC)
-
-
-@pytest.fixture
-def streamed(tmp_path):
-    """Creates streamed stores under tmp_path, closed however the test ends."""
-    stores = []
-
-    def create(name="traces.jsonl"):
-        stores.append(TraceStore.create(tmp_path / name, DIMS))
-        return stores[-1], tmp_path / name
-
-    yield create
-    for store in stores:
-        store.close()
 
 
 def test_extend_with_a_bad_trial_leaves_store_and_file_unchanged(streamed):
@@ -599,10 +598,12 @@ def _second_record(tmp_path, second):
     returns (file bytes, offset of the second record)."""
     path = tmp_path / "traces.jsonl"
     store = TraceStore.create(path, DIMS)
-    store.append(make_trial("a", rng=np.random.default_rng(17)))
-    start = path.stat().st_size
-    second(store)
-    store.close()
+    try:
+        store.append(make_trial("a", rng=np.random.default_rng(17)))
+        start = path.stat().st_size
+        second(store)
+    finally:
+        store.close()
     return path.read_bytes(), start
 
 
