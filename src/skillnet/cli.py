@@ -32,7 +32,7 @@ from .consolidate import retention_check  # noqa: F401
 from .curriculum import run_curriculum
 from .evolve import Budget, try_solve_task
 from .jsoncheck import SEED
-from .metrics import MetricsWriter, scrub, validate_event
+from .metrics import MetricsWriter, validate_event
 from .network import NET, init_network, load_checkpoint, save_checkpoint
 from .rollout import evaluate_policy
 from .traces import StoreDims, TraceFormatError, TraceStore, trial_to_json
@@ -115,16 +115,21 @@ def _load_checkpoint_or_usage_error(path):
         raise ConfigError("checkpoint", f"malformed file {path}: {exc}") from None
 
 
+def _output(field: str, path, make):
+    """`make(path)` once path's parent directory exists; an OSError on the
+    way is a usage error naming paths.<field>."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return make(path)
+    except OSError as exc:
+        raise ConfigError(f"paths.{field}", f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     config = _load(args.config, args.seed)
     net_config = config.net
     _, weights = init_network(net_config)
-    config.paths.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    config.paths.trace_file.parent.mkdir(parents=True, exist_ok=True)
-    config.paths.metrics_file.parent.mkdir(parents=True, exist_ok=True)
-    # every trial is on disk once it is appended, so a run that diverges, is
-    # interrupted or is killed outright keeps every trial it already paid for
-    store = TraceStore.create(config.paths.trace_file, StoreDims.from_net_config(net_config))
+    _output("checkpoint_dir", config.paths.checkpoint_dir, lambda p: p.mkdir(exist_ok=True))
     last_checks: dict[str, dict] = {}  # each task's last after_dream retention_check
 
     def emit(event: dict) -> None:
@@ -132,8 +137,12 @@ def cmd_run(args) -> int:
             last_checks[event["task_id"]] = event
         writer.emit(event)
 
-    try:
-        with MetricsWriter(config.paths.metrics_file) as writer:
+    with _output("metrics_file", config.paths.metrics_file, MetricsWriter) as writer:
+        # every trial is on disk once it is appended, so a run that diverges, is
+        # interrupted or is killed outright keeps every trial it already paid for
+        store = _output("trace_file", config.paths.trace_file,
+                        lambda p: TraceStore.create(p, StoreDims.from_net_config(net_config)))
+        try:
             writer.emit({
                 "event": "run_start",
                 "master_seed": config.master_seed,
@@ -167,9 +176,9 @@ def cmd_run(args) -> int:
                 "total_search_spent": report.total_search_spent,
                 "consolidations": report.consolidations,
             })
-    finally:
-        store.save(config.paths.trace_file)
-        store.close()
+        finally:
+            store.save(config.paths.trace_file)
+            store.close()
     save_checkpoint(config.paths.checkpoint_dir / "final.ckpt", net_config, final_weights)
     print(f"solved {len(report.solved)}/{len(config.tasks)} tasks; "
           f"traces: {config.paths.trace_file}; metrics: {config.paths.metrics_file}")
@@ -211,7 +220,7 @@ def cmd_transfer_probe(args) -> int:
         Budget(config.budgets.unit, config.budgets.c0), es, store,
         config=config.net,
     )
-    event = scrub({
+    event = {
         "event": "transfer_probe",
         "task_id": task.task_id,
         "status": outcome.status,
@@ -224,7 +233,7 @@ def cmd_transfer_probe(args) -> int:
         "evaluations_warm": outcome.evaluations["warm"],
         "evaluations_scratch": outcome.evaluations["scratch"],
         "relevant_trial_ids": outcome.relevant_trial_ids,
-    })
+    }
     validate_event(event)
     print(json.dumps(event))
     return 0

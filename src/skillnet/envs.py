@@ -5,14 +5,14 @@ success criterion. The built-in benchmark is a grid maze with corner-goal
 tasks; an action-slip probability turns it stochastic.
 
 Environments are duck-typed: a spec with `build()` (and optionally
-`episode_cap` and `deterministic`) whose environment has `reset(seed)` and
-`step(action)`, each returning an Observation, works; its reward may have
-any number of channels. Rollouts step a task's episodes in lockstep through
-`make_env_batch`: a maze through the vectorized `GridMazeBatch`, any other
-environment through `EnvBatch`, which steps one single-episode environment
-per episode; `lone_step` steps the last live episode of either alone. The
-maze bumps the module-level `step_counter` on every transition, which lets
-tests prove that consolidation never touches an environment.
+`episode_cap`, which a criterion step cap needs, and `deterministic`) whose
+environment has `reset(seed)` and `step(action)`, each returning an
+Observation, works; its reward may have any number of channels. Rollouts
+build such an environment per episode through `make_env`. A maze's episodes
+step in lockstep through the vectorized `GridMazeBatch`, whose `lone_step`
+steps the last live one alone. The maze bumps the module-level
+`step_counter` on every transition, which lets tests prove that
+consolidation never touches an environment.
 """
 
 from __future__ import annotations
@@ -271,47 +271,6 @@ class GridMazeBatch:
         return step
 
 
-class EnvBatch:
-    """Lockstep episodes over single-episode environments, one per seed:
-    the path for every environment that has no vectorized form. It has no
-    step limit of its own (`cap` is None)."""
-
-    cap = None
-
-    def __init__(self, envs, goal: np.ndarray, seeds):
-        self._envs = list(envs)
-        self._goal = goal
-        self._seeds = list(seeds)
-
-    def _one(self, ob):
-        return (np.concatenate([ob.obs, self._goal, ob.reward]), float(ob.reward.sum()),
-                bool(ob.done), bool(ob.reached))
-
-    def _collect(self, observations):
-        senses, rewards, done, reached = zip(*map(self._one, observations))
-        return (np.array(senses, dtype=np.float64), list(rewards),
-                np.array(done, dtype=bool), np.array(reached, dtype=bool))
-
-    def reset(self):
-        """(senses, rewards, done, reached) at the start of every episode."""
-        return self._collect([env.reset(seed=seed)
-                              for env, seed in zip(self._envs, self._seeds)])
-
-    def step(self, actions: np.ndarray):
-        """Advance every live episode by its row of `actions`."""
-        return self._collect([env.step(a) for env, a in zip(self._envs, actions)])
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the episodes whose entry in `mask` is False."""
-        self._envs = [env for env, k in zip(self._envs, mask) if k]
-
-    def lone_step(self):
-        """A function that advances the one live episode by an action and
-        returns its (sense, reward, done, reached)."""
-        env = self._envs[0]
-        return lambda action: self._one(env.step(action))
-
-
 @dataclass(frozen=True)
 class TaskDescription:
     """A control task: environment, unique goal-input slot, success bar."""
@@ -324,6 +283,10 @@ class TaskDescription:
     def __post_init__(self):
         if self.goal_index < 0:
             raise ValueError(f"goal_index must be >= 0, got {self.goal_index}")
+        capped = self.criterion.max_steps_per_trial is not None
+        if capped and not hasattr(self.env_spec, "episode_cap"):
+            raise ValueError(f"task {self.task_id!r}: max_steps_per_trial needs an env spec "
+                             f"with an episode_cap field")
 
 
 def goal_encoding(task: TaskDescription, goal_dim: int) -> np.ndarray:
@@ -341,18 +304,9 @@ def make_env(task: TaskDescription):
     """Build the task's environment, applying any per-trial step limit from
     the success criterion as the episode cap."""
     spec, cap = task.env_spec, task.criterion.max_steps_per_trial
-    if cap is not None and hasattr(spec, "episode_cap"):
+    if cap is not None:
         spec = replace(spec, episode_cap=cap)
     return spec.build()
-
-
-def make_env_batch(task: TaskDescription, goal: np.ndarray, seeds):
-    """Lockstep episodes of the task's environment, one per seed: a
-    GridMazeBatch for a maze, an EnvBatch over `make_env` environments for
-    anything else."""
-    if isinstance(task.env_spec, GridMazeSpec):
-        return GridMazeBatch(task.env_spec, goal, seeds, task.criterion.max_steps_per_trial)
-    return EnvBatch([make_env(task) for _ in seeds], goal, seeds)
 
 
 def check_success(trials, criterion: SuccessCriterion) -> bool:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, known, typed
 
 LIST = typed(lambda v: isinstance(v, list), "a list")
@@ -97,23 +95,6 @@ EVENT_SCHEMAS: dict[str, dict] = {
 }
 
 
-def scrub(value):
-    """Convert numpy scalars/arrays into plain JSON-serializable Python."""
-    if isinstance(value, dict):
-        return {k: scrub(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [scrub(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [scrub(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def validate_event(obj: dict) -> None:
     """Raise ValueError unless the object matches its event schema exactly;
     a wrong field is named as "<event>.<field>"."""
@@ -140,7 +121,6 @@ class MetricsWriter:
         self._fh = open(path, "w", encoding="utf-8")
 
     def emit(self, event: dict) -> None:
-        event = scrub(event)
         validate_event(event)
         self._fh.write(json.dumps(event) + "\n")
         self._fh.flush()

@@ -7,21 +7,22 @@ is the net's input followed by its output, in `StoreDims.columns` order. The
 goal input stays constant for the whole trial.
 
 `run_trials` runs a batch of episodes, each with its own weight vector and
-seed, in lockstep: every live episode advances with one per-row BLAS gemv per
-weight matrix per micro-step, the products `Network.step` computes, so each
-trial is bit for bit the one a single-episode loop over `Network.step`
-records. The last live episode finishes alone on 1-D views of its weight
-row, each product one `np.dot` (the same gemv), stepped by `lone_step`.
-Each episode's rows go into one (cap + 1, row width) buffer, doubled for
-envs without a cap. A maze's sense table is checked once per call, any other
-env's senses on every step.
+seed, every one bit for bit the trial a single-episode loop over
+`Network.step` records. A maze's episodes run in lockstep through
+`GridMazeBatch`: every live episode advances with one per-row BLAS gemv per
+weight matrix per micro-step, the products `Network.step` computes, and the
+maze's sense table is checked once per call. One loop, `_run_alone`, runs
+an episode alone on 1-D views of its weight row, each product one `np.dot`
+(the same gemv): it finishes a maze's last live episode, stepped by
+`lone_step`, and runs every episode of any other env, one after another,
+checking its senses on every step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .envs import GridMazeBatch, TaskDescription, goal_encoding, make_env_batch
+from .envs import GridMazeBatch, GridMazeSpec, TaskDescription, goal_encoding, make_env
 from .network import NetConfig, Network, _activation_fns, _matvec, unpack_weights
 from .traces import Trial, frozen_rows
 
@@ -39,15 +40,10 @@ def _trial(task: TaskDescription, rows: np.ndarray, success: bool, total: float)
                  timesteps=frozen_rows(rows), final_return=total)
 
 
-def _doubled(rows: np.ndarray) -> np.ndarray:
-    """`rows` with room for twice as many timesteps."""
-    return np.concatenate([rows, np.empty_like(rows)])
-
-
 def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
                seeds) -> list[Trial]:
-    """Run one episode per (weight row, seed) pair in lockstep; returns the
-    unstored Trials (trial_id unassigned) in the order of `seeds`."""
+    """Run one episode per (weight row, seed) pair; returns the unstored
+    Trials (trial_id unassigned) in the order of `seeds`."""
     seeds = list(seeds)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(seeds), config.n_params):
@@ -58,19 +54,39 @@ def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
     if not seeds:
         return []
     goal = goal_encoding(task, config.goal_dim)
-    envs = make_env_batch(task, goal, seeds)
-    maze = isinstance(envs, GridMazeBatch)
-    if maze and (config.action_dim < 4 or config.reward_dim != 1):
+    if isinstance(task.env_spec, GridMazeSpec):
+        return _run_maze(config, weights, task, goal, seeds)
+
+    def observe(ob):
+        sense = np.concatenate([ob.obs, goal, ob.reward])
+        _check_senses(config, sense)
+        return sense, float(ob.reward.sum()), bool(ob.done), bool(ob.reached)
+
+    trials = []
+    for row, seed in zip(weights, seeds):
+        env = make_env(task)
+        trials.append(_run_alone(config, task, row, np.zeros(config.hidden_dim),
+                                 np.empty((16, config.input_width + config.output_width)), 0,
+                                 observe(env.reset(seed=seed)), 0.0,
+                                 lambda action: observe(env.step(action))))
+    return trials
+
+
+def _run_maze(config: NetConfig, weights: np.ndarray, task: TaskDescription,
+              goal: np.ndarray, seeds: list) -> list[Trial]:
+    """Run a maze's episodes in lockstep until one is left, then hand it to
+    `_run_alone`."""
+    if config.action_dim < 4 or config.reward_dim != 1:
         raise ValueError("maze tasks need at least 4 action units and one reward channel")
-    if maze:
-        _check_senses(config, envs.sense_rows)  # every maze sense is one of these rows
+    envs = GridMazeBatch(task.env_spec, goal, seeds, task.criterion.max_steps_per_trial)
+    _check_senses(config, envs.sense_rows)  # every maze sense is one of these rows
     act, _ = _activation_fns(config.activation)
-    n, in_w, n_act = len(seeds), config.input_width, config.action_dim
-    # row t of rows[e] is episode e's [sense | output] at step t; one array
-    # per episode, since one for all 8 episodes of a 9x9 maze (1.1 MB) raised
-    # a run's peak RSS by about 1 MB
-    size = (envs.cap or 16) + 1
-    rows = [np.empty((size, in_w + config.output_width)) for _ in seeds]
+    n, n_act = len(seeds), config.action_dim
+    # row t of rows[e] is episode e's [sense | output] at step t; a maze
+    # episode ends by its cap, so its cap + 1 rows always fit. One array per
+    # episode, since one for all 8 episodes of a 9x9 maze (1.1 MB) raised a
+    # run's peak RSS by about 1 MB
+    rows = [np.empty((envs.cap + 1, config.input_width + config.output_width)) for _ in seeds]
     w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights)
     state = np.zeros((n, config.hidden_dim))
     ids = np.arange(n)                     # episode held in each live row
@@ -78,19 +94,11 @@ def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
     trials: list[Trial | None] = [None] * n
     t = 0                                  # rows each live episode has so far
     senses, rewards, done, reached = envs.reset()
-    while True:
-        if not maze:
-            _check_senses(config, senses)
-        if len(ids) == 1:
-            break
+    while len(ids) > 1:
         drive = _matvec(w_in, senses) + b_h
         for _ in range(config.micro_steps):
             state = act(drive + _matvec(w_rec, state))
         y = _matvec(w_out, state) + b_out
-        if t == size:
-            size *= 2
-            for e in ids.tolist():
-                rows[e] = _doubled(rows[e])
         for e, row in zip(ids.tolist(), np.concatenate([senses, y], axis=1)):
             rows[e][t] = row
         totals[ids] += rewards
@@ -106,19 +114,30 @@ def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
             weights, state, y = weights[keep], state[keep], y[keep]
             w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights)
         senses, rewards, done, reached = envs.step(y[:, :n_act])
-
-    # one live episode: each product one gemv on 1-D views, the rest in place
     e = int(ids[0])
-    w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights[0])
-    h, dot, add = state[0], np.dot, np.add
+    trials[e] = _run_alone(config, task, weights[0], state[0], rows[e], t,
+                           (senses[0], float(rewards[0]), bool(done[0]), bool(reached[0])),
+                           float(totals[e]), envs.lone_step())
+    return trials
+
+
+def _run_alone(config: NetConfig, task: TaskDescription, weights: np.ndarray, h: np.ndarray,
+               rows: np.ndarray, t: int, first: tuple, total: float, step) -> Trial:
+    """Run one episode to its end from its step-t observation `first`, a
+    (sense, reward, done, reached) tuple: `weights` is its 1-D weight row,
+    `h` its hidden state (updated in place), `rows` its buffer holding t
+    rows (doubled when full), `total` its reward so far, and `step` a
+    function that advances it by an action and returns the next tuple."""
+    act, _ = _activation_fns(config.activation)
+    in_w, n_act = config.input_width, config.action_dim
+    w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights)
+    dot, add = np.dot, np.add
     drive, term = np.empty_like(h), np.empty_like(h)
-    lone, step = rows[e], envs.lone_step()
-    sense, reward, fin, success = senses[0], float(rewards[0]), bool(done[0]), bool(reached[0])
-    total = float(totals[e])
+    sense, reward, fin, success = first
     while True:
-        if t == len(lone):
-            lone = _doubled(lone)
-        row = lone[t]
+        if t == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        row = rows[t]
         row[:in_w] = sense
         y = row[in_w:]
         dot(w_in, sense, drive)
@@ -132,11 +151,8 @@ def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
         total += reward
         t += 1
         if fin:
-            trials[e] = _trial(task, lone[:t], success, total)
-            return trials
+            return _trial(task, rows[:t], success, total)
         sense, reward, fin, success = step(y[:n_act])
-        if not maze:
-            _check_senses(config, sense)
 
 
 def run_trial(net: Network, task: TaskDescription, seed: int) -> Trial:

@@ -18,7 +18,7 @@ from skillnet.config import load_config
 from skillnet.consolidate import retention_check
 from skillnet.curriculum import retention_event
 from skillnet.envs import step_counter
-from skillnet.metrics import read_metrics, scrub, validate_event
+from skillnet.metrics import read_metrics, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
 from skillnet.traces import MAGIC, TraceStore
 
@@ -590,8 +590,7 @@ def test_final_sweep_reports_retention_without_running_episodes(tmp_path, monkey
                               [t for t in config.tasks if t.task_id in solved],
                               config.net, base_seed=config.master_seed)
     assert len(final) == len(solved) == 2
-    assert final == [scrub(retention_event(task_id, res, pass_number=report.pass_count,
-                                           phase="final"))
+    assert final == [retention_event(task_id, res, pass_number=report.pass_count, phase="final")
                      for task_id, res in results.items()]
 
 
@@ -611,6 +610,21 @@ def test_config_file_error_prints_message_alone(tmp_path, capsys, name, message)
     path = tmp_path / name
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("field", ["trace_file", "metrics_file", "checkpoint_dir"])
+def test_unusable_output_path_is_usage_error_naming_the_field(tmp_path, capsys, field):
+    taken = tmp_path / "taken"
+    if field == "checkpoint_dir":
+        taken.write_text("")  # a file where a directory must go
+    else:
+        taken.mkdir()  # a directory where a file must go
+    paths = {"trace_file": "traces.jsonl", "metrics_file": "metrics.jsonl",
+             "checkpoint_dir": "ckpt", field: "taken"}
+    before = step_counter.count
+    assert main(["run", "--config", str(write_config(tmp_path, paths=paths))]) == 1
+    assert capsys.readouterr().err.startswith(f"error: paths.{field}: cannot write {taken}: ")
+    assert step_counter.count == before  # the curriculum never started
 
 
 def test_help_exits_0(capsys):

@@ -300,3 +300,19 @@ def test_make_env_applies_criterion_step_cap():
     task = task_for(SPEC_3X3, max_steps_per_trial=7)
     env = make_env(task)
     assert env.spec.effective_cap == 7
+
+
+class NoCapSpec:
+    """A duck-typed spec with no episode_cap field."""
+
+    def build(self):
+        return VectorRewardChainSpec(length=3).build()
+
+
+def test_criterion_step_cap_without_an_episode_cap_field_is_rejected():
+    with pytest.raises(ValueError, match="task 'chain': max_steps_per_trial needs"):
+        TaskDescription(task_id="chain", goal_index=0, env_spec=NoCapSpec(),
+                        criterion=SuccessCriterion(max_steps_per_trial=5))
+    task = TaskDescription(task_id="chain", goal_index=0, env_spec=NoCapSpec(),
+                           criterion=SuccessCriterion())
+    assert make_env(task).reset(seed=0).obs.shape == (3,)

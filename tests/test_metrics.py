@@ -3,7 +3,7 @@ import pytest
 
 from skillnet.consolidate import RetentionResult
 from skillnet.curriculum import retention_event
-from skillnet.metrics import MetricsWriter, read_metrics, scrub, validate_event
+from skillnet.metrics import MetricsWriter, read_metrics, validate_event
 
 
 def solve_event(**overrides):
@@ -69,7 +69,7 @@ def test_retention_check_events_carry_their_phase():
     result = RetentionResult(passed=True, success_rate=1.0, mean_return=0.9, mean_length=8.0)
     for phase in ("after_dream", "final"):
         event = retention_event("a", result, pass_number=2, phase=phase)
-        validate_event(scrub(event))
+        validate_event(event)
         assert event["phase"] == phase
 
 
@@ -82,16 +82,12 @@ def test_retention_check_without_phase_rejected():
         validate_event(event)
 
 
-def test_scrub_converts_numpy_types():
-    out = scrub({
-        "a": np.float64(1.5),
-        "b": np.int64(2),
-        "c": np.bool_(True),
-        "d": np.array([1.0, 2.0]),
-        "e": {"nested": np.float32(0.5)},
-    })
-    assert out == {"a": 1.5, "b": 2, "c": True, "d": [1.0, 2.0], "e": {"nested": 0.5}}
-    assert isinstance(out["a"], float) and isinstance(out["b"], int)
+def test_emitting_a_numpy_int_field_is_rejected(tmp_path):
+    # the program emits plain Python values only; a numpy one is a program fault
+    with MetricsWriter(tmp_path / "metrics.jsonl") as writer:
+        with pytest.raises(ValueError, match="solve.pass_number: "):
+            writer.emit(solve_event(pass_number=np.int64(1)))
+    assert read_metrics(tmp_path / "metrics.jsonl") == []
 
 
 def test_writer_round_trip(tmp_path):

@@ -17,7 +17,6 @@ from skillnet.envs import (
     TaskDescription,
     goal_encoding,
     make_env,
-    make_env_batch,
     step_counter,
 )
 from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
@@ -237,17 +236,21 @@ def test_lone_episode_path_matches_reference_at_workload_shapes(
                                       detour_moves(side, side, a), rng) for a in detours])
 
     # staggered ends, the longest alone at the end; all ending together;
-    # mates ending one step before the lone one's cap; one-episode calls
+    # mates ending one step before the lone one's cap; all staying put to
+    # the cap together, filling every lockstep buffer; one-episode calls
     staggered = [0, 1, 1, 2, 0, 3, 2, side - 1]
     cases = [(stack(staggered), task(), 1), (stack([0] * 8), task(), 0),
-             (stack([0] * 7 + [None]), task(cap=shortest + 1), 1)]
+             (stack([0] * 7 + [None]), task(cap=shortest + 1), 1),
+             (stack([None] * 8), task(cap=shortest + 1), 0)]
     cases += [(stack([a]), task(), 1) for a in (0, 2, side - 1, None)]
     for k, (weights, case_task, handoffs) in enumerate(cases):
         seeds = list(range(len(weights)))
         lengths = [len(reference_run_trial(Network(cfg, w), case_task, s))
                    for w, s in zip(weights, seeds)]
         del lone_steps[:]
-        assert_same_trials(cfg, weights, case_task, seeds)
+        got = assert_same_trials(cfg, weights, case_task, seeds)
+        if k == 3:  # none reaches the goal, so each holds cap + 1 rows
+            assert [len(trial) for trial in got] == [shortest + 2] * 8
         if slip_prob == 0.0:
             assert len(lone_steps) == handoffs
             if len(weights) == 8 and handoffs:
@@ -260,11 +263,11 @@ def test_maze_tables_are_built_once_and_never_written():
     cfg = maze_config()
     task = maze_task(slip_prob=0.3)
     goal = goal_encoding(task, cfg.goal_dim)
-    tables = make_env_batch(task, goal, [0]).sense_rows
-    assert make_env_batch(task, goal, [1, 2]).sense_rows is tables
+    tables = GridMazeBatch(task.env_spec, goal, [0]).sense_rows
+    assert GridMazeBatch(task.env_spec, goal, [1, 2]).sense_rows is tables
     assert not tables.flags.writeable
     other_goal = goal_encoding(maze_task(), cfg.goal_dim + 1)
-    assert make_env_batch(maze_task(), other_goal, [0]).sense_rows is not tables
+    assert GridMazeBatch(maze_task().env_spec, other_goal, [0]).sense_rows is not tables
     before = tables.copy()
     weights = np.random.default_rng(2).normal(size=(3, cfg.n_params))
     for n in (3, 1):
