@@ -30,7 +30,6 @@ from .network import (
     NetConfig,
     Network,
     ReplayBatch,
-    StepOutput,
     TrialTargets,
     apply_regularizer,
     batch_loss,
@@ -39,7 +38,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rollout import evaluate_policy, run_trial, run_trials
+from .rollout import run_trial, run_trials
 from .traces import ReplayPolicy, StoreDims, TraceFormatError, TraceStore, Trial
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "ReplayPolicy",
     "SearchOutcome",
     "SolveRecord",
-    "StepOutput",
     "StoreDims",
     "SuccessCriterion",
     "TaskDescription",
@@ -74,7 +72,6 @@ __all__ = [
     "check_success",
     "consolidate",
     "corner_tasks",
-    "evaluate_policy",
     "goal_encoding",
     "init_network",
     "load_checkpoint",

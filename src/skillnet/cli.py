@@ -26,15 +26,12 @@ from .config import (
     load_config,
     with_seed,
 )
-# retention_check is not called here; the benchmark's tracer
-# (perfbench/tracing.py) looks it up on this module by name, so the import stays
-from .consolidate import retention_check  # noqa: F401
+from .consolidate import retention_check
 from .curriculum import run_curriculum
 from .evolve import Budget, try_solve_task
 from .jsoncheck import SEED
 from .metrics import MetricsWriter, validate_event
 from .network import NET, init_network, load_checkpoint, save_checkpoint
-from .rollout import evaluate_policy
 from .traces import StoreDims, TraceFormatError, TraceStore, trial_to_json
 
 
@@ -197,9 +194,10 @@ def cmd_eval(args) -> int:
     trials = args.trials if args.trials is not None else task.criterion.min_success_trials
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
-    stats = evaluate_policy(weights, net_config, task, trials, base_seed=SEED(args.seed, "--seed"))
-    print(f"task {task.task_id}: success_rate={stats['success_rate']:.3f} "
-          f"mean_return={stats['mean_return']:.4f} mean_length={stats['mean_length']:.1f} "
+    result = retention_check(weights, [task], net_config, n_trials=trials,
+                             base_seed=SEED(args.seed, "--seed"))[task.task_id]
+    print(f"task {task.task_id}: success_rate={result.success_rate:.3f} "
+          f"mean_return={result.mean_return:.4f} mean_length={result.mean_length:.1f} "
           f"over {trials} trials")
     return 0
 
@@ -250,7 +248,11 @@ def cmd_traces(args) -> int:
         print(f"warning: {args.trace_file}: dropped a torn last record at byte "
               f"{store.torn_tail_offset}", file=sys.stderr)
     if args.export_v1 is not None:
-        store.export_v1(args.export_v1)
+        try:
+            store.export_v1(args.export_v1)
+        except OSError as exc:
+            raise ConfigError("--export-v1", f"cannot write {args.export_v1}: "
+                                             f"{exc.strerror}") from None
         return 0
     if args.dump is not None:
         try:

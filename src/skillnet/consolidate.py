@@ -13,8 +13,9 @@ Superseded and failed trials therefore keep training the predictive pathway
 while their actions are never cloned. No environment interaction happens
 here; everything is driven by the trace store.
 
-Also home to the retention check that re-tests solved tasks on the
-consolidated network.
+Also home to the retention check, the one policy evaluation: it runs the
+consolidated network's episodes on previously solved tasks and summarizes
+them into a pass/fail verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .network import (
     batch_loss,
     bptt_gradient,
 )
-from .rollout import evaluate_policy
+from .rollout import run_trials, trial_env_steps
 from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
 
@@ -194,17 +195,23 @@ class RetentionResult:
 def retention_check(weights: np.ndarray, tasks, net_config: NetConfig, *,
                     n_trials: int | None = None, threshold: float | None = None,
                     base_seed: int = 0) -> dict[str, RetentionResult]:
-    """Evaluate the consolidated network itself on previously solved tasks,
-    each with its own goal input."""
+    """Run the network itself on each task, with that task's goal input, for
+    n_trials unrecorded episodes (default: the task's min_success_trials)
+    seeded base_seed, base_seed + 1, ...; the task passes when its success
+    rate meets the threshold (default: the task's own bar)."""
     results = {}
     for task in tasks:
         k = n_trials if n_trials is not None else task.criterion.min_success_trials
+        if k < 1:
+            raise ValueError(f"n_trials must be >= 1, got {k}")
         bar = threshold if threshold is not None else task.criterion.success_rate_threshold
-        stats = evaluate_policy(weights, net_config, task, k, base_seed=base_seed)
+        trials = run_trials(net_config, np.tile(weights, (k, 1)), task,
+                            range(base_seed, base_seed + k))
+        rate = sum(t.success for t in trials) / k
         results[task.task_id] = RetentionResult(
-            passed=stats["success_rate"] >= bar,
-            success_rate=stats["success_rate"],
-            mean_return=stats["mean_return"],
-            mean_length=stats["mean_length"],
+            passed=rate >= bar,
+            success_rate=rate,
+            mean_return=float(np.mean([t.final_return for t in trials])),
+            mean_length=float(np.mean([trial_env_steps(t) for t in trials])),
         )
     return results

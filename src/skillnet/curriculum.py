@@ -14,7 +14,7 @@ search arms work on copies and contribute traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,16 +57,8 @@ def retention_event(task_id: str, result: RetentionResult, *, pass_number: int,
                     phase: str) -> dict:
     """The retention_check metrics event; phase is "after_dream" for the
     re-test after each consolidation and "final" for the end-of-run sweep."""
-    return {
-        "event": "retention_check",
-        "task_id": task_id,
-        "pass_number": pass_number,
-        "phase": phase,
-        "passed": bool(result.passed),
-        "success_rate": result.success_rate,
-        "mean_return": result.mean_return,
-        "mean_length": result.mean_length,
-    }
+    return {"event": "retention_check", "task_id": task_id, "pass_number": pass_number,
+            "phase": phase, **asdict(result)}
 
 
 def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,

@@ -17,7 +17,7 @@ consolidation never touches an environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -284,9 +284,11 @@ class TaskDescription:
         if self.goal_index < 0:
             raise ValueError(f"goal_index must be >= 0, got {self.goal_index}")
         capped = self.criterion.max_steps_per_trial is not None
-        if capped and not hasattr(self.env_spec, "episode_cap"):
-            raise ValueError(f"task {self.task_id!r}: max_steps_per_trial needs an env spec "
-                             f"with an episode_cap field")
+        spec = self.env_spec
+        if capped and not (is_dataclass(spec) and not isinstance(spec, type)
+                           and "episode_cap" in {f.name for f in fields(spec)}):
+            raise ValueError(f"task {self.task_id!r}: max_steps_per_trial needs a dataclass "
+                             f"env spec with an episode_cap field")
 
 
 def goal_encoding(task: TaskDescription, goal_dim: int) -> np.ndarray:

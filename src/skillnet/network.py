@@ -97,15 +97,6 @@ class NetConfig:
         return h * i + h * h + h + o * h + o
 
 
-@dataclass
-class StepOutput:
-    """One environment step's output units, split by slice."""
-
-    action: np.ndarray
-    pred: np.ndarray
-    return_pred: np.ndarray
-
-
 def _sigmoid(z, out=None):
     # not np.negative(z, out=out): numpy 2.4.6 (AVX-512) writes -0.0 past
     # the first element of an `out` strided by 8 elements
@@ -146,8 +137,10 @@ class Network:
             self.config, self.weights
         )
 
-    def step(self, state: np.ndarray, sense: np.ndarray) -> tuple[np.ndarray, StepOutput]:
-        """Run micro_steps recurrent updates on a fixed input, then read outputs.
+    def step(self, state: np.ndarray, sense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run micro_steps recurrent updates on a fixed input, then read the
+        outputs: returns (state, y), y the output row [action | pred |
+        return_pred] that a trace row holds after the sense.
 
         Pure function of (weights, state, sense); the passed-in state is not
         modified.
@@ -165,10 +158,7 @@ class Network:
         drive = self.w_in @ sense + self.b_h
         for _ in range(cfg.micro_steps):
             state = self._act(drive + self.w_rec @ state)
-        y = self.w_out @ state + self.b_out
-        o, pw = cfg.action_dim, cfg.pred_width
-        out = StepOutput(action=y[:o], pred=y[o : o + pw], return_pred=y[o + pw :])
-        return state, out
+        return state, self.w_out @ state + self.b_out
 
 
 def unpack_weights(config: NetConfig, weights: np.ndarray):
@@ -512,16 +502,16 @@ def atomic_write(path, mode: str = "w"):
     """Open a file for writing (text, or bytes with mode "wb") that replaces
     `path` only once the block completes: it is written as a sibling `.tmp`
     file and moved into place with os.replace, so a crash never leaves a
-    half-written file at `path`."""
+    half-written file at `path`; an error in either step removes the `.tmp`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:

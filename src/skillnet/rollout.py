@@ -1,10 +1,10 @@
 """Closed-loop episode execution: run the network in an environment and
-record the full trace.
+record the full trace; `consolidate.retention_check` scores a policy on it.
 
 A trial's trace has one row per network step, including a final row for the
 terminal observation (whose action is computed but never executed). Each row
-is the net's input followed by its output, in `StoreDims.columns` order. The
-goal input stays constant for the whole trial.
+is the net's input followed by the output row `Network.step` returns, in
+`StoreDims.columns` order. The goal input stays constant for the whole trial.
 
 `run_trials` runs a batch of episodes, each with its own weight vector and
 seed, every one bit for bit the trial a single-episode loop over
@@ -163,20 +163,3 @@ def run_trial(net: Network, task: TaskDescription, seed: int) -> Trial:
 def trial_env_steps(trial: Trial) -> int:
     """Environment transitions consumed by a trial (trace rows minus one)."""
     return len(trial.timesteps) - 1
-
-
-def evaluate_policy(weights: np.ndarray, config: NetConfig, task: TaskDescription,
-                    n_trials: int, base_seed: int = 0) -> dict:
-    """Run seeded evaluation episodes without recording; summary stats only."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    stack = np.repeat(np.asarray(weights, dtype=np.float64)[None], n_trials, axis=0)
-    trials = run_trials(config, stack, task, [base_seed + i for i in range(n_trials)])
-    successes = [t.success for t in trials]
-    return {
-        "n_trials": n_trials,
-        "success_rate": sum(successes) / n_trials,
-        "mean_return": float(np.mean([t.final_return for t in trials])),
-        "mean_length": float(np.mean([trial_env_steps(t) for t in trials])),
-        "successes": successes,
-    }

@@ -20,7 +20,7 @@ from skillnet.curriculum import retention_event
 from skillnet.envs import step_counter
 from skillnet.metrics import read_metrics, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
-from skillnet.traces import MAGIC, TraceStore
+from skillnet.traces import MAGIC, StoreDims, TraceStore
 
 
 def write_config(tmp_path, **overrides):
@@ -201,6 +201,23 @@ def test_eval_solved_checkpoint(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "success_rate=1.000" in out
+
+
+def test_eval_reproduces_each_final_retention_check_of_a_run(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    finals = [e for e in read_metrics(tmp_path / "metrics.jsonl")
+              if e["event"] == "retention_check" and e["phase"] == "final"]
+    assert {e["task_id"] for e in finals} == {"corner_ne", "corner_nw"}
+    capsys.readouterr()
+    for event in finals:
+        assert main(["eval", "--checkpoint", str(tmp_path / "ckpt" / "final.ckpt"),
+                     "--config", str(config_path), "--task", event["task_id"],
+                     "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            f"task {event['task_id']}: success_rate={event['success_rate']:.3f} "
+            f"mean_return={event['mean_return']:.4f} mean_length={event['mean_length']:.1f} "
+            f"over 1 trials\n")
 
 
 def test_eval_random_checkpoint_fails_task(tmp_path, capsys):
@@ -407,6 +424,20 @@ def test_run_export_v1_matches_recorded_trace_file(tmp_path, capsys):
     assert main(["traces", str(tmp_path / "traces.jsonl"), "--export-v1", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "a48d50b9b16ec7a3dc9f3a34bba9e47e6893e5d5403a5a26c650ad6522aed6b0")
+
+
+@pytest.mark.parametrize("out", ["a_directory", "missing/out.jsonl"])
+def test_unwritable_export_v1_path_is_usage_error(tmp_path, capsys, out):
+    trace_file = tmp_path / "traces.bin"
+    store = TraceStore(StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2))
+    store.save(trace_file)
+    (tmp_path / "a_directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / out
+    assert main(["traces", str(trace_file), "--export-v1", str(out)]) == 1
+    assert f"error: --export-v1: cannot write {out}: " in capsys.readouterr().err
+    assert not out.is_file() and not out.with_name(out.name + ".tmp").exists()
+    assert sorted(tmp_path.rglob("*")) == before  # no parent directory made either
 
 
 def test_run_killed_outright_keeps_every_complete_record(tmp_path):

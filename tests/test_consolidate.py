@@ -415,8 +415,9 @@ def test_fresh_random_net_fails_corner_task():
 def test_retention_check_needs_a_trial():
     cfg = NetConfig(obs_dim=9, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=8)
     _, weights = init_network(cfg)
-    with pytest.raises(ValueError, match="n_trials"):
-        retention_check(weights, [corner_task_3x3()], cfg, n_trials=0)
+    for n_trials in (0, -1):
+        with pytest.raises(ValueError, match="n_trials"):
+            retention_check(weights, [corner_task_3x3()], cfg, n_trials=n_trials)
 
 
 def test_single_task_learned_then_consolidated_then_retained():

@@ -316,3 +316,19 @@ def test_criterion_step_cap_without_an_episode_cap_field_is_rejected():
     task = TaskDescription(task_id="chain", goal_index=0, env_spec=NoCapSpec(),
                            criterion=SuccessCriterion())
     assert make_env(task).reset(seed=0).obs.shape == (3,)
+
+
+class PlainCapSpec(NoCapSpec):
+    """A duck-typed spec with an episode_cap attribute, but not a dataclass,
+    so make_env cannot apply a step cap to it."""
+
+    episode_cap = None
+
+
+def test_criterion_step_cap_on_a_spec_that_is_not_a_dataclass_is_rejected():
+    with pytest.raises(ValueError, match="task 'plain': max_steps_per_trial needs a dataclass"):
+        TaskDescription(task_id="plain", goal_index=0, env_spec=PlainCapSpec(),
+                        criterion=SuccessCriterion(max_steps_per_trial=5))
+    with pytest.raises(ValueError, match="task 'cls': max_steps_per_trial needs a dataclass"):
+        TaskDescription(task_id="cls", goal_index=0, env_spec=GridMazeSpec,
+                        criterion=SuccessCriterion(max_steps_per_trial=5))

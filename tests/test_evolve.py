@@ -15,7 +15,7 @@ from skillnet.evolve import (
     try_solve_task,
 )
 from skillnet.network import NetConfig, Network, init_network
-from skillnet.rollout import evaluate_policy, run_trial
+from skillnet.rollout import run_trial
 from skillnet.traces import StoreDims, TraceStore
 from reference import VectorRewardChainSpec
 
@@ -128,7 +128,7 @@ def test_zero_weight_fitness_matches_hand_simulation():
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
     weights = np.zeros(cfg.n_params)
-    fitness = evaluate_policy(weights, cfg, task, 1)["mean_return"]
+    fitness = run_trial(Network(cfg, weights), task, seed=0).final_return
     assert fitness == pytest.approx(hand_simulated_zero_weight_fitness(spec), abs=1e-12)
 
 

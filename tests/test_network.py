@@ -119,11 +119,9 @@ def test_zero_weights_give_zero_outputs():
     net, _ = init_network(cfg)
     state = np.zeros(cfg.hidden_dim)
     sense = np.ones(cfg.input_width)
-    new_state, out = net.step(state, sense)
+    new_state, y = net.step(state, sense)
     assert np.all(new_state == 0.0)
-    assert np.all(out.action == 0.0)
-    assert np.all(out.pred == 0.0)
-    assert np.all(out.return_pred == 0.0)
+    assert np.all(y == 0.0)
 
 
 def test_step_is_pure_and_repeatable():
@@ -137,9 +135,7 @@ def test_step_is_pure_and_repeatable():
     s2, o2 = net.step(state, sense)
     assert np.array_equal(state, state_before)
     assert np.array_equal(s1, s2)
-    assert np.array_equal(o1.action, o2.action)
-    assert np.array_equal(o1.pred, o2.pred)
-    assert np.array_equal(o1.return_pred, o2.return_pred)
+    assert np.array_equal(o1, o2)
 
 
 def reference_step(cfg, weights, state, sense):
@@ -165,10 +161,9 @@ def test_micro_steps_change_result_and_match_reference():
         cfg = small_config(micro_steps=micro, seed=5)
         net, weights = init_network(cfg)
         state = np.zeros(cfg.hidden_dim)
-        new_state, out = net.step(state, sense)
+        new_state, y = net.step(state, sense)
         ref_state, ref_y = reference_step(cfg, weights, state, sense)
         assert np.allclose(new_state, ref_state, atol=0, rtol=0)
-        y = np.concatenate([out.action, out.pred, out.return_pred])
         assert np.allclose(y, ref_y, atol=0, rtol=0)
         results[micro] = new_state
     assert not np.array_equal(results[1], results[2])
@@ -191,13 +186,10 @@ def test_output_slices_partition_output_units():
     cfg = small_config()
     net, _ = init_network(cfg)
     rng = np.random.default_rng(1)
-    state, out = net.step(np.zeros(cfg.hidden_dim), rng.normal(size=cfg.input_width))
-    y = net.w_out @ state + net.b_out
-    assert len(out.action) == cfg.action_dim
-    assert len(out.pred) == cfg.obs_dim + cfg.reward_dim
-    assert len(out.return_pred) == cfg.reward_dim + 1
-    recombined = np.concatenate([out.action, out.pred, out.return_pred])
-    assert np.array_equal(recombined, y)
+    state, y = net.step(np.zeros(cfg.hidden_dim), rng.normal(size=cfg.input_width))
+    assert cfg.output_width == cfg.action_dim + cfg.obs_dim + 2 * cfg.reward_dim + 1
+    assert y.shape == (cfg.output_width,)
+    assert np.array_equal(y, net.w_out @ state + net.b_out)
 
 
 def test_sigmoid_activation_supported():
@@ -341,9 +333,8 @@ def test_replay_forward_matches_online_stepping():
         outputs, states = replay_forward(net, senses)
         state = np.zeros(cfg.hidden_dim)
         for t in range(6):
-            state, out = net.step(state, senses[t])
+            state, y = net.step(state, senses[t])
             assert np.array_equal(state, states[t, -1])
-            y = np.concatenate([out.action, out.pred, out.return_pred])
             assert np.array_equal(y, outputs[t])
 
 

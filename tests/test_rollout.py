@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillnet.consolidate import retention_check
 from skillnet.envs import (
     DIRECTIONS,
     GridMazeBatch,
@@ -20,7 +21,7 @@ from skillnet.envs import (
     step_counter,
 )
 from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
-from skillnet.rollout import evaluate_policy, run_trial, run_trials
+from skillnet.rollout import run_trial, run_trials
 from skillnet.traces import Trial, frozen_rows
 from reference import VectorRewardChainSpec, pack_weights
 
@@ -36,12 +37,12 @@ def reference_run_trial(net: Network, task: TaskDescription, seed: int) -> Trial
     total = 0.0
     while True:
         sense = np.concatenate([obs.obs, goal, obs.reward])
-        state, out = net.step(state, sense)
-        rows.append(np.concatenate([sense, out.action, out.pred, out.return_pred]))
+        state, y = net.step(state, sense)
+        rows.append(np.concatenate([sense, y]))
         total += float(obs.reward.sum())
         if obs.done:
             break
-        obs = env.step(out.action)
+        obs = env.step(y[:cfg.action_dim])
     return Trial(
         task_id=task.task_id, success=obs.reached, relevant=False,
         timesteps=frozen_rows(rows), final_return=total,
@@ -367,14 +368,6 @@ def test_run_trials_rejects_non_finite_senses():
         run_trials(cfg, np.zeros((3, cfg.n_params)), task, [0, 1, 2])
 
 
-def test_evaluate_policy_needs_a_trial():
-    cfg = maze_config()
-    weights = np.zeros(cfg.n_params)
-    for n_trials in (0, -1):
-        with pytest.raises(ValueError, match="n_trials"):
-            evaluate_policy(weights, cfg, maze_task(), n_trials)
-
-
 def test_run_trial_is_one_episode_of_run_trials():
     cfg = maze_config()
     weights = np.random.default_rng(1).normal(size=cfg.n_params)
@@ -388,14 +381,16 @@ def test_run_trial_is_one_episode_of_run_trials():
 # lockstep path replaced it; the benchmark's workloads all use K=1 and no slip
 
 
-def test_evaluate_policy_on_slip_maze_matches_recorded_values():
+def test_retention_check_on_slip_maze_matches_recorded_values():
     cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)
     spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 2), slip_prob=0.3)
     task = TaskDescription(task_id="slip", goal_index=1, env_spec=spec,
                            criterion=SuccessCriterion(min_success_trials=3))
     _, weights = init_network(cfg)
     before = step_counter.count
-    stats = evaluate_policy(weights, cfg, task, n_trials=4, base_seed=5)
+    trials = run_trials(cfg, np.repeat(weights[None], 4, axis=0), task, [5, 6, 7, 8])
     assert step_counter.count - before == 246
-    assert stats == {"n_trials": 4, "success_rate": 0.25, "mean_return": -0.3625000000000003,
-                     "mean_length": 61.5, "successes": [True, False, False, False]}
+    assert [t.success for t in trials] == [True, False, False, False]
+    result = retention_check(weights, [task], cfg, n_trials=4, base_seed=5)["slip"]
+    assert (result.success_rate, result.mean_return, result.mean_length) == \
+        (0.25, -0.3625000000000003, 61.5)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from skillnet.network import NetConfig, save_checkpoint
 from skillnet.traces import (
     FLAG_RECORD,
     MAGIC,
@@ -245,6 +246,31 @@ def test_round_trip_preserves_everything_exactly(tmp_path):
         assert b.timesteps.shape == (len(b), DIMS.row_width)
         assert b.timesteps.dtype == np.float64
         assert not b.timesteps.flags.writeable
+
+
+def _save_a_checkpoint(path):
+    cfg = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=3)
+    save_checkpoint(path, cfg, np.zeros(cfg.n_params))
+
+
+def _store_with_a_trial():
+    store = TraceStore(DIMS)
+    store.append(make_trial())
+    return store
+
+
+@pytest.mark.parametrize("write", [
+    _save_a_checkpoint,
+    lambda path: _store_with_a_trial().export_v1(path),
+    lambda path: _store_with_a_trial().save(path),
+], ids=["save_checkpoint", "export_v1", "save"])
+def test_failed_replace_raises_and_leaves_no_temp_file(tmp_path, write):
+    target = tmp_path / "out"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(IsADirectoryError):
+        write(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert not any(target.iterdir())
 
 
 def test_truncated_file_error_names_line(tmp_path):
