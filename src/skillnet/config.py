@@ -16,6 +16,7 @@ See the README for the full schema and a worked example.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,7 +52,8 @@ class PathsConfig:
     checkpoint_dir: Path
 
     def __post_init__(self):
-        if len({self.trace_file, self.metrics_file, self.checkpoint_dir}) != 3:
+        # "a/x" and "a/../a/x" are one path; realpath leaves a symlink loop to fail at open
+        if len(set(map(os.path.realpath, vars(self).values()))) != 3:
             raise ValueError("trace_file, metrics_file and checkpoint_dir must differ")
 
 

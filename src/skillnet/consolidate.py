@@ -177,6 +177,8 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
             weights[:] = apply_regularizer(weights, config.reg_strength, config.reg_kind)
 
     final = term_stats(net, probe_batch, config.term_weights)
+    if not all(map(math.isfinite, final.values())):
+        raise RuntimeError("consolidation diverged: non-finite loss after the last gradient step")
     return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final)
 
 

@@ -154,13 +154,10 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
         seeds = [int(arm.seed_rng.integers(0, 2**31)) for _ in candidates]
 
         # candidate-major: candidate c's trial i runs with seed seeds[c] + i
-        episodes = run_trials(config, np.repeat(candidates, n_trials, axis=0), task,
-                              [seed + i for seed in seeds for i in range(n_trials)])
-        results = [episodes[c * n_trials : (c + 1) * n_trials]
-                   for c in range(len(candidates))]
-        ids = store.extend(episodes)
-        for t, trial_id in zip(episodes, ids):
-            t.trial_id = trial_id
+        ids = store.extend(run_trials(config, np.repeat(candidates, n_trials, axis=0), task,
+                                      [seed + i for seed in seeds for i in range(n_trials)]))
+        episodes = [store.get(i) for i in ids]  # the store's copies: the rollout's rows die here
+        results = [episodes[c * n_trials : (c + 1) * n_trials] for c in range(len(candidates))]
         all_trial_ids.extend(ids)
         arm.evaluations += len(candidates)
         if budget.unit == "env_steps":

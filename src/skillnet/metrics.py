@@ -10,10 +10,28 @@ from __future__ import annotations
 
 import json
 
-from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, known, typed
+from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, join, known, typed
 
 LIST = typed(lambda v: isinstance(v, list), "a list")
-LOSSES = typed(lambda v: v is None or isinstance(v, dict), "an object or null")
+LOSS_FIELDS = {"total": NUMBER, "action": NUMBER, "pred": NUMBER, "return": NUMBER,
+               "action_steps": INT, "pred_steps": INT, "return_steps": INT}
+
+
+def _fields(obj, fieldpath: str, schema: dict):
+    """`obj`, if an object with exactly the fields of `schema`, each checked."""
+    if not isinstance(obj, dict):
+        raise ConfigError(fieldpath, "must be an object")
+    known(obj, fieldpath, schema)
+    for key, check in schema.items():
+        if key not in obj:
+            raise ConfigError(join(fieldpath, key), "missing required field")
+        check(obj[key], join(fieldpath, key))
+    return obj
+
+
+def LOSSES(value, fieldpath: str):
+    return value if value is None else _fields(value, fieldpath, LOSS_FIELDS)
+
 
 # event name -> {field: check of its JSON value}
 EVENT_SCHEMAS: dict[str, dict] = {
@@ -105,11 +123,7 @@ def validate_event(obj: dict) -> None:
     if schema is None:
         raise ValueError(f"unknown event type {name!r}")
     try:
-        known(obj, "", schema)
-        for key, check in schema.items():
-            if key not in obj:
-                raise ConfigError(key, "missing required field")
-            check(obj[key], key)
+        _fields(obj, "", schema)
     except ConfigError as exc:  # a bad event is a program fault, not a config error
         raise ValueError(f"{name}.{exc}") from None
 

@@ -8,7 +8,9 @@ is the net's input followed by the output row `Network.step` returns, in
 
 `run_trials` runs a batch of episodes, each with its own weight vector and
 seed, every one bit for bit the trial a single-episode loop over
-`Network.step` records. A maze's episodes run in lockstep through
+`Network.step` records. Each row is written once, into one buffer per call
+(per episode if not a maze); each trial is a read-only view of its rows,
+which `TraceStore.extend` copies. A maze's episodes run in lockstep through
 `GridMazeBatch`: every live episode advances with one per-row BLAS gemv per
 weight matrix per micro-step, the products `Network.step` computes, and the
 maze's sense table is checked once per call. One loop, `_run_alone`, runs
@@ -24,7 +26,7 @@ import numpy as np
 
 from .envs import GridMazeBatch, GridMazeSpec, TaskDescription, goal_encoding, make_env
 from .network import NetConfig, Network, _activation_fns, _matvec, unpack_weights
-from .traces import Trial, frozen_rows
+from .traces import Trial
 
 
 def _check_senses(config: NetConfig, senses: np.ndarray) -> None:
@@ -36,8 +38,9 @@ def _check_senses(config: NetConfig, senses: np.ndarray) -> None:
 
 
 def _trial(task: TaskDescription, rows: np.ndarray, success: bool, total: float) -> Trial:
+    rows.setflags(write=False)
     return Trial(task_id=task.task_id, success=success, relevant=False,
-                 timesteps=frozen_rows(rows), final_return=total)
+                 timesteps=rows, final_return=total)
 
 
 def run_trials(config: NetConfig, weights: np.ndarray, task: TaskDescription,
@@ -81,12 +84,10 @@ def _run_maze(config: NetConfig, weights: np.ndarray, task: TaskDescription,
     envs = GridMazeBatch(task.env_spec, goal, seeds, task.criterion.max_steps_per_trial)
     _check_senses(config, envs.sense_rows)  # every maze sense is one of these rows
     act, _ = _activation_fns(config.activation)
-    n, n_act = len(seeds), config.action_dim
-    # row t of rows[e] is episode e's [sense | output] at step t; a maze
-    # episode ends by its cap, so its cap + 1 rows always fit. One array per
-    # episode, since one for all 8 episodes of a 9x9 maze (1.1 MB) raised a
-    # run's peak RSS by about 1 MB
-    rows = [np.empty((envs.cap + 1, config.input_width + config.output_width)) for _ in seeds]
+    n, n_act, in_w = len(seeds), config.action_dim, config.input_width
+    # rows[e, t] is episode e's [sense | output] at step t; an episode ends by its cap, so
+    # cap + 1 rows fit. One buffer (8 9x9 episodes: 1.1 MB) adds at most 0.15 MB to peak RSS
+    rows = np.empty((n, envs.cap + 1, in_w + config.output_width))
     w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights)
     state = np.zeros((n, config.hidden_dim))
     ids = np.arange(n)                     # episode held in each live row
@@ -99,13 +100,13 @@ def _run_maze(config: NetConfig, weights: np.ndarray, task: TaskDescription,
         for _ in range(config.micro_steps):
             state = act(drive + _matvec(w_rec, state))
         y = _matvec(w_out, state) + b_out
-        for e, row in zip(ids.tolist(), np.concatenate([senses, y], axis=1)):
-            rows[e][t] = row
+        rows[ids, t, :in_w] = senses
+        rows[ids, t, in_w:] = y
         totals[ids] += rewards
         t += 1
         if done.any():
             for e, success in zip(ids[done].tolist(), reached[done].tolist()):
-                trials[e] = _trial(task, rows[e][:t], success, float(totals[e]))
+                trials[e] = _trial(task, rows[e, :t], success, float(totals[e]))
             keep = ~done
             if not keep.any():
                 return trials
@@ -126,8 +127,9 @@ def _run_alone(config: NetConfig, task: TaskDescription, weights: np.ndarray, h:
     """Run one episode to its end from its step-t observation `first`, a
     (sense, reward, done, reached) tuple: `weights` is its 1-D weight row,
     `h` its hidden state (updated in place), `rows` its buffer holding t
-    rows (doubled when full), `total` its reward so far, and `step` a
-    function that advances it by an action and returns the next tuple."""
+    rows (a maze's view of the call's buffer, else doubled when full),
+    `total` its reward so far, and `step` a function that advances it by an
+    action and returns the next tuple."""
     act, _ = _activation_fns(config.activation)
     in_w, n_act = config.input_width, config.action_dim
     w_in, w_rec, b_h, w_out, b_out = unpack_weights(config, weights)

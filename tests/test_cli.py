@@ -519,6 +519,49 @@ def test_diverged_run_keeps_its_traces(tmp_path, capsys):
     assert len(store) == recorded > 0
 
 
+def test_non_finite_final_dream_loss_exits_two_and_keeps_traces(tmp_path, capsys):
+    # one dream step at this learning rate leaves finite weights whose probe
+    # loss overflows; the dream must fail there, not emit it as Infinity
+    config_path = write_config(
+        tmp_path,
+        budgets={"c0": 30000, "lambda": 1e-5, "unit": "env_steps", "max_total_budget": 400000},
+        consolidation={"base_lr": 1e200, "replay": {"mode": "relevant_only"}},
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(config_path)])
+    assert code == 2
+    assert "consolidation diverged: non-finite loss after the last" in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert lines and all(json.loads(line, parse_constant=reject) for line in lines)
+    events = read_metrics(tmp_path / "metrics.jsonl")
+    recorded = sum(e["trials_recorded"] for e in events if e["event"] == "task_attempt")
+    assert len(TraceStore.load(tmp_path / "traces.jsonl")) == recorded > 0
+
+
+@pytest.mark.parametrize("metrics_file", ["out/../out/run.log", "link/run.log"])
+def test_two_spellings_of_one_output_path_are_a_usage_error(tmp_path, capsys, metrics_file):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "out", target_is_directory=True)
+    config_path = write_config(tmp_path, paths={
+        "trace_file": "out/run.log", "metrics_file": metrics_file, "checkpoint_dir": "ckpt"})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "must differ" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.log").exists()
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_output_path_through_a_symlink_loop_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "loop").symlink_to("loop")
+    config_path = write_config(tmp_path, paths={
+        "trace_file": "loop/run.log", "metrics_file": "metrics.jsonl", "checkpoint_dir": "ckpt"})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "paths.trace_file: cannot write" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_is_usage_error(tmp_path, capsys):
     config_path = write_config(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),

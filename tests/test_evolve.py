@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillnet import evolve
 from skillnet.envs import GridMazeSpec, Observation, SuccessCriterion, TaskDescription
 from skillnet.evolve import (
     Budget,
@@ -281,6 +284,40 @@ def test_each_generation_is_stored_with_one_extend(monkeypatch):
     generations = outcome.batch_costs["warm"] + outcome.batch_costs["scratch"]
     assert sorted(calls) == sorted(int(cost) for cost in generations) == [1, 1, 3, 3, 3, 3]
     assert outcome.all_trial_ids == list(range(1, len(store) + 1))
+
+
+@pytest.mark.parametrize("maze", [True, False])
+def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze):
+    # the incumbent keeps the store's copies of its trials, so the rows a
+    # rollout wrote (one buffer per maze generation) die with the generation
+    if maze:
+        cfg = net_config(obs_dim=25)
+        task = TaskDescription(
+            task_id="corner", goal_index=0,
+            env_spec=GridMazeSpec(width=5, height=5, start=(0, 0), goal_cell=(4, 4)),
+            criterion=SuccessCriterion(min_success_trials=2))
+    else:
+        cfg, task = net_config(), mock_task(False)
+    alive = []  # weakrefs to the row buffers of earlier calls
+    run_trials = evolve.run_trials
+
+    def owner(rows):
+        return rows if rows.base is None else rows.base
+
+    def spy(*args):
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
+        trials = run_trials(*args)
+        alive.extend(weakref.ref(owner(t.timesteps)) for t in trials)
+        return trials
+
+    monkeypatch.setattr(evolve, "run_trials", spy)
+    _, weights = init_network(cfg)
+    outcome = try_solve_task(weights, weights, task, Budget("evaluations", 9),
+                             EsConfig(population=4, seed=3), fresh_store(cfg), config=cfg)
+    assert sum(outcome.evaluations.values()) >= 9 and len(alive) >= 4 * 2
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * len(alive)
 
 
 @settings(max_examples=200, deadline=None)

@@ -52,6 +52,37 @@ def test_non_finite_number_rejected(value):
         validate_event(solve_event(budget=value))
 
 
+def consolidation_event(**final_overrides):
+    loss = {"total": 3.5, "action": 1.0, "pred": 1.5, "return": 1.0,
+            "action_steps": 8, "pred_steps": 8, "return_steps": 8}
+    return {"event": "consolidation", "task_id": "a", "pass_number": 1, "steps": 1,
+            "initial_loss": loss, "final_loss": {**loss, **final_overrides}}
+
+
+def test_consolidation_losses_pass_and_may_be_null():
+    validate_event(consolidation_event())
+    validate_event({**consolidation_event(), "steps": 0,
+                    "initial_loss": None, "final_loss": None})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"total": float("inf")}, "final_loss.total: must be a finite number"),
+    ({"pred": float("nan")}, "final_loss.pred: must be a finite number"),
+    ({"action_steps": 8.0}, "final_loss.action_steps: must be an integer"),
+    ({"extra": 1.0}, "final_loss.extra: unknown field"),
+])
+def test_bad_consolidation_loss_rejected(overrides, message):
+    with pytest.raises(ValueError, match=f"consolidation.{message}"):
+        validate_event(consolidation_event(**overrides))
+
+
+def test_consolidation_loss_missing_a_field_rejected():
+    event = consolidation_event()
+    del event["final_loss"]["return_steps"]
+    with pytest.raises(ValueError, match="final_loss.return_steps: missing required field"):
+        validate_event(event)
+
+
 def test_unknown_event_rejected():
     with pytest.raises(ValueError, match="unknown"):
         validate_event({"event": "mystery"})

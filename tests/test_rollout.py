@@ -1,6 +1,7 @@
 """Lockstep rollouts (`run_trials`) against the single-episode loop they
 replace, which lives on here as `reference_run_trial`."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from skillnet.envs import (
 )
 from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
 from skillnet.rollout import run_trial, run_trials
-from skillnet.traces import Trial, frozen_rows
+from skillnet.traces import StoreDims, TraceStore, Trial, frozen_rows
 from reference import VectorRewardChainSpec, pack_weights
 
 
@@ -258,6 +259,35 @@ def test_lone_episode_path_matches_reference_at_workload_shapes(
                 assert sorted(lengths)[-1] > sorted(lengths)[-2]
         if k == 0:
             assert len(set(lengths)) >= 4
+
+
+@pytest.mark.parametrize("side, hidden_dim", [(5, 16), (9, 32)])
+def test_one_calls_trials_share_no_memory_with_each_other_or_their_stored_copies(
+        monkeypatch, side, hidden_dim):
+    lone_steps = []
+    lone_step = GridMazeBatch.lone_step
+    monkeypatch.setattr(GridMazeBatch, "lone_step",
+                        lambda self: lone_steps.append(1) or lone_step(self))
+    cfg = NetConfig(obs_dim=side * side, goal_dim=4, reward_dim=1, action_dim=4,
+                    hidden_dim=hidden_dim)
+    rng = np.random.default_rng(side)
+    spec = GridMazeSpec(width=side, height=side, start=(0, 0), goal_cell=(side - 1, side - 1))
+    task = TaskDescription(task_id="corner", goal_index=1, env_spec=spec,
+                           criterion=SuccessCriterion())
+    # staggered ends, the longest alone at the end
+    weights = np.array([path_weights(cfg, side, side, detour_moves(side, side, a), rng)
+                        for a in [0, 1, 1, 2, 0, 3, 2, side - 1]])
+    trials = assert_same_trials(cfg, weights, task, range(len(weights)))
+    assert len(lone_steps) == 1 and len({len(t) for t in trials}) >= 4
+    # every trial is a view of the call's one row buffer, the lone tail's too
+    assert all(t.timesteps.base is trials[0].timesteps.base is not None for t in trials)
+    for a, b in itertools.combinations(trials, 2):
+        assert not np.shares_memory(a.timesteps, b.timesteps)
+    store = TraceStore(StoreDims.from_net_config(cfg))
+    for trial, trial_id in zip(trials, store.extend(trials)):
+        stored = store.get(trial_id).timesteps
+        assert not np.shares_memory(trial.timesteps, stored)
+        assert stored.tobytes() == trial.timesteps.tobytes() and not stored.flags.writeable
 
 
 def test_maze_tables_are_built_once_and_never_written():
