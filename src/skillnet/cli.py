@@ -15,9 +15,13 @@ field), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
+from itertools import takewhile
+from pathlib import Path
 
 from .config import (
     ConfigError,
@@ -122,11 +126,37 @@ def _output(field: str, path, make):
         raise ConfigError(f"paths.{field}", f"cannot write {path}: {exc.strerror}") from None
 
 
+def _open_outputs(paths, dims: StoreDims):
+    """Make the checkpoint directory, then open the metrics writer and the
+    streamed trace store. On a usage error, remove what this call created
+    (outputs and the parent directories made for them) before raising."""
+    new = set()  # the outputs and their ancestors that do not exist yet
+    for output in (paths.checkpoint_dir, paths.metrics_file, paths.trace_file):
+        real = Path(os.path.realpath(output))
+        new.update(takewhile(lambda p: not os.path.lexists(p), (real, *real.parents)))
+    writer = None
+    try:
+        _output("checkpoint_dir", paths.checkpoint_dir, lambda p: p.mkdir(exist_ok=True))
+        writer = _output("metrics_file", paths.metrics_file, MetricsWriter)
+        store = _output("trace_file", paths.trace_file, lambda p: TraceStore.create(p, dims))
+    except ConfigError:
+        if writer is not None:
+            writer.close()
+        for path in sorted(new, key=lambda p: len(p.parts), reverse=True):  # children first
+            with contextlib.suppress(OSError):  # never made, or a directory not left empty
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
+    return writer, store
+
+
 def cmd_run(args) -> int:
     config = _load(args.config, args.seed)
     net_config = config.net
     _, weights = init_network(net_config)
-    _output("checkpoint_dir", config.paths.checkpoint_dir, lambda p: p.mkdir(exist_ok=True))
+    writer, store = _open_outputs(config.paths, StoreDims.from_net_config(net_config))
     last_checks: dict[str, dict] = {}  # each task's last after_dream retention_check
 
     def emit(event: dict) -> None:
@@ -134,11 +164,9 @@ def cmd_run(args) -> int:
             last_checks[event["task_id"]] = event
         writer.emit(event)
 
-    with _output("metrics_file", config.paths.metrics_file, MetricsWriter) as writer:
-        # every trial is on disk once it is appended, so a run that diverges, is
-        # interrupted or is killed outright keeps every trial it already paid for
-        store = _output("trace_file", config.paths.trace_file,
-                        lambda p: TraceStore.create(p, StoreDims.from_net_config(net_config)))
+    # every trial is on disk once it is appended, so a run that diverges, is
+    # interrupted or is killed outright keeps every trial it already paid for
+    with writer:
         try:
             writer.emit({
                 "event": "run_start",
@@ -176,7 +204,7 @@ def cmd_run(args) -> int:
         finally:
             store.save(config.paths.trace_file)
             store.close()
-    save_checkpoint(config.paths.checkpoint_dir / "final.ckpt", net_config, final_weights)
+    save_checkpoint(config.paths.checkpoint_file, net_config, final_weights)
     print(f"solved {len(report.solved)}/{len(config.tasks)} tasks; "
           f"traces: {config.paths.trace_file}; metrics: {config.paths.metrics_file}")
     return 0
@@ -273,7 +301,7 @@ def cmd_traces(args) -> int:
         trials = [t for t in trials if t.relevant]
     for t in trials:
         print(f"{t.trial_id}\t{t.task_id}\tsuccess={t.success}\trelevant={t.relevant}"
-              f"\tsteps={len(t.timesteps)}\tfinal_cr={t.final_return!r}")
+              f"\tsteps={len(t)}\tfinal_cr={t.final_return!r}")
     return 0
 
 

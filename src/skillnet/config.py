@@ -45,6 +45,9 @@ class BudgetsConfig:
             raise ValueError("max_total_budget must be positive when set")
 
 
+FINAL_CHECKPOINT = "final.ckpt"
+
+
 @dataclass(frozen=True)
 class PathsConfig:
     trace_file: Path
@@ -55,6 +58,17 @@ class PathsConfig:
         # "a/x" and "a/../a/x" are one path; realpath leaves a symlink loop to fail at open
         if len(set(map(os.path.realpath, vars(self).values()))) != 3:
             raise ValueError("trace_file, metrics_file and checkpoint_dir must differ")
+        # the final checkpoint and atomic_write's temp file would overwrite either file
+        for name in (FINAL_CHECKPOINT, FINAL_CHECKPOINT + ".tmp"):
+            taken = os.path.realpath(self.checkpoint_dir / name)
+            for field in ("trace_file", "metrics_file"):
+                if os.path.realpath(getattr(self, field)) == taken:
+                    raise ValueError(f"{field} must not be checkpoint_dir/{name}, "
+                                     f"which the final checkpoint overwrites")
+
+    @property
+    def checkpoint_file(self) -> Path:
+        return self.checkpoint_dir / FINAL_CHECKPOINT
 
 
 @dataclass(frozen=True)

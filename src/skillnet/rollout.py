@@ -164,4 +164,4 @@ def run_trial(net: Network, task: TaskDescription, seed: int) -> Trial:
 
 def trial_env_steps(trial: Trial) -> int:
     """Environment transitions consumed by a trial (trace rows minus one)."""
-    return len(trial.timesteps) - 1
+    return len(trial) - 1

@@ -7,10 +7,13 @@ mutation allowed after append is a change to a trial's `relevant` flag
 newer controller); the timestep data itself is frozen. Selection policies
 are applied at read time.
 
-In memory a trial's timesteps are one read-only float64 array of shape
+A trial's timesteps are one read-only float64 array of shape
 (T, m+p+n+o+(m+n)+(n+1)): row t is the net's input [in | goal | r] followed by
 its output [out | pred | pr], in v1 JSON-key column order
-(`StoreDims.columns`).
+(`StoreDims.columns`). An in-memory store (`TraceStore(dims)`, `load`) holds
+each trial's array; a streamed store (`create`) keeps only a trial's fields
+and where its rows lie in the file, and reads them back on each access to
+`timesteps`.
 
 File format v2 (binary, append-only; what `create` streams and `save`
 writes): the magic line ``SKILLNET-TRACES 2\n``, then a frame holding the
@@ -25,7 +28,8 @@ UTF-8 JSON. Each record is one type byte and a frame:
     or ``{"supersede_task": task_id}``, applied in file order on load.
 
 `append` writes one trial's record and `extend` a whole ES generation's,
-each flushing the file once per call.
+each flushing the file once per call and adding the trials only once their
+bytes are flushed.
 
 A file that ends partway through its last record (a writer killed
 mid-record) loads without that record; `torn_tail_offset` says where it
@@ -122,6 +126,24 @@ class Trial:
         )
 
 
+class _StreamedTrial(Trial):
+    """A streamed store's trial: its fields and where its rows lie in the
+    file. `timesteps` reads the rows back, a fresh read-only array on each
+    access; `len` does not read."""
+
+    def __init__(self, store: "TraceStore", trial: Trial, offset: int):
+        self.task_id, self.success, self.relevant = trial.task_id, trial.success, trial.relevant
+        self.final_return, self.trial_id = trial.final_return, trial.trial_id
+        self._store, self._offset, self._len = store, offset, len(trial)
+
+    @property
+    def timesteps(self) -> np.ndarray:
+        return self._store._read_rows(self._offset, self._len, self.trial_id)
+
+    def __len__(self) -> int:
+        return self._len
+
+
 @dataclass(frozen=True)
 class ReplayPolicy:
     """How consolidation selects trials for replay."""
@@ -185,7 +207,7 @@ class StoreDims:
 
 
 class TraceStore:
-    """In-memory trial store, optionally streamed to a v2 file as it grows.
+    """Trial store, held in memory or streamed to a v2 file as it grows.
 
     Single writer, any number of readers; `append` never exposes a partially
     built trial and already-stored timestep data is immutable.
@@ -198,6 +220,8 @@ class TraceStore:
         self._next_id = 1
         self._log = None            # the open v2 file of a streamed store
         self._log_path: Path | None = None
+        self._fd: int | None = None  # _log's descriptor, for positioned reads
+        self._size = 0              # bytes flushed to _log; None after a failed write
         self.torn_tail_offset: int | None = None  # set by load: a dropped torn record
 
     @classmethod
@@ -205,10 +229,13 @@ class TraceStore:
         """An empty store streamed to a new v2 file at `path`, replacing any
         file there. `append`, `extend`, `supersede_task` and `mark_relevant`
         each write their records and flush once, so the file holds every
-        complete record even if the process is killed. `save(path)` makes
-        it durable; `close` ends the stream."""
+        complete record even if the process is killed. The store keeps no
+        copy of the rows: a trial's `timesteps` reads them from the file,
+        also after `close`. `save(path)` makes it durable; `close` ends the
+        stream."""
         store = cls(dims)
-        store._log = open(path, "wb")
+        store._log = open(path, "w+b")
+        store._fd = store._log.fileno()
         store._log_path = Path(path).resolve()
         store._write(MAGIC, _frame(_header(dims)))
         return store
@@ -217,12 +244,30 @@ class TraceStore:
         """Stop streaming and close the file; a no-op for other stores."""
         if self._log is not None:
             self._log.close()
-            self._log = None
+            self._log = self._fd = None
 
     def _write(self, *parts) -> None:
+        if self._size is None:
+            raise OSError(f"an earlier write to {self._log_path} failed, so its end is unknown")
+        size, self._size = self._size, None
         for part in parts:
-            self._log.write(part)
+            size += self._log.write(part)
         self._log.flush()
+        self._size = size
+
+    def _read_rows(self, offset: int, t_len: int, trial_id: int) -> np.ndarray:
+        """A streamed trial's rows, read with one positioned read: through
+        the open file, or, once the store is closed, by opening its path."""
+        nbytes = t_len * self.dims.row_width * _ROW_DTYPE.itemsize
+        if self._fd is not None:
+            data = os.pread(self._fd, nbytes, offset)
+        else:
+            with open(self._log_path, "rb") as fh:
+                data = os.pread(fh.fileno(), nbytes, offset)
+        if len(data) != nbytes:
+            raise TraceFormatError(None, f"trial {trial_id}: {len(data)} of its {nbytes} "
+                                         f"row bytes are in {self._log_path}", offset=offset)
+        return np.frombuffer(data, _ROW_DTYPE).reshape(t_len, -1)  # read-only: bytes
 
     def __len__(self) -> int:
         return len(self._trials)
@@ -274,35 +319,42 @@ class TraceStore:
         return self.extend([trial])[0]
 
     def extend(self, trials) -> list[int]:
-        """Persist trials in order (copying their rows) and return their
-        assigned ids. Every trial is checked before any is added, so a bad
-        one leaves the store and its file unchanged; a streamed store then
-        writes every record and flushes once."""
-        stored = [Trial(task_id=t.task_id, success=t.success, relevant=t.relevant,
-                        timesteps=frozen_rows(t.timesteps),
-                        final_return=float(t.final_return), trial_id=self._next_id + i)
-                  for i, t in enumerate(trials)]
-        for trial in stored:
-            self._validate(trial)
-        for trial in stored:
+        """Persist trials in order and return their assigned ids. Every
+        trial is checked before any is added, so a bad one leaves the store
+        and its file unchanged. An in-memory store adds a read-only copy of
+        each trial's rows; a streamed store writes every record, flushes
+        once and then adds each trial's fields and row offset."""
+        streamed = self._log is not None
+        checked = []
+        for i, t in enumerate(trials):
+            rows = np.asarray(t.timesteps, np.float64) if streamed else frozen_rows(t.timesteps)
+            checked.append(Trial(task_id=t.task_id, success=t.success, relevant=t.relevant,
+                                 timesteps=rows, final_return=float(t.final_return),
+                                 trial_id=self._next_id + i))
+            self._validate(checked[-1])
+        if streamed:
+            records = [_trial_record(trial) for trial in checked]
+            offset = self._size
+            self._write(*(part for record in records for part in record))
+            for i, (kind, head, rows) in enumerate(records):
+                offset += len(kind) + len(head)
+                checked[i] = _StreamedTrial(self, checked[i], offset)
+                offset += rows.nbytes
+        for trial in checked:
             self._add(trial)
-        if self._log is not None:
-            self._write(*(part for trial in stored for part in _trial_record(trial)))
-        return [trial.trial_id for trial in stored]
+        return [trial.trial_id for trial in checked]
 
     def supersede_task(self, task_id: str) -> int:
         """Clear the relevant flag on all trials of a task; returns how many.
 
         The traces stay in the store and keep feeding prediction training.
         """
-        count = 0
-        for trial in self._trials:
-            if trial.task_id == task_id and trial.relevant:
-                trial.relevant = False
-                count += 1
-        if count and self._log is not None:
+        flagged = [t for t in self._trials if t.task_id == task_id and t.relevant]
+        if flagged and self._log is not None:
             self._write(FLAG_RECORD, _frame({"supersede_task": task_id}))
-        return count
+        for trial in flagged:
+            trial.relevant = False
+        return len(flagged)
 
     def mark_relevant(self, trial_id: int) -> None:
         """Flag a stored successful trial as a cloning source. Search outcomes
@@ -310,9 +362,9 @@ class TraceStore:
         trial = self.get(trial_id)
         if not trial.success:
             raise ValueError(f"trial {trial_id} was not successful; cannot mark relevant")
-        trial.relevant = True
         if self._log is not None:
             self._write(FLAG_RECORD, _frame({"mark_relevant": trial_id}))
+        trial.relevant = True
 
     def sample_replay(self, policy: ReplayPolicy, rng: np.random.Generator | None = None) -> list[Trial]:
         """Select trials for replay. Deterministic given policy.rng_seed when
@@ -337,11 +389,16 @@ class TraceStore:
 
     def save(self, path) -> None:
         """Make the store durable at `path`. For the file this store streams
-        to, that is a flush and an fsync; any other path gets a complete v2
-        file, replaced atomically."""
-        if self._log is not None and Path(path).resolve() == self._log_path:
-            self._log.flush()
-            os.fsync(self._log.fileno())
+        (or streamed) to, that is a flush and an fsync; any other path gets
+        a complete v2 file, replaced atomically."""
+        if self._log_path is not None and Path(path).resolve() == self._log_path:
+            # every write was flushed, so the file holds every record; rewriting
+            # it would move the rows its trials read back
+            if self._fd is not None:
+                os.fsync(self._fd)
+            else:
+                with open(path, "rb") as fh:
+                    os.fsync(fh.fileno())
             return
         with atomic_write(path, "wb") as fh:
             fh.write(MAGIC + _frame(_header(self.dims)))

@@ -562,6 +562,40 @@ def test_output_path_through_a_symlink_loop_is_a_usage_error(tmp_path, capsys):
     assert "paths.trace_file: cannot write" in capsys.readouterr().err
 
 
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, n), root)
+                  for d, dirs, files in os.walk(root) for n in dirs + files)
+
+
+@pytest.mark.parametrize("name", ["final.ckpt", "final.ckpt.tmp"])
+@pytest.mark.parametrize("field", ["trace_file", "metrics_file"])
+def test_output_file_the_final_checkpoint_overwrites_is_a_usage_error(tmp_path, capsys,
+                                                                      field, name):
+    paths = {"trace_file": "traces.jsonl", "metrics_file": "metrics.jsonl",
+             "checkpoint_dir": "ck", field: f"ck/./{name}"}
+    config_path = write_config(tmp_path, paths=paths)
+    before = _tree(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: paths.{field}: must not be checkpoint_dir/{name}, "
+        "which the final checkpoint overwrites\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("field", ["trace_file", "metrics_file"])
+def test_output_that_cannot_be_opened_leaves_nothing_new(tmp_path, capsys, field):
+    # the outputs opened before the bad one, in new directories, are removed too
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "kept").mkdir()
+    paths = {"trace_file": "new/a/traces.bin", "metrics_file": "kept/new/metrics.jsonl",
+             "checkpoint_dir": "new/b/ckpt", field: "loop/out"}
+    config_path = write_config(tmp_path, paths=paths)
+    before = _tree(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert f"paths.{field}: cannot write" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 def test_missing_checkpoint_is_usage_error(tmp_path, capsys):
     config_path = write_config(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),

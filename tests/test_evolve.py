@@ -75,10 +75,6 @@ def net_config(obs_dim=2, **overrides):
     return NetConfig(**defaults)
 
 
-def fresh_store(cfg):
-    return TraceStore(StoreDims.from_net_config(cfg))
-
-
 # ---------------------------------------------------------------------------
 # perturb
 
@@ -135,7 +131,7 @@ def test_zero_weight_fitness_matches_hand_simulation():
     assert fitness == pytest.approx(hand_simulated_zero_weight_fitness(spec), abs=1e-12)
 
 
-def test_deterministic_env_gives_identical_trials():
+def test_deterministic_env_gives_identical_trials(fresh_store):
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
@@ -149,7 +145,7 @@ def test_deterministic_env_gives_identical_trials():
     assert np.array_equal(trials[1].timesteps, trials[2].timesteps)
 
 
-def test_recorded_trials_carry_success_flags():
+def test_recorded_trials_carry_success_flags(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -164,7 +160,7 @@ def test_recorded_trials_carry_success_flags():
 # the race
 
 
-def test_always_solvable_mock_solved_in_first_round():
+def test_always_solvable_mock_solved_in_first_round(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -178,7 +174,7 @@ def test_always_solvable_mock_solved_in_first_round():
     assert outcome.evaluations["scratch"] == 0
 
 
-def test_unsolvable_mock_exhausts_budget():
+def test_unsolvable_mock_exhausts_budget(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -196,7 +192,7 @@ def test_unsolvable_mock_exhausts_budget():
         assert outcome.budget_spent[arm] >= 10
 
 
-def test_base_weights_never_mutated():
+def test_base_weights_never_mutated(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, current = init_network(cfg)
@@ -209,7 +205,7 @@ def test_base_weights_never_mutated():
     assert np.array_equal(original, original_copy)
 
 
-def test_race_fairness_budgets_within_one_batch():
+def test_race_fairness_budgets_within_one_batch(fresh_store):
     cfg = net_config()
     for solvable, seed in ((False, 0), (True, 1)):
         store = fresh_store(cfg)
@@ -221,7 +217,7 @@ def test_race_fairness_budgets_within_one_batch():
         assert gap <= outcome.max_batch_cost
 
 
-def test_elitism_best_fitness_non_decreasing():
+def test_elitism_best_fitness_non_decreasing(fresh_store):
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), episode_cap=8)
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
@@ -235,7 +231,7 @@ def test_elitism_best_fitness_non_decreasing():
         assert all(b >= a for a, b in zip(history, history[1:]))
 
 
-def test_non_elitist_selection_can_regress():
+def test_non_elitist_selection_can_regress(fresh_store):
     # without elitism the parent is replaced by the best child every
     # generation, so incumbent fitness may move backwards
     cfg = net_config(obs_dim=9)
@@ -253,7 +249,7 @@ def test_non_elitist_selection_can_regress():
     assert regressed or outcome.solved
 
 
-def test_trace_completeness_trials_equal_evaluation_episodes():
+def test_trace_completeness_trials_equal_evaluation_episodes(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -265,7 +261,7 @@ def test_trace_completeness_trials_equal_evaluation_episodes():
     assert len(store) == n_evals == len(outcome.all_trial_ids)
 
 
-def test_each_generation_is_stored_with_one_extend(monkeypatch):
+def test_each_generation_is_stored_with_one_extend(monkeypatch, fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     calls = []
@@ -286,8 +282,31 @@ def test_each_generation_is_stored_with_one_extend(monkeypatch):
     assert outcome.all_trial_ids == list(range(1, len(store) + 1))
 
 
+def test_search_on_a_streamed_store_reads_no_rows(tmp_path, monkeypatch):
+    reads = []
+    read_rows = TraceStore._read_rows
+    monkeypatch.setattr(TraceStore, "_read_rows",
+                        lambda self, *args: reads.append(args) or read_rows(self, *args))
+    cfg = net_config(obs_dim=9)
+    task = TaskDescription(
+        task_id="corner", goal_index=0,
+        env_spec=GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2)),
+        criterion=SuccessCriterion(min_success_trials=2))
+    _, weights = init_network(cfg)
+    store = TraceStore.create(tmp_path / "traces.bin", StoreDims.from_net_config(cfg))
+    try:
+        outcome = try_solve_task(weights, weights, task, Budget("env_steps", 3000),
+                                 EsConfig(population=4, sigma=0.3, seed=8), store, config=cfg)
+        assert len(outcome.all_trial_ids) == len(store) > 0
+        assert reads == []
+        assert len(store.get(1).timesteps) == len(store.get(1))
+        assert len(reads) == 1  # the spy sees a read
+    finally:
+        store.close()
+
+
 @pytest.mark.parametrize("maze", [True, False])
-def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze):
+def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze, fresh_store):
     # the incumbent keeps the store's copies of its trials, so the rows a
     # rollout wrote (one buffer per maze generation) die with the generation
     if maze:
@@ -331,7 +350,7 @@ def test_candidate_fitness_is_one_mean_per_candidate_bit_for_bit(n_trials, n_can
     assert [f.hex() for f in fitness.tolist()] == [f.hex() for f in expected]
 
 
-def test_solve_supersedes_older_relevant_trials_of_task():
+def test_solve_supersedes_older_relevant_trials_of_task(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -345,7 +364,7 @@ def test_solve_supersedes_older_relevant_trials_of_task():
     assert first.relevant_trial_ids != second.relevant_trial_ids
 
 
-def test_stochastic_env_marks_all_successful_validation_trials():
+def test_stochastic_env_marks_all_successful_validation_trials(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -361,7 +380,7 @@ def test_stochastic_env_marks_all_successful_validation_trials():
     assert len(outcome.relevant_trial_ids) == 3  # every validation trial succeeded
 
 
-def test_env_steps_budget_unit_counts_transitions():
+def test_env_steps_budget_unit_counts_transitions(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     _, weights = init_network(cfg)
@@ -418,7 +437,7 @@ class SplitCostEnv:
         return self._obs(-0.01)
 
 
-def test_race_fairness_with_asymmetric_episode_costs():
+def test_race_fairness_with_asymmetric_episode_costs(fresh_store):
     cfg = net_config()
     store = fresh_store(cfg)
     # bias the action-0 output unit positive for warm, negative for scratch,
@@ -448,7 +467,7 @@ def test_budget_validation():
         EsConfig(population=0)
 
 
-def test_same_seed_search_is_deterministic():
+def test_same_seed_search_is_deterministic(fresh_store):
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
@@ -472,7 +491,7 @@ def test_same_seed_search_is_deterministic():
         assert a == b
 
 
-def test_vector_reward_task_end_to_end():
+def test_vector_reward_task_end_to_end(fresh_store):
     cfg = NetConfig(obs_dim=4, goal_dim=2, reward_dim=2, action_dim=2,
                     hidden_dim=4, seed=1)
     task = TaskDescription(
@@ -505,7 +524,7 @@ FIXTURE = {
 }
 
 
-def seeded_corner_search():
+def seeded_corner_search(fresh_store):
     cfg = net_config(obs_dim=9, seed=123)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner_ne", goal_index=0, env_spec=spec,
@@ -518,8 +537,8 @@ def seeded_corner_search():
     return outcome, store
 
 
-def test_seeded_corner_search_regression():
-    outcome, store = seeded_corner_search()
+def test_seeded_corner_search_regression(fresh_store):
+    outcome, store = seeded_corner_search(fresh_store)
     assert outcome.solved
     gap = abs(outcome.budget_spent["warm"] - outcome.budget_spent["scratch"])
     assert gap <= outcome.max_batch_cost
@@ -532,7 +551,7 @@ def test_seeded_corner_search_regression():
         assert outcome.relevant_trial_ids == FIXTURE["relevant_trial_ids"]
 
 
-def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_path):
+def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_path, fresh_store):
     """Golden values recorded from the one-episode-at-a-time search loop, for
     a race that draws slips and runs K=3 seeds (seed + i) per candidate."""
     cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)

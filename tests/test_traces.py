@@ -2,6 +2,7 @@ import bisect
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,140 @@ def test_bad_flag_record_is_format_error(tmp_path, flag, match):
     with pytest.raises(TraceFormatError, match=match) as exc:
         TraceStore.load(path)
     assert exc.value.offset == start
+
+
+# ---------------------------------------------------------------------------
+# a streamed store keeps no rows in memory: trials read theirs from the file
+
+
+def _three_generations(store, rng):
+    """Three extends with flag records between them; returns the trials given."""
+    given = []
+    for n_steps in (1, 4, 2):
+        batch = [make_trial("a", n_steps=n_steps + i, success=True, rng=rng) for i in range(3)]
+        ids = store.extend(batch)
+        store.mark_relevant(ids[1])
+        store.supersede_task("a")
+        given += batch
+    return given
+
+
+def test_streamed_trials_read_back_their_rows_bit_for_bit_and_read_only(streamed):
+    rng = np.random.default_rng(30)
+    store, path = streamed()
+    first = make_trial("a", n_steps=2, rng=rng)
+    first.timesteps[0, :2] = (-0.0, 5e-324)  # a signed zero and a subnormal
+    store.append(first)
+    given = [first, *_three_generations(store, rng)]
+    assert [len(t) for t in store] == [len(t) for t in given]
+    for trial, original in zip(store, given):
+        rows = trial.timesteps
+        assert rows.shape == original.timesteps.shape and rows.dtype == np.float64
+        assert rows.tobytes() == original.timesteps.tobytes()
+        assert not rows.flags.writeable
+        assert trial.timesteps is not rows  # a fresh array on each read
+    assert TraceStore.load(path).trials == store.trials
+
+
+def test_streamed_trial_length_reads_no_rows(streamed, monkeypatch):
+    store, _ = streamed()
+    _three_generations(store, np.random.default_rng(31))
+    reads = []
+    read_rows = TraceStore._read_rows
+    monkeypatch.setattr(TraceStore, "_read_rows",
+                        lambda self, *args: reads.append(args) or read_rows(self, *args))
+    assert sum(len(t) for t in store) == 1 + 2 + 3 + 4 + 5 + 6 + 2 + 3 + 4
+    assert reads == []
+    store.get(2).timesteps
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("n_steps", [1, 400])
+def test_streamed_store_memory_does_not_grow_with_row_bytes(streamed, n_steps):
+    # 200 trials of 400 rows hold 7.7 MB of rows; the store keeps ~0.3 kB a trial
+    trial = make_trial("a", n_steps=n_steps, rng=np.random.default_rng(32))
+    store, _ = streamed()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            store.append(trial)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 200
+    assert grown < 200 * 1024
+
+
+class _BrokenLog:
+    """Stands in for a streamed store's file: passes on `good` writes, then
+    fails, as a full disk would."""
+
+    def __init__(self, fh, good):
+        self.fh, self.good = fh, good
+        self.flush, self.close = fh.flush, fh.close
+
+    def write(self, part):
+        if self.good == 0:
+            raise OSError(28, "No space left on device")
+        self.good -= 1
+        return self.fh.write(part)
+
+
+def test_failed_write_adds_no_trial_and_ends_streaming(streamed):
+    rng = np.random.default_rng(33)
+    store, path = streamed()
+    store.append(make_trial("a", success=True, rng=rng))
+    real = store._log
+    store._log = _BrokenLog(real, good=2)  # the next record's type byte and frame
+    with pytest.raises(OSError, match="No space"):
+        store.extend([make_trial("b", rng=rng), make_trial("b", rng=rng)])
+    assert [t.trial_id for t in store] == [1]
+    # the file's end is unknown now, so no later record may land after it,
+    # and a flag changes only once its record is written
+    store._log = real
+    for call in (lambda: store.append(make_trial("c", rng=rng)),
+                 lambda: store.mark_relevant(1)):
+        with pytest.raises(OSError, match="earlier write"):
+            call()
+    assert [(t.trial_id, t.relevant) for t in store] == [(1, False)]
+    assert store.get(1) == TraceStore.load(path).get(1)
+
+
+def test_streamed_store_saves_and_exports_the_bytes_of_an_in_memory_one(tmp_path, streamed):
+    store, _ = streamed()
+    memory = TraceStore(DIMS)
+    _three_generations(store, np.random.default_rng(34))
+    _three_generations(memory, np.random.default_rng(34))
+    for name, each in (("streamed", store), ("memory", memory)):
+        each.save(tmp_path / f"{name}.bin")
+        each.export_v1(tmp_path / f"{name}.jsonl")
+    for suffix in (".bin", ".jsonl"):
+        assert ((tmp_path / f"streamed{suffix}").read_bytes()
+                == (tmp_path / f"memory{suffix}").read_bytes())
+    store.close()
+    store.save(tmp_path / "closed.bin")
+    assert (tmp_path / "closed.bin").read_bytes() == (tmp_path / "memory.bin").read_bytes()
+
+
+def test_streamed_rows_stay_readable_after_close(tmp_path, streamed):
+    rng = np.random.default_rng(35)
+    store, path = streamed()
+    given = _three_generations(store, rng)
+    given.append(make_trial("b", n_steps=3, rng=rng))
+    store.append(given[-1])  # the file ends with its rows
+    store.close()
+    assert [t.timesteps.tobytes() for t in store] == [t.timesteps.tobytes() for t in given]
+    data = path.read_bytes()
+    store.save(tmp_path / "." / path.name)  # its own file: made durable, not rewritten
+    assert path.read_bytes() == data
+    assert store.trials == TraceStore.load(path).trials
+    path.write_bytes(data[:-8])  # the last trial's rows now end early
+    last = store.trials[-1]
+    with pytest.raises(TraceFormatError, match=f"trial {last.trial_id}: ") as exc:
+        last.timesteps
+    assert exc.value.offset == len(data) - len(last) * DIMS.row_width * 8
+    assert store.trials[0].timesteps.tobytes() == given[0].timesteps.tobytes()
 
 
 @st.composite
