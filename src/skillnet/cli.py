@@ -118,9 +118,11 @@ def _load_checkpoint_or_usage_error(path):
 
 def _output(field: str, path, make):
     """`make(path)` once path's parent directory exists; an OSError on the
-    way is a usage error naming paths.<field>."""
+    way is a usage error naming paths.<field>. A parent that exists but is
+    no directory (a file, a symlink loop) is left for `make` to report."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not os.path.lexists(path.parent):
+            path.parent.mkdir(parents=True, exist_ok=True)
         return make(path)
     except OSError as exc:
         raise ConfigError(f"paths.{field}", f"cannot write {path}: {exc.strerror}") from None
@@ -128,8 +130,10 @@ def _output(field: str, path, make):
 
 def _open_outputs(paths, dims: StoreDims):
     """Make the checkpoint directory, then open the metrics writer and the
-    streamed trace store. On a usage error, remove what this call created
-    (outputs and the parent directories made for them) before raising."""
+    streamed trace store. Both files are opened once without truncating
+    either, so a usage error leaves an earlier run's outputs as they were;
+    it also removes what this call created (outputs and the parent
+    directories made for them) before raising."""
     new = set()  # the outputs and their ancestors that do not exist yet
     for output in (paths.checkpoint_dir, paths.metrics_file, paths.trace_file):
         real = Path(os.path.realpath(output))
@@ -137,6 +141,8 @@ def _open_outputs(paths, dims: StoreDims):
     writer = None
     try:
         _output("checkpoint_dir", paths.checkpoint_dir, lambda p: p.mkdir(exist_ok=True))
+        for field in ("metrics_file", "trace_file"):
+            _output(field, getattr(paths, field), lambda p: open(p, "ab").close())
         writer = _output("metrics_file", paths.metrics_file, MetricsWriter)
         store = _output("trace_file", paths.trace_file, lambda p: TraceStore.create(p, dims))
     except ConfigError:

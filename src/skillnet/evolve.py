@@ -156,7 +156,7 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
         # candidate-major: candidate c's trial i runs with seed seeds[c] + i
         ids = store.extend(run_trials(config, np.repeat(candidates, n_trials, axis=0), task,
                                       [seed + i for seed in seeds for i in range(n_trials)]))
-        episodes = [store.get(i) for i in ids]  # the store's copies: the rollout's rows die here
+        episodes = [store.get(i) for i in ids]  # the stored trials: the rollout's rows die here
         results = [episodes[c * n_trials : (c + 1) * n_trials] for c in range(len(candidates))]
         all_trial_ids.extend(ids)
         arm.evaluations += len(candidates)

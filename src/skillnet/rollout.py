@@ -10,7 +10,7 @@ is the net's input followed by the output row `Network.step` returns, in
 seed, every one bit for bit the trial a single-episode loop over
 `Network.step` records. Each row is written once, into one buffer per call
 (per episode if not a maze); each trial is a read-only view of its rows,
-which `TraceStore.extend` copies. A maze's episodes run in lockstep through
+which `TraceStore.extend` writes to its store's file. A maze's episodes run in lockstep through
 `GridMazeBatch`: every live episode advances with one per-row BLAS gemv per
 weight matrix per micro-step, the products `Network.step` computes, and the
 maze's sense table is checked once per call. One loop, `_run_alone`, runs

@@ -10,12 +10,14 @@ are applied at read time.
 A trial's timesteps are one read-only float64 array of shape
 (T, m+p+n+o+(m+n)+(n+1)): row t is the net's input [in | goal | r] followed by
 its output [out | pred | pr], in v1 JSON-key column order
-(`StoreDims.columns`). An in-memory store (`TraceStore(dims)`, `load`) holds
-each trial's array; a streamed store (`create`) keeps only a trial's fields
-and where its rows lie in the file, and reads them back on each access to
-`timesteps`.
+(`StoreDims.columns`). Every store keeps its rows only in a v2 file: its
+trials hold their fields and where their rows lie, and read the rows back on
+each access to `timesteps`. `TraceStore(dims)` streams to an unnamed
+temporary file, `create` to a named one, and `load` reads rows from the file
+it loaded. A closed or loaded store takes no new records. The file stays
+open while the store or any of its trials lives.
 
-File format v2 (binary, append-only; what `create` streams and `save`
+File format v2 (binary, append-only; what stores stream and `save`
 writes): the magic line ``SKILLNET-TRACES 2\n``, then a frame holding the
 header JSON ``{"m": ..., "p": ..., "n": ..., "o": ...}``, then records. A
 frame is a little-endian uint32 byte count followed by that many bytes of
@@ -35,13 +37,12 @@ A file that ends partway through its last record (a writer killed
 mid-record) loads without that record; `torn_tail_offset` says where it
 began. Nothing in the file depends on the wall clock.
 
-File format v1 (JSON Lines, UTF-8; read by `load`, written by `export_v1`):
-line 1 is a header object ``{"format_version": 1, "m": ..., "p": ...,
-"n": ..., "o": ...}``; each following line is one trial object with keys
-trial_id, task_id, success, relevant, final_cr and timesteps, where each
-timestep has keys in/goal/r/out/pred/pr. Floats are written at full
-round-trip precision, so both formats round-trip bit-exactly. `load` tells
-the formats apart by the first bytes, not by the file name.
+File format v1 (JSON Lines, UTF-8; export only, written by `export_v1` and
+not read back): line 1 is a header object ``{"format_version": 1, "m": ...,
+"p": ..., "n": ..., "o": ...}``; each following line is one trial object
+with keys trial_id, task_id, success, relevant, final_cr and timesteps,
+where each timestep has keys in/goal/r/out/pred/pr. Floats are written at
+full round-trip precision, so both formats hold the rows bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .jsoncheck import fill, is_json_int, versioned
+from .jsoncheck import fill, is_json_int
 from .network import NET, NetConfig, atomic_write
 
 V1_FORMAT_VERSION = 1
@@ -78,26 +81,19 @@ HEADER = {key: NET[key] for key in ("m", "p", "n", "o")}
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file cannot be parsed; carries the failing line
-    (v1) or the byte offset of the failing record (v2)."""
+    """Raised when a trace file cannot be read; carries the byte offset of
+    the failing record."""
 
-    def __init__(self, line_no: int | None, message: str, *, offset: int | None = None):
-        where = f"line {line_no}" if offset is None else f"byte {offset}"
-        super().__init__(f"{where}: {message}")
-        self.line_no = line_no
+    def __init__(self, offset: int, message: str):
+        super().__init__(f"byte {offset}: {message}")
         self.offset = offset
-
-
-def frozen_rows(values) -> np.ndarray:
-    """A read-only float64 copy of a trial's rows."""
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass
 class Trial:
-    """A complete episode trace plus its bookkeeping flags.
+    """A complete episode trace plus its bookkeeping flags: what a rollout
+    returns and `append` takes. A stored trial reads its rows from its
+    store's file.
 
     `relevant` marks trials whose actions serve as cloning targets during
     consolidation; only successful trials may carry it.
@@ -126,22 +122,46 @@ class Trial:
         )
 
 
-class _StreamedTrial(Trial):
-    """A streamed store's trial: its fields and where its rows lie in the
+class _TraceFile:
+    """The open v2 file a store's rows lie in, shared by the store and its
+    trials. Trials hold this, not their store, so a dropped store and its
+    trials make no reference cycle: the file closes as soon as the last of
+    them goes, with or without the garbage collector."""
+
+    def __init__(self, fh, path: Path | None):
+        self.path = path  # None: an unnamed temporary file
+        self.name = str(path) if path is not None else "an unnamed temporary trace file"
+        self.fd = fh.fileno()
+        weakref.finalize(self, fh.close)
+
+    def read_rows(self, offset: int, shape: tuple[int, int], trial_id: int) -> np.ndarray:
+        """A trial's rows, read with one positioned read."""
+        nbytes = shape[0] * shape[1] * _ROW_DTYPE.itemsize
+        data = os.pread(self.fd, nbytes, offset)
+        if len(data) != nbytes:
+            raise TraceFormatError(offset, f"trial {trial_id}: {len(data)} of its {nbytes} "
+                                           f"row bytes are in {self.name}")
+        return np.frombuffer(data, _ROW_DTYPE).reshape(shape)  # read-only: bytes
+
+
+class _StoredTrial(Trial):
+    """A stored trial: its fields and where its rows lie in its store's
     file. `timesteps` reads the rows back, a fresh read-only array on each
     access; `len` does not read."""
 
-    def __init__(self, store: "TraceStore", trial: Trial, offset: int):
-        self.task_id, self.success, self.relevant = trial.task_id, trial.success, trial.relevant
-        self.final_return, self.trial_id = trial.final_return, trial.trial_id
-        self._store, self._offset, self._len = store, offset, len(trial)
+    def __init__(self, file: _TraceFile, offset: int, shape: tuple[int, int], *,
+                 task_id: str, success: bool, relevant: bool, final_return: float,
+                 trial_id: int):
+        self.task_id, self.success, self.relevant = task_id, success, relevant
+        self.final_return, self.trial_id = final_return, trial_id
+        self._file, self._offset, self._shape = file, offset, shape
 
     @property
     def timesteps(self) -> np.ndarray:
-        return self._store._read_rows(self._offset, self._len, self.trial_id)
+        return self._file.read_rows(self._offset, self._shape, self.trial_id)
 
     def __len__(self) -> int:
-        return self._len
+        return self._shape[0]
 
 
 @dataclass(frozen=True)
@@ -207,67 +227,61 @@ class StoreDims:
 
 
 class TraceStore:
-    """Trial store, held in memory or streamed to a v2 file as it grows.
+    """Trial store whose rows lie only in a v2 file, streamed as it grows.
 
     Single writer, any number of readers; `append` never exposes a partially
     built trial and already-stored timestep data is immutable.
     """
 
     def __init__(self, dims: StoreDims):
-        self.dims = dims
-        self._trials: list[Trial] = []
-        self._by_id: dict[int, Trial] = {}
-        self._next_id = 1
-        self._log = None            # the open v2 file of a streamed store
-        self._log_path: Path | None = None
-        self._fd: int | None = None  # _log's descriptor, for positioned reads
-        self._size = 0              # bytes flushed to _log; None after a failed write
-        self.torn_tail_offset: int | None = None  # set by load: a dropped torn record
+        """An empty store streamed to an unnamed temporary file."""
+        log = tempfile.TemporaryFile()
+        self._start(dims, _TraceFile(log, None), log)
 
     @classmethod
     def create(cls, path, dims: StoreDims) -> "TraceStore":
         """An empty store streamed to a new v2 file at `path`, replacing any
         file there. `append`, `extend`, `supersede_task` and `mark_relevant`
         each write their records and flush once, so the file holds every
-        complete record even if the process is killed. The store keeps no
-        copy of the rows: a trial's `timesteps` reads them from the file,
-        also after `close`. `save(path)` makes it durable; `close` ends the
-        stream."""
-        store = cls(dims)
-        store._log = open(path, "w+b")
-        store._fd = store._log.fileno()
-        store._log_path = Path(path).resolve()
-        store._write(MAGIC, _frame(_header(dims)))
+        complete record even if the process is killed. `save(path)` makes
+        it durable; `close` ends the stream."""
+        store = cls.__new__(cls)
+        log = open(path, "w+b")
+        store._start(dims, _TraceFile(log, Path(path).resolve()), log)
         return store
 
+    def _start(self, dims: StoreDims, file: _TraceFile, log) -> None:
+        """Set up an empty store whose rows lie in `file`: one streamed to
+        the writable file `log`, or, without it, one to load."""
+        self.dims = dims
+        self._trials: list[Trial] = []
+        self._by_id: dict[int, Trial] = {}
+        self._next_id = 1
+        self._file = file
+        self._log = log             # the writable file, until the store is closed
+        self._size = 0              # bytes flushed to _log; None after a failed write
+        self.torn_tail_offset: int | None = None  # set by load: a dropped torn record
+        if log is not None:
+            self._write(MAGIC, _frame(_header(dims)))
+
     def close(self) -> None:
-        """Stop streaming and close the file; a no-op for other stores."""
-        if self._log is not None:
-            self._log.close()
-            self._log = self._fd = None
+        """End the stream: the store takes no more records. The file closes
+        once the store and its trials are gone."""
+        self._log = None
+
+    def _check_open(self) -> None:
+        if self._log is None:
+            raise ValueError(f"the trace store of {self._file.name} is closed or loaded, "
+                             f"so it takes no new records")
 
     def _write(self, *parts) -> None:
         if self._size is None:
-            raise OSError(f"an earlier write to {self._log_path} failed, so its end is unknown")
+            raise OSError(f"an earlier write to {self._file.name} failed, so its end is unknown")
         size, self._size = self._size, None
         for part in parts:
             size += self._log.write(part)
         self._log.flush()
         self._size = size
-
-    def _read_rows(self, offset: int, t_len: int, trial_id: int) -> np.ndarray:
-        """A streamed trial's rows, read with one positioned read: through
-        the open file, or, once the store is closed, by opening its path."""
-        nbytes = t_len * self.dims.row_width * _ROW_DTYPE.itemsize
-        if self._fd is not None:
-            data = os.pread(self._fd, nbytes, offset)
-        else:
-            with open(self._log_path, "rb") as fh:
-                data = os.pread(fh.fileno(), nbytes, offset)
-        if len(data) != nbytes:
-            raise TraceFormatError(None, f"trial {trial_id}: {len(data)} of its {nbytes} "
-                                         f"row bytes are in {self._log_path}", offset=offset)
-        return np.frombuffer(data, _ROW_DTYPE).reshape(t_len, -1)  # read-only: bytes
 
     def __len__(self) -> int:
         return len(self._trials)
@@ -288,8 +302,8 @@ class TraceStore:
     def relevant_trials(self) -> list[Trial]:
         return [t for t in self._trials if t.relevant]
 
-    def _validate(self, trial: Trial) -> None:
-        rows = trial.timesteps
+    def _validate(self, trial: Trial, rows: np.ndarray) -> None:
+        """Check a trial's flags and return against its rows."""
         if rows.ndim != 2 or rows.shape[1] != self.dims.row_width:
             raise ValueError(
                 f"timesteps must have shape (T, {self.dims.row_width}), got {rows.shape}"
@@ -302,9 +316,10 @@ class TraceStore:
             raise ValueError("timesteps contain non-finite entries")
         # the rewards added in step order, as run_trials adds them
         recomputed = float(rows[:, self.dims.columns["r"]].sum(axis=1).cumsum()[-1])
-        if not abs(recomputed - trial.final_return) <= FINAL_RETURN_TOL:  # NaN fails too
+        final_return = float(trial.final_return)
+        if not abs(recomputed - final_return) <= FINAL_RETURN_TOL:  # NaN fails too
             raise ValueError(
-                f"final_return {trial.final_return!r} does not match rewards "
+                f"final_return {final_return!r} does not match rewards "
                 f"(recomputed {recomputed!r})"
             )
 
@@ -314,57 +329,61 @@ class TraceStore:
         self._next_id = trial.trial_id + 1
 
     def append(self, trial: Trial) -> int:
-        """Persist a trial (copying its rows) and return its assigned id; on
-        a streamed store, write its record and flush."""
+        """Persist a trial and return its assigned id: write its record and
+        flush."""
         return self.extend([trial])[0]
 
     def extend(self, trials) -> list[int]:
         """Persist trials in order and return their assigned ids. Every
-        trial is checked before any is added, so a bad one leaves the store
-        and its file unchanged. An in-memory store adds a read-only copy of
-        each trial's rows; a streamed store writes every record, flushes
-        once and then adds each trial's fields and row offset."""
-        streamed = self._log is not None
-        checked = []
-        for i, t in enumerate(trials):
-            rows = np.asarray(t.timesteps, np.float64) if streamed else frozen_rows(t.timesteps)
-            checked.append(Trial(task_id=t.task_id, success=t.success, relevant=t.relevant,
-                                 timesteps=rows, final_return=float(t.final_return),
-                                 trial_id=self._next_id + i))
-            self._validate(checked[-1])
-        if streamed:
-            records = [_trial_record(trial) for trial in checked]
-            offset = self._size
-            self._write(*(part for record in records for part in record))
-            for i, (kind, head, rows) in enumerate(records):
-                offset += len(kind) + len(head)
-                checked[i] = _StreamedTrial(self, checked[i], offset)
-                offset += rows.nbytes
-        for trial in checked:
-            self._add(trial)
-        return [trial.trial_id for trial in checked]
+        trial is checked before any is written, so a bad one leaves the
+        store and its file unchanged. Every record is written and flushed
+        once, and then each trial's fields and row offset are added."""
+        self._check_open()
+        trials = list(trials)
+        rows = [np.asarray(t.timesteps, np.float64) for t in trials]
+        for trial, trial_rows in zip(trials, rows):
+            self._validate(trial, trial_rows)
+        ids = range(self._next_id, self._next_id + len(trials))
+        records = [_trial_record(i, t, r) for i, t, r in zip(ids, trials, rows)]
+        offset = self._size
+        self._write(*(part for record in records for part in record))
+        for trial_id, t, (kind, head, trial_rows) in zip(ids, trials, records):
+            offset += len(kind) + len(head)
+            self._add(_StoredTrial(self._file, offset, trial_rows.shape, task_id=t.task_id,
+                                   success=t.success, relevant=t.relevant,
+                                   final_return=float(t.final_return), trial_id=trial_id))
+            offset += trial_rows.nbytes
+        return list(ids)
 
     def supersede_task(self, task_id: str) -> int:
         """Clear the relevant flag on all trials of a task; returns how many.
 
         The traces stay in the store and keep feeding prediction training.
         """
-        flagged = [t for t in self._trials if t.task_id == task_id and t.relevant]
-        if flagged and self._log is not None:
-            self._write(FLAG_RECORD, _frame({"supersede_task": task_id}))
-        for trial in flagged:
-            trial.relevant = False
-        return len(flagged)
+        self._check_open()
+        return self._change_flags("supersede_task", task_id)
 
     def mark_relevant(self, trial_id: int) -> None:
         """Flag a stored successful trial as a cloning source. Search outcomes
         call this once a candidate's validation trials have passed."""
-        trial = self.get(trial_id)
-        if not trial.success:
-            raise ValueError(f"trial {trial_id} was not successful; cannot mark relevant")
-        if self._log is not None:
-            self._write(FLAG_RECORD, _frame({"mark_relevant": trial_id}))
-        trial.relevant = True
+        self._check_open()
+        self._change_flags("mark_relevant", trial_id)
+
+    def _change_flags(self, op: str, arg) -> int:
+        """Apply one flag change, writing its record first while the store
+        streams; returns how many trials it changed."""
+        if op == "mark_relevant":
+            changed, relevant = [self.get(arg)], True
+            if not changed[0].success:
+                raise ValueError(f"trial {arg} was not successful; cannot mark relevant")
+        else:
+            changed = [t for t in self._trials if t.task_id == arg and t.relevant]
+            relevant = False
+        if changed and self._log is not None:
+            self._write(FLAG_RECORD, _frame({op: arg}))
+        for trial in changed:
+            trial.relevant = relevant
+        return len(changed)
 
     def sample_replay(self, policy: ReplayPolicy, rng: np.random.Generator | None = None) -> list[Trial]:
         """Select trials for replay. Deterministic given policy.rng_seed when
@@ -388,22 +407,16 @@ class TraceStore:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Make the store durable at `path`. For the file this store streams
-        (or streamed) to, that is a flush and an fsync; any other path gets
-        a complete v2 file, replaced atomically."""
-        if self._log_path is not None and Path(path).resolve() == self._log_path:
-            # every write was flushed, so the file holds every record; rewriting
-            # it would move the rows its trials read back
-            if self._fd is not None:
-                os.fsync(self._fd)
-            else:
-                with open(path, "rb") as fh:
-                    os.fsync(fh.fileno())
+        """Make the store durable at `path`. For the file this store's rows
+        lie in, that is an fsync, since the file holds every record; any
+        other path gets a complete v2 file, replaced atomically."""
+        if Path(path).resolve() == self._file.path:  # never for an unnamed file
+            os.fsync(self._file.fd)  # a rewrite would move the rows its trials read back
             return
         with atomic_write(path, "wb") as fh:
             fh.write(MAGIC + _frame(_header(self.dims)))
             for trial in self._trials:
-                for part in _trial_record(trial):
+                for part in _trial_record(trial.trial_id, trial, trial.timesteps):
                     fh.write(part)
 
     def export_v1(self, path) -> None:
@@ -416,37 +429,28 @@ class TraceStore:
 
     @classmethod
     def load(cls, path) -> "TraceStore":
-        """Read a v2 or v1 trace file, told apart by its first bytes."""
-        data = Path(path).read_bytes()
-        if data.startswith(MAGIC):
-            return cls._load_v2(data)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise TraceFormatError(line_no, f"not UTF-8 text: {exc}") from exc
-        return cls._load_v1(text.splitlines())
-
-    def _add_loaded(self, trial: Trial) -> None:
-        """The checks every loaded trial passes before it joins the store."""
-        self._validate(trial)
-        if trial.trial_id < self._next_id:
-            raise ValueError(f"trial ids must be strictly increasing, got {trial.trial_id}")
-        trial.timesteps.setflags(write=False)
-        self._add(trial)
-
-    @classmethod
-    def _load_v2(cls, data: bytes) -> "TraceStore":
+        """Read a v2 trace file once, checking every record as `extend`
+        checks a trial. The store keeps each trial's fields and where its
+        rows lie, reads the rows from the file on each access, and takes no
+        new records. A v1 file does not load: v1 is export-only."""
+        fh = open(path, "rb")
+        file = _TraceFile(fh, Path(path).resolve())  # closes fh once dropped
+        data = fh.read()
+        if not data.startswith(MAGIC):
+            raise TraceFormatError(0, "not a v2 trace file (v1 JSON Lines is export-only "
+                                      "and does not load)")
         end = len(data)
         offset = len(MAGIC)
         try:
             header, offset = _read_frame(data, offset)
             if header is None:
                 raise ValueError("header is truncated")
-            store = cls(fill(StoreDims, header, "header", HEADER))
+            dims = fill(StoreDims, header, "header", HEADER)
         except ValueError as exc:
-            raise TraceFormatError(None, str(exc), offset=len(MAGIC)) from exc
-        width = store.dims.row_width
+            raise TraceFormatError(len(MAGIC), str(exc)) from exc
+        store = cls.__new__(cls)
+        store._start(dims, file, None)
+        width = dims.row_width
         while offset < end:
             start = offset
             try:
@@ -465,16 +469,20 @@ class TraceStore:
                     if offset + t_len * width * _ROW_DTYPE.itemsize > end:
                         store.torn_tail_offset = start
                         break
+                    trial = _StoredTrial(file, offset, (t_len, width), **fields)
                     rows = np.frombuffer(data, _ROW_DTYPE, t_len * width, offset)
                     offset += rows.nbytes
-                    store._add_loaded(Trial(timesteps=rows.reshape(t_len, width), **fields))
+                    store._validate(trial, rows.reshape(t_len, width))
+                    if trial.trial_id < store._next_id:
+                        raise ValueError(f"trial ids must be strictly increasing, "
+                                         f"got {trial.trial_id}")
+                    store._add(trial)
                 else:
                     store._apply_flag(head)
             except KeyError as exc:
-                raise TraceFormatError(None, f"record is missing field {exc}",
-                                       offset=start) from exc
+                raise TraceFormatError(start, f"record is missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
-                raise TraceFormatError(None, str(exc), offset=start) from exc
+                raise TraceFormatError(start, str(exc)) from exc
         return store
 
     def _apply_flag(self, head) -> None:
@@ -484,42 +492,9 @@ class TraceStore:
         if op == "mark_relevant" and is_json_int(arg):
             if arg not in self._by_id:
                 raise ValueError(f"flag names unknown trial {arg}")
-            self.mark_relevant(arg)
-        elif op == "supersede_task" and isinstance(arg, str):
-            self.supersede_task(arg)
-        else:
+        elif op != "supersede_task" or not isinstance(arg, str):
             raise ValueError(f"unknown flag change {head!r}")
-
-    @classmethod
-    def _load_v1(cls, lines: list[str]) -> "TraceStore":
-        if not lines:
-            raise TraceFormatError(1, "empty trace file (missing header)")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(1, f"invalid header JSON: {exc}") from exc
-        try:
-            dims = fill(StoreDims, versioned(header, V1_FORMAT_VERSION, "header"), "header",
-                        HEADER)
-        except ValueError as exc:
-            raise TraceFormatError(1, str(exc)) from exc
-        store = cls(dims)
-        for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(line_no, f"invalid trial JSON: {exc}") from exc
-            try:
-                trial = trial_from_json(obj, dims)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise TraceFormatError(line_no, f"malformed trial object: {exc}") from exc
-            try:
-                store._add_loaded(trial)
-            except ValueError as exc:
-                raise TraceFormatError(line_no, str(exc)) from exc
-        return store
+        self._change_flags(op, arg)
 
 
 def _header(dims: StoreDims) -> dict:
@@ -547,12 +522,12 @@ def _read_frame(data: bytes, offset: int):
         raise ValueError(f"invalid JSON in frame: {exc}") from exc
 
 
-def _trial_record(trial: Trial) -> tuple[bytes, bytes, np.ndarray]:
+def _trial_record(trial_id: int, trial: Trial, rows) -> tuple[bytes, bytes, np.ndarray]:
     """A trial's record as parts to write in order; the rows go out as the
     buffer of a C-contiguous little-endian array, not as a bytes copy."""
-    head = {"trial_id": trial.trial_id, "task_id": trial.task_id, "success": trial.success,
-            "relevant": trial.relevant, "final_cr": trial.final_return, "T": len(trial)}
-    return TRIAL_RECORD, _frame(head), np.ascontiguousarray(trial.timesteps, _ROW_DTYPE)
+    head = {"trial_id": trial_id, "task_id": trial.task_id, "success": trial.success,
+            "relevant": trial.relevant, "final_cr": float(trial.final_return), "T": len(rows)}
+    return TRIAL_RECORD, _frame(head), np.ascontiguousarray(rows, _ROW_DTYPE)
 
 
 def _trial_fields(obj: dict) -> dict:
@@ -586,25 +561,3 @@ def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
         "final_cr": trial.final_return,
         "timesteps": timesteps,
     }
-
-
-def trial_from_json(obj: dict, dims: StoreDims) -> Trial:
-    """Parse a v1 JSON trial object; each key's values must form a
-    (T, width) block of JSON numbers before the blocks are joined into rows.
-    The scalar fields are checked as `_trial_fields` says."""
-    fields = _trial_fields(obj)
-    steps = obj["timesteps"]
-    if not steps:
-        raise ValueError("trial has no timesteps")
-    blocks = []
-    for key, cols in dims.columns.items():
-        values = [ts[key] for ts in steps]
-        block = np.asarray(values, dtype=np.float64)
-        shape = (len(steps), cols.stop - cols.start)
-        if block.shape != shape:
-            raise ValueError(f"{key!r} values must have shape {shape}, got {block.shape}")
-        # asarray would read true as 1.0 and "0.5" as 0.5
-        if not all(type(v) in (int, float) for row in values for v in row):
-            raise ValueError(f"{key!r} values must be JSON numbers")
-        blocks.append(block)
-    return Trial(timesteps=np.concatenate(blocks, axis=1), **fields)

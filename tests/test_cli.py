@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -385,34 +386,30 @@ def test_traces_dump_round_trips_trial_json(tmp_path, capsys):
     assert {"in", "goal", "r", "out", "pred", "pr"} <= set(obj["timesteps"][0])
 
 
-def test_traces_parse_error_names_line(tmp_path, capsys):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"format_version": 1, "m": 9, "p": 4, "n": 1, "o": 4}\nnot json\n')
-    assert main(["traces", str(path)]) == 1
-    assert "line 2" in capsys.readouterr().err
+def test_traces_v1_file_is_export_only(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    main(["run", "--config", str(config_path)])
+    v1_path = tmp_path / "v1.jsonl"
+    assert main(["traces", str(tmp_path / "traces.jsonl"), "--export-v1", str(v1_path)]) == 0
+    capsys.readouterr()
+    assert main(["traces", str(v1_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: byte 0: not a v2 trace file") and "export-only" in err
 
 
 def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
-    # the same header rule in both formats: a dimension given as a string
+    # the config's net rule: a dimension given as a string
     config_path = write_config(tmp_path)
     main(["run", "--config", str(config_path)])
-    v2_path, v1_path = tmp_path / "traces.jsonl", tmp_path / "v1.jsonl"
-    assert main(["traces", str(v2_path), "--export-v1", str(v1_path)]) == 0
     capsys.readouterr()
-
-    lines = v1_path.read_text().splitlines()
-    lines[0] = lines[0].replace('"m": 9', '"m": "9"')
-    v1_path.write_text("\n".join(lines) + "\n")
+    v2_path = tmp_path / "traces.jsonl"
     data = v2_path.read_bytes()
     (length,) = struct.unpack_from("<I", data, len(MAGIC))
     header_end = len(MAGIC) + 4 + length
     header = data[len(MAGIC) + 4:header_end].replace(b'"m":9', b'"m":"9"')
     v2_path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + data[header_end:])
-
-    for path, where in ((v1_path, "line 1"), (v2_path, f"byte {len(MAGIC)}")):
-        assert main(["traces", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {where}: header.m: must be an integer" in err
+    assert main(["traces", str(v2_path)]) == 1
+    assert f"error: byte {len(MAGIC)}: header.m: must be an integer" in capsys.readouterr().err
 
 
 def test_run_export_v1_matches_recorded_trace_file(tmp_path, capsys):
@@ -473,7 +470,7 @@ def test_run_killed_outright_keeps_every_complete_record(tmp_path):
     assert len(store) > 0
     assert [t.trial_id for t in store] == list(range(1, len(store) + 1))
     for trial in store:
-        store._validate(trial)
+        store._validate(trial, trial.timesteps)
 
 
 def test_run_runtime_failure_exits_two(tmp_path, capsys):
@@ -559,7 +556,23 @@ def test_output_path_through_a_symlink_loop_is_a_usage_error(tmp_path, capsys):
     config_path = write_config(tmp_path, paths={
         "trace_file": "loop/run.log", "metrics_file": "metrics.jsonl", "checkpoint_dir": "ckpt"})
     assert main(["run", "--config", str(config_path)]) == 1
-    assert "paths.trace_file: cannot write" in capsys.readouterr().err
+    # the real cause, not the "File exists" of making the parent directory
+    assert capsys.readouterr().err == (f"error: paths.trace_file: cannot write "
+                                       f"{tmp_path / 'loop/run.log'}: {os.strerror(errno.ELOOP)}\n")
+
+
+@pytest.mark.parametrize("field", ["trace_file", "metrics_file"])
+def test_usage_error_leaves_an_earlier_runs_outputs_byte_identical(tmp_path, capsys, field):
+    config_path = write_config(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    outputs = {name: (tmp_path / name).read_bytes() for name in ("traces.jsonl", "metrics.jsonl")}
+    assert all(outputs.values())
+    (tmp_path / "loop").symlink_to("loop")
+    write_config(tmp_path, paths={"trace_file": "traces.jsonl", "metrics_file": "metrics.jsonl",
+                                  "checkpoint_dir": "ckpt", field: "loop/out"})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert f"paths.{field}: cannot write {tmp_path / 'loop/out'}: " in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in outputs} == outputs
 
 
 def _tree(root):

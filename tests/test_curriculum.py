@@ -8,7 +8,7 @@ from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription
 from skillnet.evolve import EsConfig, SearchOutcome
 from skillnet.network import NetConfig
-from skillnet.traces import ReplayPolicy
+from skillnet.traces import ReplayPolicy, StoreDims, TraceStore
 
 CFG = NetConfig(obs_dim=4, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=3)
 
@@ -57,9 +57,8 @@ class FakeConsolidator:
         return weights.copy(), report
 
 
-def run(make_store, tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None,
-        **kw):
-    store = make_store(CFG)
+def run(tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None, **kw):
+    store = TraceStore(StoreDims.from_net_config(CFG))
     consolidator = consolidator or FakeConsolidator()
     weights = np.zeros(CFG.n_params)
     final, report = run_curriculum(
@@ -74,11 +73,11 @@ def run(make_store, tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_tot
     return final, report, consolidator
 
 
-def test_two_solvable_tasks_finish_in_first_pass(fresh_store):
+def test_two_solvable_tasks_finish_in_first_pass():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": 0.0})
     events = []
-    _, report, consolidator = run(fresh_store, tasks, solver, on_event=events.append)
+    _, report, consolidator = run(tasks, solver, on_event=events.append)
     assert [r.task_id for r in report.solved] == ["a", "b"]
     assert report.pass_count == 1
     assert report.unsolved_task_ids == []
@@ -87,10 +86,10 @@ def test_two_solvable_tasks_finish_in_first_pass(fresh_store):
     assert report.final_budget == 100.0
 
 
-def test_unsolvable_task_doubles_budget_each_pass(fresh_store):
+def test_unsolvable_task_doubles_budget_each_pass():
     solver = FakeSolver({})  # nothing is ever solvable
     events = []
-    run(fresh_store, [make_task("a")], solver, c0=100.0, max_total=55.0,
+    run([make_task("a")], solver, c0=100.0, max_total=55.0,
         on_event=events.append)
     # spent 10 per attempt; the cap stops the loop after enough passes
     budgets = [amount for _, amount in solver.calls]
@@ -99,10 +98,10 @@ def test_unsolvable_task_doubles_budget_each_pass(fresh_store):
     assert [d["old_budget"] for d in doubles[:3]] == [100.0, 200.0, 400.0]
 
 
-def test_task_solvable_at_four_c0_and_reset(fresh_store):
+def test_task_solvable_at_four_c0_and_reset():
     tasks = [make_task("hard"), make_task("other", goal_index=1)]
     solver = FakeSolver({"hard": 400.0, "other": 1e9})
-    _, report, _ = run(fresh_store, tasks, solver, c0=100.0, max_total=65.0)
+    _, report, _ = run(tasks, solver, c0=100.0, max_total=65.0)
     solved_hard = next(r for r in report.solved if r.task_id == "hard")
     assert solved_hard.pass_number == 3
     assert solved_hard.budget_amount == 400.0
@@ -116,10 +115,10 @@ def test_task_solvable_at_four_c0_and_reset(fresh_store):
     ]
 
 
-def test_budget_law_reset_only_after_progress(fresh_store):
+def test_budget_law_reset_only_after_progress():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 200.0, "b": np.inf})
-    _, report, _ = run(fresh_store, tasks, solver, c0=100.0, max_total=120.0)
+    _, report, _ = run(tasks, solver, c0=100.0, max_total=120.0)
     # pass 1: both fail at 100 -> double; pass 2: a solves at 200, b fails;
     # pass 3 starts back at c0
     seq = solver.calls
@@ -128,40 +127,40 @@ def test_budget_law_reset_only_after_progress(fresh_store):
     assert seq[4] == ("b", 100.0)
 
 
-def test_solved_tasks_never_reattempted(fresh_store):
+def test_solved_tasks_never_reattempted():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": np.inf})
-    _, report, _ = run(fresh_store, tasks, solver, max_total=100.0)
+    _, report, _ = run(tasks, solver, max_total=100.0)
     attempted_a = [c for c in solver.calls if c[0] == "a"]
     assert len(attempted_a) == 1
     assert report.unsolved_task_ids == ["b"]
 
 
-def test_every_solve_followed_by_exactly_one_consolidation_with_lam_c_budget(fresh_store):
+def test_every_solve_followed_by_exactly_one_consolidation_with_lam_c_budget():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": 0.0})
-    _, report, consolidator = run(fresh_store, tasks, solver, c0=80.0, lam=0.5)
+    _, report, consolidator = run(tasks, solver, c0=80.0, lam=0.5)
     assert consolidator.calls == [40, 40]  # round(0.5 * 80) per solve
     assert report.consolidations == 2
 
 
-def test_max_total_budget_terminates_unsolvable_curriculum(fresh_store):
+def test_max_total_budget_terminates_unsolvable_curriculum():
     solver = FakeSolver({})
-    _, report, _ = run(fresh_store, [make_task("a")], solver, max_total=35.0)
+    _, report, _ = run([make_task("a")], solver, max_total=35.0)
     assert report.unsolved_task_ids == ["a"]
     assert report.total_search_spent >= 35.0
     assert len(solver.calls) == 4  # 10 spent per attempt
 
 
-def test_events_are_ordered_attempt_then_solve_then_consolidation(fresh_store):
+def test_events_are_ordered_attempt_then_solve_then_consolidation():
     solver = FakeSolver({"a": 0.0})
     events = []
-    run(fresh_store, [make_task("a")], solver, on_event=events.append)
+    run([make_task("a")], solver, on_event=events.append)
     kinds = [e["event"] for e in events]
     assert kinds == ["task_attempt", "solve", "consolidation", "retention_check"]
 
 
-def test_every_solved_task_retested_after_every_dream(fresh_store):
+def test_every_solved_task_retested_after_every_dream():
     # the winner is the unchanged current net, as when an arm's unperturbed
     # parent already passes; it is re-tested all the same
     def parent_wins(*, current_weights, original_weights, task, budget, es, store):
@@ -173,7 +172,7 @@ def test_every_solved_task_retested_after_every_dream(fresh_store):
     thresholds = {"c": 0.0, "a": 0.0, "b": 200.0}
     tasks = [make_task("c"), make_task("a", goal_index=1), make_task("b", goal_index=1)]
     events = []
-    _, _, consolidator = run(fresh_store, tasks, parent_wins, c0=100.0, on_event=events.append)
+    _, _, consolidator = run(tasks, parent_wins, c0=100.0, on_event=events.append)
     assert len(consolidator.calls) == 3
     solved = []
     for i, event in enumerate(events):
@@ -189,22 +188,22 @@ def test_every_solved_task_retested_after_every_dream(fresh_store):
     assert solved == ["c", "a", "b"]
 
 
-def test_empty_curriculum_rejected(fresh_store):
+def test_empty_curriculum_rejected():
     with pytest.raises(ValueError):
-        run(fresh_store, [], FakeSolver({}))
+        run([], FakeSolver({}))
 
 
-def test_invalid_budgets_rejected(fresh_store):
+def test_invalid_budgets_rejected():
     with pytest.raises(ValueError):
-        run(fresh_store, [make_task("a")], FakeSolver({}), c0=0.0)
+        run([make_task("a")], FakeSolver({}), c0=0.0)
     with pytest.raises(ValueError):
-        run(fresh_store, [make_task("a")], FakeSolver({}), lam=0.0)
+        run([make_task("a")], FakeSolver({}), lam=0.0)
 
 
-def test_on_event_callback_receives_all_events(fresh_store):
+def test_on_event_callback_receives_all_events():
     seen = []
     solver = FakeSolver({"a": 0.0})
-    store = fresh_store(CFG)
+    store = TraceStore(StoreDims.from_net_config(CFG))
     run_curriculum(
         [make_task("a")], 100.0, 0.5, np.zeros(CFG.n_params), store,
         net_config=CFG, es_config=EsConfig(),

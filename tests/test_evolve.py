@@ -19,7 +19,7 @@ from skillnet.evolve import (
 )
 from skillnet.network import NetConfig, Network, init_network
 from skillnet.rollout import run_trial
-from skillnet.traces import StoreDims, TraceStore
+from skillnet.traces import StoreDims, TraceStore, _TraceFile
 from reference import VectorRewardChainSpec
 
 
@@ -131,12 +131,12 @@ def test_zero_weight_fitness_matches_hand_simulation():
     assert fitness == pytest.approx(hand_simulated_zero_weight_fitness(spec), abs=1e-12)
 
 
-def test_deterministic_env_gives_identical_trials(fresh_store):
+def test_deterministic_env_gives_identical_trials():
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     net = Network(cfg, weights)
     ids = [store.append(run_trial(net, task, seed=i)) for i in range(3)]
@@ -145,9 +145,9 @@ def test_deterministic_env_gives_identical_trials(fresh_store):
     assert np.array_equal(trials[1].timesteps, trials[2].timesteps)
 
 
-def test_recorded_trials_carry_success_flags(fresh_store):
+def test_recorded_trials_carry_success_flags():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     net = Network(cfg, weights)
     for i in range(2):
@@ -160,9 +160,9 @@ def test_recorded_trials_carry_success_flags(fresh_store):
 # the race
 
 
-def test_always_solvable_mock_solved_in_first_round(fresh_store):
+def test_always_solvable_mock_solved_in_first_round():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, mock_task(True),
                              Budget("evaluations", 10), EsConfig(seed=1), store,
@@ -174,9 +174,9 @@ def test_always_solvable_mock_solved_in_first_round(fresh_store):
     assert outcome.evaluations["scratch"] == 0
 
 
-def test_unsolvable_mock_exhausts_budget(fresh_store):
+def test_unsolvable_mock_exhausts_budget():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, mock_task(False),
                              Budget("evaluations", 10), EsConfig(population=4, seed=2),
@@ -192,9 +192,9 @@ def test_unsolvable_mock_exhausts_budget(fresh_store):
         assert outcome.budget_spent[arm] >= 10
 
 
-def test_base_weights_never_mutated(fresh_store):
+def test_base_weights_never_mutated():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, current = init_network(cfg)
     original = np.random.default_rng(5).normal(size=cfg.n_params)
     current_copy = current.copy()
@@ -205,10 +205,10 @@ def test_base_weights_never_mutated(fresh_store):
     assert np.array_equal(original, original_copy)
 
 
-def test_race_fairness_budgets_within_one_batch(fresh_store):
+def test_race_fairness_budgets_within_one_batch():
     cfg = net_config()
     for solvable, seed in ((False, 0), (True, 1)):
-        store = fresh_store(cfg)
+        store = TraceStore(StoreDims.from_net_config(cfg))
         _, weights = init_network(cfg)
         outcome = try_solve_task(weights, weights, mock_task(solvable),
                                  Budget("evaluations", 9),
@@ -217,12 +217,12 @@ def test_race_fairness_budgets_within_one_batch(fresh_store):
         assert gap <= outcome.max_batch_cost
 
 
-def test_elitism_best_fitness_non_decreasing(fresh_store):
+def test_elitism_best_fitness_non_decreasing():
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), episode_cap=8)
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, task, Budget("evaluations", 30),
                              EsConfig(population=3, seed=4), store, config=cfg)
@@ -231,14 +231,14 @@ def test_elitism_best_fitness_non_decreasing(fresh_store):
         assert all(b >= a for a, b in zip(history, history[1:]))
 
 
-def test_non_elitist_selection_can_regress(fresh_store):
+def test_non_elitist_selection_can_regress():
     # without elitism the parent is replaced by the best child every
     # generation, so incumbent fitness may move backwards
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), episode_cap=8)
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, task, Budget("evaluations", 40),
                              EsConfig(population=3, seed=15, elitism=False), store,
@@ -249,9 +249,9 @@ def test_non_elitist_selection_can_regress(fresh_store):
     assert regressed or outcome.solved
 
 
-def test_trace_completeness_trials_equal_evaluation_episodes(fresh_store):
+def test_trace_completeness_trials_equal_evaluation_episodes():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, mock_task(False),
                              Budget("evaluations", 7), EsConfig(population=3, seed=6),
@@ -261,9 +261,9 @@ def test_trace_completeness_trials_equal_evaluation_episodes(fresh_store):
     assert len(store) == n_evals == len(outcome.all_trial_ids)
 
 
-def test_each_generation_is_stored_with_one_extend(monkeypatch, fresh_store):
+def test_each_generation_is_stored_with_one_extend(monkeypatch):
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     calls = []
     extend = store.extend
 
@@ -284,8 +284,8 @@ def test_each_generation_is_stored_with_one_extend(monkeypatch, fresh_store):
 
 def test_search_on_a_streamed_store_reads_no_rows(tmp_path, monkeypatch):
     reads = []
-    read_rows = TraceStore._read_rows
-    monkeypatch.setattr(TraceStore, "_read_rows",
+    read_rows = _TraceFile.read_rows
+    monkeypatch.setattr(_TraceFile, "read_rows",
                         lambda self, *args: reads.append(args) or read_rows(self, *args))
     cfg = net_config(obs_dim=9)
     task = TaskDescription(
@@ -306,7 +306,7 @@ def test_search_on_a_streamed_store_reads_no_rows(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("maze", [True, False])
-def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze, fresh_store):
+def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze):
     # the incumbent keeps the store's copies of its trials, so the rows a
     # rollout wrote (one buffer per maze generation) die with the generation
     if maze:
@@ -333,7 +333,7 @@ def test_no_generations_row_buffer_outlives_its_generation(monkeypatch, maze, fr
     monkeypatch.setattr(evolve, "run_trials", spy)
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, task, Budget("evaluations", 9),
-                             EsConfig(population=4, seed=3), fresh_store(cfg), config=cfg)
+                             EsConfig(population=4, seed=3), TraceStore(StoreDims.from_net_config(cfg)), config=cfg)
     assert sum(outcome.evaluations.values()) >= 9 and len(alive) >= 4 * 2
     gc.collect()
     assert [ref() for ref in alive] == [None] * len(alive)
@@ -350,9 +350,9 @@ def test_candidate_fitness_is_one_mean_per_candidate_bit_for_bit(n_trials, n_can
     assert [f.hex() for f in fitness.tolist()] == [f.hex() for f in expected]
 
 
-def test_solve_supersedes_older_relevant_trials_of_task(fresh_store):
+def test_solve_supersedes_older_relevant_trials_of_task():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     task = mock_task(True)
     first = try_solve_task(weights, weights, task, Budget("evaluations", 4),
@@ -364,9 +364,9 @@ def test_solve_supersedes_older_relevant_trials_of_task(fresh_store):
     assert first.relevant_trial_ids != second.relevant_trial_ids
 
 
-def test_stochastic_env_marks_all_successful_validation_trials(fresh_store):
+def test_stochastic_env_marks_all_successful_validation_trials():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
 
     task = TaskDescription(
@@ -380,9 +380,9 @@ def test_stochastic_env_marks_all_successful_validation_trials(fresh_store):
     assert len(outcome.relevant_trial_ids) == 3  # every validation trial succeeded
 
 
-def test_env_steps_budget_unit_counts_transitions(fresh_store):
+def test_env_steps_budget_unit_counts_transitions():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, mock_task(False),
                              Budget("env_steps", 3), EsConfig(population=2, seed=10),
@@ -437,9 +437,9 @@ class SplitCostEnv:
         return self._obs(-0.01)
 
 
-def test_race_fairness_with_asymmetric_episode_costs(fresh_store):
+def test_race_fairness_with_asymmetric_episode_costs():
     cfg = net_config()
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     # bias the action-0 output unit positive for warm, negative for scratch,
     # so warm episodes cost 2 steps and scratch episodes cost 10
     base = np.zeros(cfg.n_params)
@@ -467,14 +467,14 @@ def test_budget_validation():
         EsConfig(population=0)
 
 
-def test_same_seed_search_is_deterministic(fresh_store):
+def test_same_seed_search_is_deterministic():
     cfg = net_config(obs_dim=9)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
 
     def search():
-        store = fresh_store(cfg)
+        store = TraceStore(StoreDims.from_net_config(cfg))
         _, weights = init_network(cfg)
         return try_solve_task(weights, weights, task, Budget("env_steps", 5000),
                               EsConfig(population=4, sigma=0.2, seed=21), store,
@@ -491,14 +491,14 @@ def test_same_seed_search_is_deterministic(fresh_store):
         assert a == b
 
 
-def test_vector_reward_task_end_to_end(fresh_store):
+def test_vector_reward_task_end_to_end():
     cfg = NetConfig(obs_dim=4, goal_dim=2, reward_dim=2, action_dim=2,
                     hidden_dim=4, seed=1)
     task = TaskDescription(
         task_id="chain", goal_index=0, env_spec=VectorRewardChainSpec(length=4),
         criterion=SuccessCriterion(),
     )
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, task, Budget("evaluations", 40),
                              EsConfig(population=4, sigma=0.3, seed=2), store,
@@ -524,12 +524,12 @@ FIXTURE = {
 }
 
 
-def seeded_corner_search(fresh_store):
+def seeded_corner_search():
     cfg = net_config(obs_dim=9, seed=123)
     spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2))
     task = TaskDescription(task_id="corner_ne", goal_index=0, env_spec=spec,
                            criterion=SuccessCriterion())
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     _, weights = init_network(cfg)
     outcome = try_solve_task(weights, weights, task, Budget("env_steps", 50_000),
                              EsConfig(population=8, sigma=0.2, seed=99), store,
@@ -537,8 +537,8 @@ def seeded_corner_search(fresh_store):
     return outcome, store
 
 
-def test_seeded_corner_search_regression(fresh_store):
-    outcome, store = seeded_corner_search(fresh_store)
+def test_seeded_corner_search_regression():
+    outcome, store = seeded_corner_search()
     assert outcome.solved
     gap = abs(outcome.budget_spent["warm"] - outcome.budget_spent["scratch"])
     assert gap <= outcome.max_batch_cost
@@ -551,7 +551,7 @@ def test_seeded_corner_search_regression(fresh_store):
         assert outcome.relevant_trial_ids == FIXTURE["relevant_trial_ids"]
 
 
-def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_path, fresh_store):
+def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_path):
     """Golden values recorded from the one-episode-at-a-time search loop, for
     a race that draws slips and runs K=3 seeds (seed + i) per candidate."""
     cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)
@@ -560,7 +560,7 @@ def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_pa
                            criterion=SuccessCriterion(min_success_trials=3))
     _, original = init_network(cfg)
     current = np.random.default_rng(11).normal(0.0, 0.1, cfg.n_params)
-    store = fresh_store(cfg)
+    store = TraceStore(StoreDims.from_net_config(cfg))
     outcome = try_solve_task(current, original, task, Budget("env_steps", 700),
                              EsConfig(population=4, sigma=0.5, seed=7), store, config=cfg)
     path = tmp_path / "traces.jsonl"

@@ -23,7 +23,7 @@ from skillnet.envs import (
 )
 from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
 from skillnet.rollout import run_trial, run_trials
-from skillnet.traces import StoreDims, TraceStore, Trial, frozen_rows
+from skillnet.traces import StoreDims, TraceStore, Trial
 from reference import VectorRewardChainSpec, pack_weights
 
 
@@ -46,7 +46,7 @@ def reference_run_trial(net: Network, task: TaskDescription, seed: int) -> Trial
         obs = env.step(y[:cfg.action_dim])
     return Trial(
         task_id=task.task_id, success=obs.reached, relevant=False,
-        timesteps=frozen_rows(rows), final_return=total,
+        timesteps=np.array(rows), final_return=total,
     )
 
 

@@ -1,5 +1,8 @@
 import bisect
+import gc
 import json
+import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -20,6 +23,7 @@ from skillnet.traces import (
     TraceFormatError,
     TraceStore,
     Trial,
+    _TraceFile,
 )
 
 DIMS = StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2)
@@ -249,6 +253,33 @@ def test_round_trip_preserves_everything_exactly(tmp_path):
         assert not b.timesteps.flags.writeable
 
 
+def test_loaded_store_takes_no_records(tmp_path):
+    store = TraceStore(DIMS)
+    rng = np.random.default_rng(9)
+    store.append(make_trial(rng=rng, success=True))
+    path = tmp_path / "traces.bin"
+    store.save(path)
+    loaded = TraceStore.load(path)
+    _assert_takes_no_records(loaded, rng, path)
+
+
+def _assert_takes_no_records(store, rng, path=None):
+    """Each call that would add a record raises ValueError naming the file
+    (at `path`, or unnamed), and the store and its file stay as they were."""
+    name = "an unnamed temporary trace file" if path is None else str(path)
+    data = None if path is None else path.read_bytes()
+    before = [(t.trial_id, t.relevant) for t in store]
+    for call in (lambda: store.append(make_trial(rng=rng)),
+                 lambda: store.extend([make_trial(rng=rng)]),
+                 lambda: store.mark_relevant(1),
+                 lambda: store.supersede_task("a")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is closed or loaded")):
+            call()
+    assert [(t.trial_id, t.relevant) for t in store] == before
+    if path is not None:
+        assert path.read_bytes() == data
+
+
 def _save_a_checkpoint(path):
     cfg = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=3)
     save_checkpoint(path, cfg, np.zeros(cfg.n_params))
@@ -274,33 +305,12 @@ def test_failed_replace_raises_and_leaves_no_temp_file(tmp_path, write):
     assert not any(target.iterdir())
 
 
-def test_truncated_file_error_names_line(tmp_path):
-    store = TraceStore(DIMS)
-    rng = np.random.default_rng(7)
-    store.append(make_trial(rng=rng))
-    store.append(make_trial(rng=rng))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    text = path.read_text()
-    path.write_text(text[: len(text) - 40])  # chop the tail of the last trial
-    with pytest.raises(TraceFormatError) as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 3
-    assert "line 3" in str(exc.value)
-
-
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "traces.jsonl"
-    path.write_text('{"format_version": 2, "m": 2, "p": 2, "n": 1, "o": 2}\n')
-    with pytest.raises(TraceFormatError, match="format_version"):
-        TraceStore.load(path)
-
-
 def test_missing_header_rejected(tmp_path):
-    path = tmp_path / "traces.jsonl"
+    path = tmp_path / "traces.bin"
     path.write_text("")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceFormatError, match="not a v2 trace file") as exc:
         TraceStore.load(path)
+    assert exc.value.offset == 0
 
 
 def test_round_trip_extreme_finite_floats(tmp_path):
@@ -314,29 +324,6 @@ def test_round_trip_extreme_finite_floats(tmp_path):
     store.save(path)
     loaded = TraceStore.load(path)
     assert loaded.get(1) == store.get(1)
-
-
-def test_loaded_ids_must_increase(tmp_path):
-    store = TraceStore(DIMS)
-    rng = np.random.default_rng(8)
-    store.append(make_trial(rng=rng))
-    store.append(make_trial(rng=rng))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
-    with pytest.raises(TraceFormatError, match="increasing"):
-        TraceStore.load(path)
-
-
-def test_appending_after_load_continues_id_sequence(tmp_path):
-    store = TraceStore(DIMS)
-    rng = np.random.default_rng(9)
-    store.append(make_trial(rng=rng))
-    path = tmp_path / "traces.jsonl"
-    store.save(path)
-    loaded = TraceStore.load(path)
-    assert loaded.append(make_trial(rng=rng)) == 2
 
 
 def test_saved_trial_line_is_exact_v1_text(tmp_path):
@@ -361,127 +348,6 @@ def test_saved_trial_line_is_exact_v1_text(tmp_path):
         '{"in": [0.0, 1.0], "goal": [1.0, 0.0], "r": [1.0], '
         '"out": [0.75, 0.0], "pred": [1.0, -2.0, 3.0], "pr": [0.0, -0.0]}]}'
     )
-
-
-def test_misaligned_fields_rejected_with_line_number(tmp_path):
-    # `in` one value short and `goal` one value long: every row still has the
-    # right total width, so only a per-key shape check catches it
-    store = TraceStore(DIMS)
-    rng = np.random.default_rng(10)
-    store.append(make_trial(rng=rng))
-    store.append(make_trial(rng=rng))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[2])
-    for ts in obj["timesteps"]:
-        ts["goal"] = ts["in"][-1:] + ts["goal"]
-        ts["in"] = ts["in"][:-1]
-    lines[2] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="'in'") as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 3
-
-
-@pytest.mark.parametrize("key, value", [
-    ("m", "25"), ("p", 2.0), ("n", True), ("o", 0), ("m", -1), ("p", None),
-])
-def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
-    header = {"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2, key: value}
-    path = tmp_path / "traces.jsonl"
-    path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(TraceFormatError, match=f"header.{key}: ") as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 1
-
-
-def test_bool_format_version_rejected(tmp_path):
-    # JSON true loads as a Python bool, and True == 1
-    path = tmp_path / "traces.jsonl"
-    path.write_text('{"format_version": true, "m": 2, "p": 2, "n": 1, "o": 2}\n')
-    with pytest.raises(TraceFormatError, match="format_version") as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 1
-
-
-@pytest.mark.parametrize("key, value", [
-    ("success", "no"),
-    ("relevant", 0),
-    ("trial_id", True),
-    ("trial_id", "2"),
-    ("trial_id", 2.0),
-    ("task_id", 7),
-    ("final_cr", True),
-    ("final_cr", "0.5"),
-])
-def test_trial_field_types_checked_not_coerced(tmp_path, key, value):
-    store = TraceStore(DIMS)
-    rng = np.random.default_rng(11)
-    store.append(make_trial(rng=rng))
-    store.append(make_trial(rng=rng))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[2])
-    obj[key] = value
-    lines[2] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match=key) as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 3
-
-
-@pytest.mark.parametrize("value", [float("nan"), pytest.param(10**400, id="huge_int")])
-def test_nan_or_unrepresentable_final_cr_rejected(tmp_path, value):
-    # NaN compares false against the tolerance; a huge JSON integer has no float
-    store = TraceStore(DIMS)
-    store.append(make_trial(rng=np.random.default_rng(12)))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[1])
-    obj["final_cr"] = value
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError) as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 2
-
-
-def test_int_final_cr_still_loads(tmp_path):
-    # a whole-number return written as a JSON integer is a number, not a coercion
-    store = TraceStore(DIMS)
-    store.append(make_trial(rewards=np.array([[1.0], [0.0]]), n_steps=2))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[1])
-    obj["final_cr"] = 1
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    assert TraceStore.load(path).get(1).final_return == 1.0
-
-
-# ---------------------------------------------------------------------------
-# v1 reader
-
-
-@pytest.mark.parametrize("value", [True, "0.5", None])
-def test_v1_timestep_values_must_be_json_numbers(tmp_path, value):
-    # numpy would read true as 1.0 and "0.5" as 0.5
-    store = TraceStore(DIMS)
-    store.append(make_trial(rng=np.random.default_rng(14)))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[1])
-    obj["timesteps"][1]["out"][0] = value
-    lines[1] = json.dumps(obj)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="'out' values must be JSON numbers") as exc:
-        TraceStore.load(path)
-    assert exc.value.line_no == 2
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +559,83 @@ def test_bad_flag_record_is_format_error(tmp_path, flag, match):
     assert exc.value.offset == start
 
 
+def _edit_head(data, start, **changes):
+    """The file `data` with the frame of the trial record at `start` changed:
+    `changes` set in its JSON head."""
+    (length,) = struct.unpack_from("<I", data, start + 1)
+    body = start + 5 + length
+    head = json.loads(data[start + 5:body])
+    return data[:start + 1] + frame({**head, **changes}) + data[body:]
+
+
+def test_loaded_ids_must_increase(tmp_path):
+    trial = make_trial("b", rng=np.random.default_rng(8))
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    header_end = len(MAGIC) + 4 + struct.unpack_from("<I", data, len(MAGIC))[0]
+    first, second = data[header_end:start], data[start:]
+    path = tmp_path / "swapped.bin"
+    path.write_bytes(data[:header_end] + second + first)
+    with pytest.raises(TraceFormatError, match="increasing") as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == header_end + len(second)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", "25"), ("p", 2.0), ("n", True), ("o", 0), ("m", -1), ("p", None),
+])
+def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
+    path = tmp_path / "traces.bin"
+    path.write_bytes(MAGIC + frame({"m": 2, "p": 2, "n": 1, "o": 2, key: value}))
+    with pytest.raises(TraceFormatError, match=f"header.{key}: ") as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == len(MAGIC)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("success", "no"),
+    ("relevant", 0),
+    ("trial_id", True),
+    ("trial_id", "2"),
+    ("trial_id", 2.0),
+    ("task_id", 7),
+    ("final_cr", True),
+    ("final_cr", "0.5"),
+])
+def test_trial_field_types_checked_not_coerced(tmp_path, key, value):
+    trial = make_trial("b", rng=np.random.default_rng(11))
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_edit_head(data, start, **{key: value}))
+    with pytest.raises(TraceFormatError, match=key) as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
+
+
+@pytest.mark.parametrize("value", [float("nan"), pytest.param(10**400, id="huge_int")])
+def test_nan_or_unrepresentable_final_cr_rejected(tmp_path, value):
+    # NaN compares false against the tolerance; a huge JSON integer has no float
+    trial = make_trial("b", rng=np.random.default_rng(12))
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_edit_head(data, start, final_cr=value))
+    with pytest.raises(TraceFormatError) as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
+
+
+def test_int_final_cr_still_loads(tmp_path):
+    # a whole-number return written as a JSON integer is a number, not a coercion
+    trial = make_trial("b", rewards=np.array([[1.0], [0.0]]), n_steps=2)
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    assert b'"final_cr":1.0' in data[start:]
+    path = tmp_path / "int.bin"
+    path.write_bytes(_edit_head(data, start, final_cr=1))
+    final_return = TraceStore.load(path).get(2).final_return
+    assert final_return == 1.0 and type(final_return) is float
+
+
 # ---------------------------------------------------------------------------
-# a streamed store keeps no rows in memory: trials read theirs from the file
+# a store keeps no rows in memory: trials read theirs from the file
 
 
 def _three_generations(store, rng):
@@ -730,8 +671,8 @@ def test_streamed_trial_length_reads_no_rows(streamed, monkeypatch):
     store, _ = streamed()
     _three_generations(store, np.random.default_rng(31))
     reads = []
-    read_rows = TraceStore._read_rows
-    monkeypatch.setattr(TraceStore, "_read_rows",
+    read_rows = _TraceFile.read_rows
+    monkeypatch.setattr(_TraceFile, "read_rows",
                         lambda self, *args: reads.append(args) or read_rows(self, *args))
     assert sum(len(t) for t in store) == 1 + 2 + 3 + 4 + 5 + 6 + 2 + 3 + 4
     assert reads == []
@@ -740,20 +681,65 @@ def test_streamed_trial_length_reads_no_rows(streamed, monkeypatch):
 
 
 @pytest.mark.parametrize("n_steps", [1, 400])
-def test_streamed_store_memory_does_not_grow_with_row_bytes(streamed, n_steps):
-    # 200 trials of 400 rows hold 7.7 MB of rows; the store keeps ~0.3 kB a trial
+def test_streamed_store_memory_does_not_grow_with_row_bytes(tmp_path, n_steps):
+    # 200 trials of 400 rows hold 7.7 MB of rows; a store keeps ~0.3 kB a
+    # trial, whether it streams to a named file or an unnamed one, or was loaded
     trial = make_trial("a", n_steps=n_steps, rng=np.random.default_rng(32))
-    store, _ = streamed()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    path = tmp_path / "traces.bin"
+
+    def filled(store):
         for _ in range(200):
             store.append(trial)
-        grown = tracemalloc.get_traced_memory()[0] - before
+        return store
+
+    for form, build in (("create", lambda: filled(TraceStore.create(path, DIMS))),
+                        ("unnamed", lambda: filled(TraceStore(DIMS))),
+                        ("load", lambda: TraceStore.load(path))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = build()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        store.close()
+        assert len(store) == 200, form
+        assert grown < 200 * 1024, form
+
+
+def test_dropped_stores_close_their_files_without_the_garbage_collector():
+    # a trial holds its store's file, not the store: no cycle keeps it open
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    trial = make_trial("a", rng=np.random.default_rng(36))
+    gc.disable()
+    try:
+        before = open_fds()
+        for _ in range(100):
+            store = TraceStore(DIMS)
+            store.extend([trial, trial])
+            trials = store.trials
+            del store
+            assert trials[1].timesteps.tobytes() == trial.timesteps.tobytes()
+            del trials
+        assert open_fds() == before
     finally:
-        tracemalloc.stop()
-    assert len(store) == 200
-    assert grown < 200 * 1024
+        gc.enable()
+
+
+def test_closed_store_takes_no_records(streamed):
+    # a closed store once took records into memory only, and its file, saved
+    # as if whole, then lacked them
+    rng = np.random.default_rng(37)
+    named, path = streamed()
+    unnamed = TraceStore(DIMS)
+    for store, store_path in ((named, path), (unnamed, None)):
+        store.append(make_trial("a", success=True, rng=rng))
+        store.close()
+        _assert_takes_no_records(store, rng, store_path)
+    named.save(path)
+    assert TraceStore.load(path).trials == named.trials
 
 
 class _BrokenLog:
@@ -791,20 +777,20 @@ def test_failed_write_adds_no_trial_and_ends_streaming(streamed):
     assert store.get(1) == TraceStore.load(path).get(1)
 
 
-def test_streamed_store_saves_and_exports_the_bytes_of_an_in_memory_one(tmp_path, streamed):
-    store, _ = streamed()
-    memory = TraceStore(DIMS)
-    _three_generations(store, np.random.default_rng(34))
-    _three_generations(memory, np.random.default_rng(34))
-    for name, each in (("streamed", store), ("memory", memory)):
+def test_named_and_unnamed_stores_save_and_export_the_same_bytes(tmp_path, streamed):
+    named, _ = streamed()
+    unnamed = TraceStore(DIMS)
+    _three_generations(named, np.random.default_rng(34))
+    _three_generations(unnamed, np.random.default_rng(34))
+    for name, each in (("named", named), ("unnamed", unnamed)):
         each.save(tmp_path / f"{name}.bin")
         each.export_v1(tmp_path / f"{name}.jsonl")
     for suffix in (".bin", ".jsonl"):
-        assert ((tmp_path / f"streamed{suffix}").read_bytes()
-                == (tmp_path / f"memory{suffix}").read_bytes())
-    store.close()
-    store.save(tmp_path / "closed.bin")
-    assert (tmp_path / "closed.bin").read_bytes() == (tmp_path / "memory.bin").read_bytes()
+        assert ((tmp_path / f"named{suffix}").read_bytes()
+                == (tmp_path / f"unnamed{suffix}").read_bytes())
+    named.close()
+    named.save(tmp_path / "closed.bin")
+    assert (tmp_path / "closed.bin").read_bytes() == (tmp_path / "unnamed.bin").read_bytes()
 
 
 def test_streamed_rows_stay_readable_after_close(tmp_path, streamed):
@@ -868,24 +854,37 @@ def make_calls(store, calls):
 def test_save_load_save_is_exact(dims_calls, file_format):
     dims, calls = dims_calls
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
-        if file_format == "v2":
-            # the streamed file, flag records and all, loads as the same store
-            streamed = Path(tmp) / "streamed.jsonl"
-            store = TraceStore.create(streamed, dims)
-            make_calls(store, calls)
-            store.close()
-            loaded = TraceStore.load(streamed)
-            assert loaded.dims == store.dims
-            assert list(loaded) == list(store)
-            write = TraceStore.save
-        else:
+        first, second = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+        if file_format == "v1":
+            export = Path(tmp) / "v1.jsonl"
+            # v1 is export-only: every line parses back to the header and the
+            # trials, rows bit for bit in column order
             store = TraceStore(dims)
             make_calls(store, calls)
-            write = TraceStore.export_v1
-        write(store, first)
+            store.export_v1(export)
+            header, *objs = map(json.loads, export.read_text(encoding="utf-8").splitlines())
+            assert header == {"format_version": 1, "m": dims.obs_dim, "p": dims.goal_dim,
+                              "n": dims.reward_dim, "o": dims.action_dim}
+            assert len(objs) == len(store)
+            for obj, trial in zip(objs, store):
+                assert [list(ts) for ts in obj["timesteps"]] == [list(dims.columns)] * len(trial)
+                rows = [[v for key in dims.columns for v in ts[key]] for ts in obj["timesteps"]]
+                assert np.array(rows).tobytes() == trial.timesteps.tobytes()
+                assert ((obj["trial_id"], obj["task_id"], obj["success"], obj["relevant"],
+                         obj["final_cr"]) == (trial.trial_id, trial.task_id, trial.success,
+                                              trial.relevant, trial.final_return))
+            return
+        # the streamed file, flag records and all, loads as the same store
+        streamed = Path(tmp) / "streamed.bin"
+        store = TraceStore.create(streamed, dims)
+        make_calls(store, calls)
+        store.close()
+        loaded = TraceStore.load(streamed)
+        assert loaded.dims == store.dims
+        assert list(loaded) == list(store)
+        store.save(first)
         loaded = TraceStore.load(first)
         assert loaded.dims == store.dims
         assert list(loaded) == list(store)
-        write(loaded, second)
+        loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
