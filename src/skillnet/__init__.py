@@ -31,7 +31,6 @@ from .network import (
     Network,
     ReplayBatch,
     TrialTargets,
-    apply_regularizer,
     batch_loss,
     bptt_gradient,
     init_network,
@@ -65,7 +64,6 @@ __all__ = [
     "TraceStore",
     "Trial",
     "TrialTargets",
-    "apply_regularizer",
     "batch_loss",
     "bptt_gradient",
     "build_targets",

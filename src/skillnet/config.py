@@ -36,13 +36,12 @@ class BudgetsConfig:
     max_total_budget: float | None = None
 
     def __post_init__(self):
-        for name in ("c0", "dream_multiplier"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("c0", "dream_multiplier", "max_total_budget"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.unit not in BUDGET_UNITS:
             raise ValueError(f"unit must be one of {BUDGET_UNITS}")
-        if self.max_total_budget is not None and self.max_total_budget <= 0:
-            raise ValueError("max_total_budget must be positive when set")
 
 
 FINAL_CHECKPOINT = "final.ckpt"
@@ -109,9 +108,7 @@ CRITERION = _same(min_success_trials=INT, success_rate_threshold=NUMBER,
 ES = _same(population=INT, sigma=NUMBER, elitism=BOOL)
 BUDGETS = {"c0": ("c0", _float), "lambda": ("dream_multiplier", _float),
            **_same(unit=STRING, max_total_budget=NUMBER)}
-CONSOLIDATION = _same(base_lr=NUMBER, momentum=NUMBER, action_weight=NUMBER,
-                      pred_weight=NUMBER, return_weight=NUMBER, reg_interval=INT,
-                      reg_strength=NUMBER, reg_kind=STRING)
+CONSOLIDATION = _same(base_lr=NUMBER, momentum=NUMBER)
 REPLAY = _same(mode=STRING, k=INT, rng_seed=SEED)
 PATHS = ("trace_file", "metrics_file", "checkpoint_dir")
 

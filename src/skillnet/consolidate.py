@@ -1,7 +1,7 @@
 """Gradient-based consolidation: retrain the network on stored traces.
 
-The dream phase replays stored trials and descends a joint masked
-squared-error loss with three terms:
+The dream phase replays stored trials and descends the plain sum of three
+masked squared-error terms:
 
   * behavioral cloning of recorded actions, only on trials currently flagged
     relevant;
@@ -25,16 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    REG_KINDS,
-    NetConfig,
-    Network,
-    ReplayBatch,
-    TrialTargets,
-    apply_regularizer,
-    batch_loss,
-    bptt_gradient,
-)
+from .network import NetConfig, Network, ReplayBatch, TrialTargets, batch_loss, bptt_gradient
 from .rollout import run_trials, trial_env_steps
 from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
@@ -43,26 +34,12 @@ from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 class ConsolidationConfig:
     base_lr: float = 0.005
     momentum: float = 0.9
-    action_weight: float = 1.0
-    pred_weight: float = 1.0
-    return_weight: float = 1.0
-    reg_interval: int = 0       # apply the regularizer every N steps; 0 = off
-    reg_strength: float = 0.0
-    reg_kind: str = "decay"
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.reg_interval < 0 or self.reg_strength < 0:
-            raise ValueError("regularizer settings must be non-negative")
-        if self.reg_kind not in REG_KINDS:
-            raise ValueError(f"reg_kind must be one of {REG_KINDS}, got {self.reg_kind!r}")
-
-    @property
-    def term_weights(self) -> tuple[float, float, float]:
-        return (self.action_weight, self.pred_weight, self.return_weight)
 
 
 def build_targets(trial: Trial, relevant_now: bool, config: NetConfig) -> TrialTargets:
@@ -101,11 +78,11 @@ def build_targets(trial: Trial, relevant_now: bool, config: NetConfig) -> TrialT
     )
 
 
-def term_stats(net: Network, batch, term_weights=(1.0, 1.0, 1.0)) -> dict:
+def term_stats(net: Network, batch) -> dict:
     """Per-term loss sums plus masked-timestep counts over a batch (a list of
     TrialTargets or a ReplayBatch)."""
     batch = ReplayBatch.wrap(net.config, batch)
-    total, per_term = batch_loss(net, batch, term_weights)
+    total, per_term = batch_loss(net, batch)
     counts = {f"{term}_steps": int(batch.mask[..., span.start].sum())
               for term, span in zip(per_term, batch.spans)}
     return {"total": total, **per_term, **counts}
@@ -153,7 +130,7 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
         return cached
 
     probe_batch = batch = select_batch()
-    initial = term_stats(net, probe_batch, config.term_weights)
+    initial = term_stats(net, probe_batch)
     resample = policy.mode == "uniform_sample"  # the store is fixed during a dream
 
     velocity = np.zeros_like(weights)
@@ -161,7 +138,7 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
     for step_idx in range(steps):
         if resample and step_idx > 0:
             batch = select_batch()
-        grad, loss = bptt_gradient(net, batch, config.term_weights)
+        grad, loss = bptt_gradient(net, batch)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
@@ -173,10 +150,8 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
             raise RuntimeError(
                 f"consolidation diverged: non-finite weights at gradient step {step_idx}"
             )
-        if config.reg_interval > 0 and (step_idx + 1) % config.reg_interval == 0:
-            weights[:] = apply_regularizer(weights, config.reg_strength, config.reg_kind)
 
-    final = term_stats(net, probe_batch, config.term_weights)
+    final = term_stats(net, probe_batch)
     if not all(map(math.isfinite, final.values())):
         raise RuntimeError("consolidation diverged: non-finite loss after the last gradient step")
     return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final)

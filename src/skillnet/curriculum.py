@@ -79,8 +79,10 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
     """
     if not tasks:
         raise ValueError("curriculum needs at least one task")
-    if budget_c0 <= 0 or dream_multiplier <= 0:
-        raise ValueError("budget_c0 and dream_multiplier must be positive")
+    for name, value in (("budget_c0", budget_c0), ("dream_multiplier", dream_multiplier),
+                        ("max_total_budget", max_total_budget)):
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     weights = np.asarray(initial_weights, dtype=np.float64).copy()
     original = weights.copy()

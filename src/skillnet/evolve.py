@@ -40,7 +40,7 @@ class Budget:
     def __post_init__(self):
         if self.unit not in BUDGET_UNITS:
             raise ValueError(f"unit must be one of {BUDGET_UNITS}, got {self.unit!r}")
-        if self.amount <= 0:
+        if not self.amount > 0:  # inf is allowed: doubling with no total guard reaches it
             raise ValueError(f"amount must be positive, got {self.amount}")
 
 
@@ -52,10 +52,10 @@ class EsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 1:
+        if not self.population >= 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass

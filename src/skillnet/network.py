@@ -33,10 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsoncheck import INT, NUMBER, SEED, STRING, ConfigError, fill, versioned
+from .jsoncheck import INT, NUMBER, SEED, STRING, ConfigError, fill, known, versioned
 
 ACTIVATIONS = ("tanh", "sigmoid")
-REG_KINDS = ("decay", "prune")
 
 CHECKPOINT_VERSION = 1
 
@@ -68,12 +67,12 @@ class NetConfig:
     def __post_init__(self):
         for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim", "hidden_dim",
                      "micro_steps"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if not 0 <= self.init_scale < np.inf:
+            raise ValueError(f"init_scale must be >= 0 and finite, got {self.init_scale}")
 
     @property
     def input_width(self) -> int:
@@ -187,24 +186,6 @@ def init_network(config: NetConfig) -> tuple[Network, np.ndarray]:
     rng = np.random.default_rng(config.seed)
     weights = rng.uniform(-config.init_scale, config.init_scale, size=config.n_params)
     return Network(config, weights), weights.copy()
-
-
-def apply_regularizer(weights: np.ndarray, strength: float, kind: str = "decay") -> np.ndarray:
-    """One regularization step on a flat weight vector.
-
-    kind="decay" multiplies every weight by (1 - strength); kind="prune"
-    zeroes weights with |w| < strength.
-    """
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-    weights = np.asarray(weights, dtype=np.float64)
-    if kind == "decay":
-        return weights * (1.0 - strength)
-    if kind == "prune":
-        out = weights.copy()
-        out[np.abs(out) < strength] = 0.0
-        return out
-    raise ValueError(f"unknown regularizer kind {kind!r}")
 
 
 @dataclass
@@ -331,7 +312,6 @@ class ReplayBatch:
         self.last = hs[:, k::k]  # each timestep's final micro state
         self.outputs = np.empty((n_rows, t_max, config.output_width))
         self.d_y = np.empty_like(self.outputs)
-        self.scale = np.empty(config.output_width)  # 2 * each column's term weight
         self.from_out = np.empty((n_rows, t_max, h))
         self.d_act = np.empty((n_rows, t_max * k, h))
         d_z = np.empty_like(self.d_act)
@@ -410,7 +390,7 @@ class ReplayBatch:
         matmul(net.w_out, self.last[..., None], self.outputs[..., None])
         add(self.outputs, net.b_out, self.outputs)
 
-    def losses(self, term_weights) -> list[tuple[float, float, float]]:
+    def losses(self) -> list[tuple[float, float, float]]:
         """Each trial's three loss terms, in trial order, every term summed
         over its own rows; leaves the masked residuals in `d_y`."""
         multiply, add_reduce = np.multiply, np.add.reduce
@@ -420,17 +400,15 @@ class ReplayBatch:
             multiply(res, res, sq)
         for squares, sums in self.sum_blocks:
             add_reduce(squares, (1, 2), None, sums)
-        (wa, wp, wr), (sa, sp, sr) = term_weights, self.sums.tolist()
-        return [(wa * sa[row], wp * sp[row], wr * sr[row]) for row in self.trial_order.tolist()]
+        sa, sp, sr = self.sums.tolist()
+        return [(sa[row], sp[row], sr[row]) for row in self.trial_order.tolist()]
 
-    def gradient(self, net: Network, term_weights) -> np.ndarray:
+    def gradient(self, net: Network) -> np.ndarray:
         """The flat gradient from the residuals `losses` left in `d_y`: the
         sum of the per-trial gradients, added in trial order."""
         add, multiply, matmul, dot = np.add, np.multiply, np.matmul, np.dot
         add_reduce = np.add.reduce
-        for span, w in zip(self.spans, term_weights):
-            self.scale[span] = 2.0 * w
-        multiply(self.d_y, self.scale, self.d_y)
+        multiply(self.d_y, 2.0, self.d_y)
         # backward through time over the running trials; a trial's error
         # signal starts from zero at its last step
         matmul(net.w_out.T, self.d_y[..., None], self.from_out[..., None])
@@ -462,24 +440,24 @@ class ReplayBatch:
         return add_reduce(self.parts[self.trial_order], axis=0, initial=0.0)
 
 
-def batch_loss(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
+def batch_loss(net: Network, batch):
     """Forward-only masked squared-error loss over a batch of TrialTargets
     (a list or a ReplayBatch).
 
     Returns (total, per_term) where per_term is a dict with the three slice
-    sums, already scaled by term_weights.
+    sums.
     """
     batch = ReplayBatch.wrap(net.config, batch)
     batch.forward(net)
     per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
-    for la, lp, lr in batch.losses(term_weights):
+    for la, lp, lr in batch.losses():
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
     return sum(per_term.values()), per_term
 
 
-def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
+def bptt_gradient(net: Network, batch):
     """Exact gradient of the total masked squared-error loss over a batch of
     TrialTargets (a list or a ReplayBatch).
 
@@ -489,8 +467,8 @@ def bptt_gradient(net: Network, batch, term_weights=(1.0, 1.0, 1.0)):
     """
     batch = ReplayBatch.wrap(net.config, batch)
     batch.forward(net)
-    losses = batch.losses(term_weights)
-    grad = batch.gradient(net, term_weights)
+    losses = batch.losses()
+    grad = batch.gradient(net)
     total_loss = 0.0
     for trial_losses in losses:
         total_loss += sum(trial_losses)
@@ -535,16 +513,19 @@ def load_checkpoint(path) -> tuple[NetConfig, np.ndarray]:
 
     A malformed file raises ValueError: format_version must be the JSON
     integer CHECKPOINT_VERSION, the other header keys are read through the
-    config's NET table, and the weights line must hold n_params finite JSON
-    numbers.
+    config's NET table, the weights line must hold only its "weights" key,
+    a list of n_params finite JSON numbers, and no line may follow it.
     """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if len(text) < 2:
         raise ValueError(f"checkpoint {path} is truncated")
+    if len(text) > 2:
+        raise ValueError("line 3: unexpected after the weights line")
     header = json.loads(text[0])
     config = fill(NetConfig, versioned(header, CHECKPOINT_VERSION, "header"), "header", NET)
-    weights = json.loads(text[1])
-    weights = weights.get("weights") if isinstance(weights, dict) else None
+    body = json.loads(text[1])
+    weights = body.get("weights") if isinstance(body, dict) else None
     if not isinstance(weights, list) or len(weights) != config.n_params:
         raise ConfigError("weights", f"must be a list of {config.n_params} numbers")
+    known(body, "", ("weights",))
     return config, np.array([NUMBER(w, f"weights[{i}]") for i, w in enumerate(weights)], float)

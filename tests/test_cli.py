@@ -640,6 +640,28 @@ def test_eval_malformed_checkpoint_header_is_usage_error(tmp_path, capsys, key, 
     assert key in err
 
 
+@pytest.mark.parametrize("command", ["eval", "transfer-probe"])
+@pytest.mark.parametrize("extra, message", [
+    ({"junk": 1}, "junk: unknown field"),
+    (["garbage"], "line 3: unexpected after the weights line"),
+], ids=["extra-key", "third-line"])
+def test_checkpoint_with_more_than_its_weights_is_usage_error(tmp_path, capsys, command,
+                                                              extra, message):
+    config_path = write_config(tmp_path)
+    cfg = NetConfig(obs_dim=9, goal_dim=4, reward_dim=1, action_dim=4, hidden_dim=12)
+    ckpt = tmp_path / "x.ckpt"
+    save_checkpoint(ckpt, cfg, init_network(cfg)[1])
+    header, body = ckpt.read_text().splitlines()
+    if isinstance(extra, dict):
+        body = json.dumps({**json.loads(body), **extra})
+    ckpt.write_text("\n".join([header, body, *(extra if isinstance(extra, list) else [])]) + "\n")
+    code = main([command, "--checkpoint", str(ckpt), "--config", str(config_path),
+                 "--task", "corner_ne"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint: malformed file {ckpt}: {message}")
+
+
 @pytest.mark.parametrize("value", [True, "0.1", float("nan")])
 def test_eval_checkpoint_with_bad_weight_is_usage_error(tmp_path, capsys, value):
     # a weight must be a finite JSON number: true and "0.1" are not coerced,

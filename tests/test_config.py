@@ -67,6 +67,22 @@ def test_shipped_configs_load():
         load_config(path)
 
 
+def test_readme_config_block_parses_and_shows_every_key(tmp_path):
+    # the README's schema is the loader's: it parses, and it names every key
+    # of every section's table
+    block = (REPO / "README.md").read_text(encoding="utf-8").split("```jsonc\n")[1]
+    lines = block.split("```")[0].splitlines()
+    raw = json.loads("\n".join(line.split("//")[0] for line in lines))
+    config_module.parse_config(raw, tmp_path)
+    task, consolidation = raw["tasks"][0], raw["consolidation"]
+    c = config_module
+    for section, table in [(raw["net"], NET), (task, c.TASK), (task["maze"], c.MAZE),
+                           (task["criterion"], c.CRITERION), (raw["es"], c.ES),
+                           (raw["budgets"], c.BUDGETS), (consolidation, c.CONSOLIDATION),
+                           (consolidation["replay"], c.REPLAY), (raw["paths"], c.PATHS)]:
+        assert set(table) <= set(section), set(table) - set(section)
+
+
 def expect_error(tmp_path, config, fieldpath):
     with pytest.raises(ConfigError) as exc:
         load_config(write(tmp_path, config))
@@ -131,6 +147,15 @@ def test_non_positive_budgets_rejected(tmp_path):
     expect_error(tmp_path, config, "budgets.lambda")
 
 
+@pytest.mark.parametrize("field", ["c0", "dream_multiplier", "max_total_budget"])
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+def test_budgets_config_rejects_non_positive_and_non_finite(field, value):
+    # the loader's finite-number check, for a library caller too
+    settings = {"c0": 1.0, "dream_multiplier": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        BudgetsConfig(**settings)
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_non_positive_max_steps_per_trial_rejected(tmp_path, cap):
     config = base_config()
@@ -138,10 +163,19 @@ def test_non_positive_max_steps_per_trial_rejected(tmp_path, cap):
     expect_error(tmp_path, config, "tasks[0].criterion.max_steps_per_trial")
 
 
-def test_bad_reg_kind_rejected(tmp_path):
+# the dream loss is the plain sum of its three terms, with no regularizer:
+# each removed setting is an unknown key, even at its old default
+REMOVED_CONSOLIDATION_KEYS = {"action_weight": 1.0, "pred_weight": 1.0, "return_weight": 1.0,
+                              "reg_interval": 0, "reg_strength": 0.0, "reg_kind": "decay"}
+
+
+@pytest.mark.parametrize("key", REMOVED_CONSOLIDATION_KEYS)
+def test_removed_consolidation_keys_rejected(tmp_path, key):
     config = base_config()
-    config["consolidation"] = {"reg_kind": "bogus"}
-    expect_error(tmp_path, config, "consolidation.reg_kind")
+    config["consolidation"] = {key: REMOVED_CONSOLIDATION_KEYS[key]}
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, config))
+    assert str(exc.value) == f"consolidation.{key}: unknown field"
 
 
 @pytest.mark.parametrize("mode", ["all", "relevant_only"])
@@ -193,8 +227,7 @@ NUMERIC_FIELDS = [
     *((("budgets",), key, f"budgets.{key}")
       for key in ("c0", "lambda", "max_total_budget")),
     *((("consolidation",), key, f"consolidation.{key}")
-      for key in ("base_lr", "momentum", "action_weight", "pred_weight", "return_weight",
-                  "reg_interval", "reg_strength")),
+      for key in ("base_lr", "momentum")),
     *((("consolidation", "replay"), key, f"consolidation.replay.{key}")
       for key in ("k", "rng_seed")),
 ]
@@ -205,6 +238,9 @@ NUMERIC_FIELDS = [
 REMOVED_NUMERIC_FIELDS = [
     (("tasks", 0, "maze"), "episode_cap", "tasks[0].maze.episode_cap"),
     (("budgets",), "dream_steps_per_unit", "budgets.dream_steps_per_unit"),
+    *((("consolidation",), key, f"consolidation.{key}")
+      for key in ("action_weight", "pred_weight", "return_weight", "reg_interval",
+                  "reg_strength")),
 ]
 
 

@@ -19,7 +19,6 @@ from skillnet.network import (
     NetConfig,
     Network,
     ReplayBatch,
-    apply_regularizer,
     batch_loss,
     bptt_gradient,
     init_network,
@@ -260,14 +259,13 @@ def test_one_gradient_step_decreases_loss_with_small_enough_lr():
     assert after <= before
 
 
-def test_regularizer_applied_every_interval():
-    store = relevant_store()
-    _, weights = init_network(CFG)
-    cfg_on = ConsolidationConfig(base_lr=1e-9, reg_interval=1, reg_strength=0.5)
-    new_weights, _ = consolidate(weights, store, ReplayPolicy(mode="all"), cfg_on,
-                                 net_config=CFG, steps=2)
-    # lr is negligible, so the change is dominated by two decay steps
-    assert np.allclose(new_weights, weights * 0.25, atol=1e-6)
+@pytest.mark.parametrize("field, value", [
+    ("base_lr", 0.0), ("base_lr", float("nan")), ("base_lr", float("inf")),
+    ("momentum", 1.0), ("momentum", float("nan")),
+])
+def test_config_rejects_out_of_range_and_nan_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ConsolidationConfig(**{field: value})
 
 
 def test_budget_argument_validation():
@@ -318,11 +316,11 @@ def reference_consolidate(weights, store, policy, config, *, net_config, steps):
         return build_batch(store.sample_replay(policy, rng=rng), net_config)
 
     probe_batch = select_batch()
-    initial = term_stats(net, probe_batch, config.term_weights)
+    initial = term_stats(net, probe_batch)
     velocity = np.zeros_like(weights)
     for step_idx in range(steps):
         batch = probe_batch if step_idx == 0 else select_batch()
-        grad, loss = bptt_gradient(net, batch, config.term_weights)
+        grad, loss = bptt_gradient(net, batch)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
@@ -333,10 +331,8 @@ def reference_consolidate(weights, store, policy, config, *, net_config, steps):
             raise RuntimeError(
                 f"consolidation diverged: non-finite weights at gradient step {step_idx}"
             )
-        if config.reg_interval > 0 and (step_idx + 1) % config.reg_interval == 0:
-            weights = apply_regularizer(weights, config.reg_strength, config.reg_kind)
         net.set_weights(weights)
-    return weights, initial, term_stats(net, probe_batch, config.term_weights)
+    return weights, initial, term_stats(net, probe_batch)
 
 
 def mixed_store():
@@ -356,14 +352,11 @@ POLICIES = [ReplayPolicy(mode="all"), ReplayPolicy(mode="relevant_only"),
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
 @pytest.mark.parametrize("micro_steps", [1, 2, 3])
-@pytest.mark.parametrize("reg_kind", [None, "decay", "prune"])
 @pytest.mark.parametrize("policy", POLICIES, ids=[p.mode for p in POLICIES])
-def test_dream_loop_matches_plain_loop_bit_for_bit(policy, reg_kind, micro_steps, activation):
+def test_dream_loop_matches_plain_loop_bit_for_bit(policy, micro_steps, activation):
     net_config = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4,
                            micro_steps=micro_steps, activation=activation, seed=3)
-    reg = {} if reg_kind is None else {"reg_interval": 3, "reg_strength": 0.05,
-                                       "reg_kind": reg_kind}
-    config = ConsolidationConfig(base_lr=0.05, **reg)
+    config = ConsolidationConfig(base_lr=0.05)
     store = mixed_store()
     _, weights = init_network(net_config)
     given = weights.copy()

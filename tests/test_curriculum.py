@@ -194,10 +194,15 @@ def test_empty_curriculum_rejected():
 
 
 def test_invalid_budgets_rejected():
-    with pytest.raises(ValueError):
-        run([make_task("a")], FakeSolver({}), c0=0.0)
-    with pytest.raises(ValueError):
-        run([make_task("a")], FakeSolver({}), lam=0.0)
+    def solver(**_):
+        pytest.fail("the solver ran on an invalid budget")
+
+    # a NaN passes every `x <= 0` check, and a NaN budget used to double forever
+    for value in (0.0, -1.0, float("nan"), float("inf")):
+        for name, kwargs in (("budget_c0", {"c0": value}), ("dream_multiplier", {"lam": value}),
+                             ("max_total_budget", {"max_total": value})):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                run([make_task("a")], solver, **kwargs)
 
 
 def test_on_event_callback_receives_all_events():

@@ -461,10 +461,16 @@ def test_race_fairness_with_asymmetric_episode_costs():
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget("generations", 5)
-    with pytest.raises(ValueError):
-        Budget("env_steps", 0)
-    with pytest.raises(ValueError):
-        EsConfig(population=0)
+    for amount in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^amount must be positive"):
+            Budget("env_steps", amount)
+    assert Budget("env_steps", float("inf")).amount == float("inf")  # doubling can reach it
+    for population in (0, float("nan")):
+        with pytest.raises(ValueError, match="^population must be >= 1"):
+            EsConfig(population=population)
+    for sigma in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite"):
+            EsConfig(sigma=sigma)
 
 
 def test_same_seed_search_is_deterministic():

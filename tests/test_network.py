@@ -12,7 +12,6 @@ from skillnet.network import (
     Network,
     ReplayBatch,
     TrialTargets,
-    apply_regularizer,
     batch_loss,
     bptt_gradient,
     init_network,
@@ -96,9 +95,13 @@ def test_init_range_bounded_by_scale():
     dict(hidden_dim=0),
     dict(micro_steps=0),
     dict(activation="relu"),
+    dict(hidden_dim=float("nan")),
+    dict(init_scale=-0.1),
+    dict(init_scale=float("nan")),
+    dict(init_scale=float("inf")),
 ])
 def test_invalid_config_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
         small_config(**bad)
 
 
@@ -200,31 +203,6 @@ def test_sigmoid_activation_supported():
 
 
 # ---------------------------------------------------------------------------
-# regularizer
-
-
-def test_regularizer_zero_strength_is_noop():
-    w = np.array([0.3, -1.2, 0.0])
-    assert np.array_equal(apply_regularizer(w, 0.0, "decay"), w)
-    assert np.array_equal(apply_regularizer(w, 0.0, "prune"), w)
-
-
-def test_regularizer_decay():
-    out = apply_regularizer(np.array([1.0]), 0.1, "decay")
-    assert out[0] == pytest.approx(0.9)
-
-
-def test_regularizer_prune():
-    out = apply_regularizer(np.array([0.01, -0.2]), 0.05, "prune")
-    assert np.array_equal(out, np.array([0.0, -0.2]))
-
-
-def test_regularizer_rejects_negative_strength():
-    with pytest.raises(ValueError):
-        apply_regularizer(np.zeros(2), -0.1, "decay")
-
-
-# ---------------------------------------------------------------------------
 # BPTT gradient
 
 
@@ -263,7 +241,7 @@ def test_batch_gradient_is_sum_of_per_trial_gradients():
     assert l_all == pytest.approx(sum(l for _, l in parts))
 
 
-def finite_difference_gradient(net, batch, term_weights=(1.0, 1.0, 1.0), eps=1e-5):
+def finite_difference_gradient(net, batch, eps=1e-5):
     """Central-difference loss gradient, independent of the BPTT path."""
     base = net.weights.copy()
     grad = np.zeros_like(base)
@@ -272,8 +250,8 @@ def finite_difference_gradient(net, batch, term_weights=(1.0, 1.0, 1.0), eps=1e-
         w_plus[i] += eps
         w_minus = base.copy()
         w_minus[i] -= eps
-        lp, _ = batch_loss(Network(net.config, w_plus), batch, term_weights)
-        lm, _ = batch_loss(Network(net.config, w_minus), batch, term_weights)
+        lp, _ = batch_loss(Network(net.config, w_plus), batch)
+        lm, _ = batch_loss(Network(net.config, w_minus), batch)
         grad[i] = (lp - lm) / (2 * eps)
     return grad
 
@@ -296,17 +274,6 @@ def test_bptt_matches_finite_differences(micro_steps, t_len, seed):
     batch = [random_targets(cfg, t_len, rng)]
     analytic, _ = bptt_gradient(net, batch)
     numeric = finite_difference_gradient(net, batch)
-    assert_gradients_close(analytic, numeric)
-
-
-def test_bptt_with_term_weights_matches_finite_differences():
-    cfg = small_config(seed=9)
-    net, _ = init_network(cfg)
-    rng = np.random.default_rng(42)
-    batch = [random_targets(cfg, 4, rng)]
-    weights = (2.0, 0.5, 3.0)
-    analytic, _ = bptt_gradient(net, batch, weights)
-    numeric = finite_difference_gradient(net, batch, weights)
     assert_gradients_close(analytic, numeric)
 
 
@@ -369,32 +336,28 @@ def reference_forward_trial(net, senses):
     return outputs, states
 
 
-def reference_residuals(cfg, outputs, trial, term_weights):
+def reference_residuals(cfg, outputs, trial):
     o, pw = cfg.action_dim, cfg.pred_width
-    wa, wp, wr = term_weights
     res_a = (outputs[:, :o] - trial.action_target) * trial.action_mask[:, None]
     res_p = (outputs[:, o : o + pw] - trial.pred_target) * trial.pred_mask[:, None]
     res_r = (outputs[:, o + pw :] - trial.return_target) * trial.return_mask[:, None]
-    losses = (
-        wa * float(np.sum(res_a * res_a)),
-        wp * float(np.sum(res_p * res_p)),
-        wr * float(np.sum(res_r * res_r)),
-    )
+    losses = (float(np.sum(res_a * res_a)), float(np.sum(res_p * res_p)),
+              float(np.sum(res_r * res_r)))
     return (res_a, res_p, res_r), losses
 
 
-def reference_batch_loss(net, batch, term_weights):
+def reference_batch_loss(net, batch):
     per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
     for trial in batch:
         outputs, _ = reference_forward_trial(net, trial.senses)
-        _, (la, lp, lr) = reference_residuals(net.config, outputs, trial, term_weights)
+        _, (la, lp, lr) = reference_residuals(net.config, outputs, trial)
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
     return sum(per_term.values()), per_term
 
 
-def reference_bptt_gradient(net, batch, term_weights):
+def reference_bptt_gradient(net, batch):
     """The per-trial BPTT loop: every trial and timestep on its own."""
     cfg = net.config
     k = cfg.micro_steps
@@ -408,12 +371,12 @@ def reference_bptt_gradient(net, batch, term_weights):
     for trial in batch:
         t_len = len(trial)
         outputs, states = reference_forward_trial(net, trial.senses)
-        (res_a, res_p, res_r), losses = reference_residuals(cfg, outputs, trial, term_weights)
+        (res_a, res_p, res_r), losses = reference_residuals(cfg, outputs, trial)
         total_loss += sum(losses)
         d_y = np.zeros((t_len, cfg.output_width))
-        d_y[:, :o] = 2.0 * term_weights[0] * res_a
-        d_y[:, o : o + pw] = 2.0 * term_weights[1] * res_p
-        d_y[:, o + pw :] = 2.0 * term_weights[2] * res_r
+        d_y[:, :o] = 2.0 * res_a
+        d_y[:, o : o + pw] = 2.0 * res_p
+        d_y[:, o + pw :] = 2.0 * res_r
         g_w_out += d_y.T @ states[:, k - 1, :]
         g_b_out += d_y.sum(axis=0)
         prev = np.zeros_like(states)
@@ -456,23 +419,22 @@ def replay_cases(draw):
             return_target=rng.normal(size=(t_len, cfg.return_width)),
             action_mask=masks[0], pred_mask=masks[1], return_mask=masks[2],
         ))
-    weights = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)))
-    return cfg, batch, weights
+    return cfg, batch
 
 
 @settings(max_examples=150, deadline=None)
 @given(replay_cases())
 def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
-    cfg, batch, term_weights = case
+    cfg, batch = case
     net, _ = init_network(cfg)
-    ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
-    ref_total, ref_terms = reference_batch_loss(net, batch, term_weights)
+    ref_grad, ref_loss = reference_bptt_gradient(net, batch)
+    ref_total, ref_terms = reference_batch_loss(net, batch)
     for given_batch in (batch, ReplayBatch(cfg, batch)):
-        grad, loss = bptt_gradient(net, given_batch, term_weights)
+        grad, loss = bptt_gradient(net, given_batch)
         assert np.array_equal(grad, ref_grad)
         assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
         assert loss == ref_loss
-        total, terms = batch_loss(net, given_batch, term_weights)
+        total, terms = batch_loss(net, given_batch)
         assert total == ref_total
         assert terms == ref_terms
 
@@ -484,19 +446,19 @@ def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
     # and with losses and gradients interleaved, every call must match a
     # fresh batch and the per-trial loop bit for bit, so no buffer may carry
     # state over (padded rows past a trial's end stay zero)
-    cfg, batch, term_weights = case
+    cfg, batch = case
     assume(len({len(trial) for trial in batch}) > 1)
     reused = ReplayBatch(cfg, batch)
     rng = np.random.default_rng(seed)
     for scale in (0.1, 1.0, 2.5):
         net = Network(cfg, rng.uniform(-scale, scale, cfg.n_params))
-        ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
-        ref_loss_only = reference_batch_loss(net, batch, term_weights)
+        ref_grad, ref_loss = reference_bptt_gradient(net, batch)
+        ref_loss_only = reference_batch_loss(net, batch)
         for _ in range(2):
-            assert batch_loss(net, reused, term_weights) == ref_loss_only
-            assert batch_loss(net, ReplayBatch(cfg, batch), term_weights) == ref_loss_only
+            assert batch_loss(net, reused) == ref_loss_only
+            assert batch_loss(net, ReplayBatch(cfg, batch)) == ref_loss_only
             for given_batch in (reused, ReplayBatch(cfg, batch)):
-                grad, loss = bptt_gradient(net, given_batch, term_weights)
+                grad, loss = bptt_gradient(net, given_batch)
                 assert grad.tobytes() == ref_grad.tobytes()
                 assert loss == ref_loss
         for row, b in enumerate(reused.order):
@@ -515,16 +477,14 @@ def test_batched_bptt_equals_per_trial_loop_at_workload_shapes(obs_dim, hidden_d
                     seed=obs_dim + hidden_dim, init_scale=0.5)
     net, _ = init_network(cfg)
     rng = np.random.default_rng(micro_steps)
-    term_weights = (1.0, 0.5, 2.0)
     for lengths in ([9], [11, 5], [33, 9], rng.integers(1, 25, 32).tolist()):
         batch = [random_targets(cfg, t_len, rng, relevant=rng.random() < 0.5)
                  for t_len in lengths]
-        ref_grad, ref_loss = reference_bptt_gradient(net, batch, term_weights)
-        grad, loss = bptt_gradient(net, batch, term_weights)
+        ref_grad, ref_loss = reference_bptt_gradient(net, batch)
+        grad, loss = bptt_gradient(net, batch)
         assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
         assert loss == ref_loss
-        assert batch_loss(net, batch, term_weights) == \
-            reference_batch_loss(net, batch, term_weights)
+        assert batch_loss(net, batch) == reference_batch_loss(net, batch)
 
 
 def test_reused_batch_gradient_allocates_no_batch_sized_buffer():
@@ -647,6 +607,9 @@ def test_checkpoint_header_types_checked(tmp_path, key, value):
     ("0.1", r"weights\[0\]: must be a number"),
     (float("nan"), r"weights\[0\]: must be a finite number"),
     pytest.param(10**400, r"weights\[0\]: must fit in a float", id="int-beyond-float"),
+    # a dict is merged into the weights line, a list appended as lines after it
+    pytest.param({"junk": 1}, r"^junk: unknown field$", id="extra-key"),
+    pytest.param(["garbage"], r"^line 3: unexpected after the weights line$", id="third-line"),
 ])
 def test_checkpoint_weights_checked_not_coerced(tmp_path, value, message):
     cfg = small_config()
@@ -654,9 +617,14 @@ def test_checkpoint_weights_checked_not_coerced(tmp_path, value, message):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, cfg, w)
     lines = path.read_text().splitlines()
-    body = json.loads(lines[1])
-    body["weights"][0] = value
-    path.write_text(lines[0] + "\n" + json.dumps(body) + "\n")
+    body, tail = json.loads(lines[1]), []
+    if isinstance(value, dict):
+        body.update(value)
+    elif isinstance(value, list):
+        tail = value
+    else:
+        body["weights"][0] = value
+    path.write_text("\n".join([lines[0], json.dumps(body), *tail]) + "\n")
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
