@@ -352,7 +352,8 @@ POLICIES = [ReplayPolicy(mode="all"), ReplayPolicy(mode="relevant_only"),
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
 @pytest.mark.parametrize("micro_steps", [1, 2, 3])
-@pytest.mark.parametrize("policy", POLICIES, ids=[p.mode for p in POLICIES])
+# the "None" in each case id names the regularizer-free dream loss
+@pytest.mark.parametrize("policy", POLICIES, ids=[f"{p.mode}-None" for p in POLICIES])
 def test_dream_loop_matches_plain_loop_bit_for_bit(policy, micro_steps, activation):
     net_config = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4,
                            micro_steps=micro_steps, activation=activation, seed=3)
