@@ -31,7 +31,6 @@ from .network import (
     Network,
     ReplayBatch,
     TrialTargets,
-    batch_loss,
     bptt_gradient,
     init_network,
     load_checkpoint,
@@ -64,7 +63,6 @@ __all__ = [
     "TraceStore",
     "Trial",
     "TrialTargets",
-    "batch_loss",
     "bptt_gradient",
     "build_targets",
     "check_success",

@@ -10,8 +10,10 @@ masked squared-error terms:
   * remaining-reward prediction, masked like the action term.
 
 Superseded and failed trials therefore keep training the predictive pathway
-while their actions are never cloned. No environment interaction happens
-here; everything is driven by the trace store.
+while their actions are never cloned. Targets and masks are built in the
+replay batch's layout, `term_stats` is the one readout of the loss, and a
+dream runs at least one step. No environment interaction happens here;
+everything is driven by the trace store.
 
 Also home to the retention check, the one policy evaluation: it runs the
 consolidated network's episodes on previously solved tasks and summarizes
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetConfig, Network, ReplayBatch, TrialTargets, batch_loss, bptt_gradient
+from .network import NetConfig, Network, ReplayBatch, TrialTargets, bptt_gradient
 from .rollout import run_trials, trial_env_steps
 from .traces import ReplayPolicy, StoreDims, TraceStore, Trial
 
@@ -52,61 +54,54 @@ def build_targets(trial: Trial, relevant_now: bool, config: NetConfig) -> TrialT
     """
     cols = StoreDims.from_net_config(config).columns
     rows = trial.timesteps
-    t_len = len(rows)
-    senses = rows[:, cols["in"].start : cols["r"].stop]
     rewards = rows[:, cols["r"]]
-
-    pred_target = np.zeros_like(rows[:, cols["pred"]])
-    pred_target[:-1] = np.concatenate([rows[1:, cols["in"]], rewards[1:]], axis=1)
-    pred_mask = np.ones(t_len)
-    pred_mask[-1] = 0.0
-
-    # remaining per-channel reward sums and the remaining total return
-    tail = np.flip(np.cumsum(np.flip(rewards, 0), axis=0), 0)
-    tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
-    return_target = np.concatenate([tail, tail.sum(axis=1, keepdims=True)], axis=1)
-
-    cloned_mask = pred_mask.copy() if relevant_now else np.zeros(t_len)
-    return TrialTargets(
-        senses=senses,
-        action_target=rows[:, cols["out"]],
-        pred_target=pred_target,
-        return_target=return_target,
-        action_mask=cloned_mask,
-        pred_mask=pred_mask,
-        return_mask=cloned_mask.copy(),
-    )
+    o, m, pw = config.action_dim, config.obs_dim, config.pred_width
+    target = np.zeros((len(rows), config.output_width))
+    target[:, :o] = rows[:, cols["out"]]
+    target[:-1, o : o + m] = rows[1:, cols["in"]]
+    target[:-1, o + m : o + pw] = rewards[1:]
+    # remaining per-channel reward sums (of the rewards after each step, added
+    # from the last) and the remaining total return
+    tail = target[:-1, o + pw :]
+    np.cumsum(rewards[:0:-1], axis=0, out=tail[::-1, :-1])
+    tail[:, -1] = tail[:, :-1].sum(axis=1)
+    mask = np.zeros((len(rows), 3))
+    mask[:-1] = (relevant_now, 1.0, relevant_now)
+    return TrialTargets(rows[:, cols["in"].start : cols["r"].stop], target, mask)
 
 
-def term_stats(net: Network, batch) -> dict:
-    """Per-term loss sums plus masked-timestep counts over a batch (a list of
-    TrialTargets or a ReplayBatch)."""
-    batch = ReplayBatch.wrap(net.config, batch)
-    total, per_term = batch_loss(net, batch)
+def term_stats(net: Network, batch: ReplayBatch) -> dict:
+    """The loss total, its three terms and each term's masked-timestep count
+    over a replay batch; every term is added up from 0.0 in trial order."""
+    batch.forward(net)
+    terms = {"action": 0.0, "pred": 0.0, "return": 0.0}
+    for trial_losses in batch.losses():
+        for term, loss in zip(terms, trial_losses):
+            terms[term] += loss
+    total = 0.0
+    for loss in terms.values():
+        total += loss
     counts = {f"{term}_steps": int(batch.mask[..., span.start].sum())
-              for term, span in zip(per_term, batch.spans)}
-    return {"total": total, **per_term, **counts}
+              for term, span in zip(terms, batch.spans)}
+    return {"total": total, **terms, **counts}
 
 
 @dataclass
 class ConsolidationReport:
     steps_run: int
-    initial: dict | None    # term_stats on the probe batch before training
-    final: dict | None      # ... and after
+    initial: dict  # term_stats on the probe batch before training
+    final: dict    # ... and after
 
 
 def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
                 config: ConsolidationConfig, *, net_config: NetConfig, steps: int):
-    """Dream phase: `steps` gradient steps on replayed traces, no environment.
+    """Dream phase: `steps` >= 1 gradient steps on replayed traces, no environment.
 
     Returns (new_weights, report); the report's initial/final losses are
     measured on a fixed probe batch (the first replay selection).
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-
-    if steps == 0:
-        return np.array(weights, dtype=np.float64), ConsolidationReport(0, None, None)
+    if not steps >= 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
 
     rng = np.random.default_rng(policy.rng_seed)
     net = Network(net_config, weights)

@@ -58,13 +58,13 @@ class SuccessCriterion:
     max_steps_per_trial: int | None = None
 
     def __post_init__(self):
-        if self.min_success_trials < 1:
+        if not self.min_success_trials >= 1:
             raise ValueError(f"min_success_trials must be >= 1, got {self.min_success_trials}")
         if not (0.0 < self.success_rate_threshold <= 1.0):
             raise ValueError(
                 f"success_rate_threshold must be in (0, 1], got {self.success_rate_threshold}"
             )
-        if self.max_steps_per_trial is not None and self.max_steps_per_trial < 1:
+        if self.max_steps_per_trial is not None and not self.max_steps_per_trial >= 1:
             raise ValueError(f"max_steps_per_trial must be >= 1, got {self.max_steps_per_trial}")
 
 
@@ -84,8 +84,9 @@ class GridMazeSpec:
     slip_prob: float = 0.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("maze must be at least 1x1")
+        for name in ("width", "height"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("start", "goal_cell"):
             x, y = getattr(self, name)
             if not (0 <= x < self.width and 0 <= y < self.height):
@@ -97,8 +98,8 @@ class GridMazeSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.slip_prob <= 1.0):
             raise ValueError(f"slip_prob must be in [0, 1], got {self.slip_prob}")
-        if self.episode_cap is not None and self.episode_cap < 1:
-            raise ValueError("episode_cap must be >= 1")
+        if self.episode_cap is not None and not self.episode_cap >= 1:
+            raise ValueError(f"episode_cap must be >= 1, got {self.episode_cap}")
 
     @property
     def effective_cap(self) -> int:
@@ -281,7 +282,7 @@ class TaskDescription:
     criterion: SuccessCriterion
 
     def __post_init__(self):
-        if self.goal_index < 0:
+        if not self.goal_index >= 0:
             raise ValueError(f"goal_index must be >= 0, got {self.goal_index}")
         capped = self.criterion.max_steps_per_trial is not None
         spec = self.env_spec

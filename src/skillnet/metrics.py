@@ -30,7 +30,7 @@ def _fields(obj, fieldpath: str, schema: dict):
 
 
 def LOSSES(value, fieldpath: str):
-    return value if value is None else _fields(value, fieldpath, LOSS_FIELDS)
+    return _fields(value, fieldpath, LOSS_FIELDS)
 
 
 # event name -> {field: check of its JSON value}

@@ -11,8 +11,10 @@ as three contiguous slices:
                             the remaining total return
 
 where m = obs_dim, n = reward_dim, o = action_dim. The flat weight vector is
-the unit of black-box search; `bptt_gradient` provides exact gradients of a
-masked squared-error loss for replay-based retraining.
+the unit of black-box search. A replayed trial (`TrialTargets`) holds its
+targets in that column order and one 0/1 mask column per slice;
+`bptt_gradient` gives the exact gradient of the masked squared-error loss
+over a `ReplayBatch` of such trials, for replay-based retraining.
 
 Flat weight layout (row-major, in this order):
     W_in  (hidden_dim, input_width)
@@ -190,19 +192,18 @@ def init_network(config: NetConfig) -> tuple[Network, np.ndarray]:
 
 @dataclass
 class TrialTargets:
-    """One replayed trial: input sequence plus per-timestep targets and masks.
+    """One replayed trial: its input rows, the target of every output row,
+    and each loss term's 0/1 mask per timestep.
 
-    Masks are per-timestep 0/1 scalars applied to whole output slices. The
-    target rows at masked-out timesteps are ignored (conventionally zero).
+    `target` holds the output columns in output order (action | pred |
+    return), and `mask` one column per term in that order, applied to the
+    term's whole output slice. Target entries at masked-out timesteps are
+    ignored (conventionally zero).
     """
 
-    senses: np.ndarray         # (T, input_width)
-    action_target: np.ndarray  # (T, action_dim)
-    pred_target: np.ndarray    # (T, pred_width)
-    return_target: np.ndarray  # (T, return_width)
-    action_mask: np.ndarray    # (T,)
-    pred_mask: np.ndarray      # (T,)
-    return_mask: np.ndarray    # (T,)
+    senses: np.ndarray  # (T, input_width)
+    target: np.ndarray  # (T, output_width)
+    mask: np.ndarray    # (T, 3)
 
     def __len__(self) -> int:
         return self.senses.shape[0]
@@ -212,15 +213,7 @@ def _validate_trial_targets(cfg: NetConfig, trial: TrialTargets) -> None:
     t = trial.senses.shape[0]
     if t == 0:
         raise ValueError("trial has no timesteps")
-    expected = {
-        "senses": (t, cfg.input_width),
-        "action_target": (t, cfg.action_dim),
-        "pred_target": (t, cfg.pred_width),
-        "return_target": (t, cfg.return_width),
-        "action_mask": (t,),
-        "pred_mask": (t,),
-        "return_mask": (t,),
-    }
+    expected = {"senses": (t, cfg.input_width), "target": (t, cfg.output_width), "mask": (t, 3)}
     for name, shape in expected.items():
         arr = getattr(trial, name)
         if arr.shape != shape:
@@ -297,9 +290,8 @@ class ReplayBatch:
         for row, b in enumerate(self.order):
             trial, t_len = self.trials[b], lengths[b]
             self.senses[row, :t_len] = trial.senses
-            np.concatenate([trial.action_target, trial.pred_target, trial.return_target], 1,
-                           self.target[row, :t_len])
-            term_masks[row, :, :t_len] = [trial.action_mask, trial.pred_mask, trial.return_mask]
+            self.target[row, :t_len] = trial.target
+            term_masks[row, :, :t_len] = trial.mask.T
         self.mask = np.repeat(term_masks.transpose(0, 2, 1),
                               [span.stop - span.start for span in spans], axis=2)
         for name in ("order", "live", "senses", "target", "mask"):
@@ -358,14 +350,6 @@ class ReplayBatch:
                 (dz.transpose(0, 2, 1), senses_rep[rows, :steps], hs[rows, :steps], dz,
                  dy.transpose(0, 2, 1), self.last[rows, :t_len], dy),
                 [part[rows] for part in parts]))
-
-    @classmethod
-    def wrap(cls, config: NetConfig, batch) -> "ReplayBatch":
-        """`batch` itself if it is a ReplayBatch for `config`, else a new one
-        built from its trials."""
-        if isinstance(batch, cls) and (batch.config is config or batch.config == config):
-            return batch
-        return cls(config, batch)
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -440,32 +424,13 @@ class ReplayBatch:
         return add_reduce(self.parts[self.trial_order], axis=0, initial=0.0)
 
 
-def batch_loss(net: Network, batch):
-    """Forward-only masked squared-error loss over a batch of TrialTargets
-    (a list or a ReplayBatch).
-
-    Returns (total, per_term) where per_term is a dict with the three slice
-    sums.
-    """
-    batch = ReplayBatch.wrap(net.config, batch)
-    batch.forward(net)
-    per_term = {"action": 0.0, "pred": 0.0, "return": 0.0}
-    for la, lp, lr in batch.losses():
-        per_term["action"] += la
-        per_term["pred"] += lp
-        per_term["return"] += lr
-    return sum(per_term.values()), per_term
-
-
-def bptt_gradient(net: Network, batch):
-    """Exact gradient of the total masked squared-error loss over a batch of
-    TrialTargets (a list or a ReplayBatch).
+def bptt_gradient(net: Network, batch: ReplayBatch):
+    """Exact gradient of the total masked squared-error loss over a replay batch.
 
     Every trial is unrolled over its full length (micro steps included), all
     of them in one pass over time. The batch gradient is the sum of per-trial
     gradients, added in trial order. Returns (flat gradient, loss).
     """
-    batch = ReplayBatch.wrap(net.config, batch)
     batch.forward(net)
     losses = batch.losses()
     grad = batch.gradient(net)

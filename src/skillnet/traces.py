@@ -176,7 +176,7 @@ class ReplayPolicy:
         if self.mode not in REPLAY_MODES:
             raise ValueError(f"mode must be one of {REPLAY_MODES}, got {self.mode!r}")
         if self.mode in ("uniform_sample", "recent"):
-            if self.k is None or self.k < 1:
+            if self.k is None or not self.k >= 1:
                 raise ValueError(f"k must be >= 1 with mode {self.mode!r}, got {self.k}")
         elif self.k is not None:
             raise ValueError(f"k must not be set with mode {self.mode!r}")
@@ -193,7 +193,7 @@ class StoreDims:
 
     def __post_init__(self):
         for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod

@@ -1,6 +1,7 @@
 """Code the tests share and the package does not use: a vector-reward
 environment, weight packing, a one-trial replay pass, replay targets built
-from stored trials, and the acceptance suite's Network with `get_weights`."""
+from stored trials (and the plain per-term construction they are checked
+against), and the acceptance suite's Network with `get_weights`."""
 
 from dataclasses import dataclass
 
@@ -10,6 +11,7 @@ from skillnet import network
 from skillnet.consolidate import build_targets
 from skillnet.envs import Observation, step_counter
 from skillnet.network import ReplayBatch, TrialTargets
+from skillnet.traces import StoreDims
 
 
 @dataclass(frozen=True)
@@ -80,13 +82,35 @@ def replay_forward(net: network.Network, senses: np.ndarray):
     """One trial's replay outputs (T, output_width) and states (T, k, h),
     from a one-trial ReplayBatch."""
     cfg, t_len = net.config, len(senses)
-    widths = (cfg.action_dim, cfg.pred_width, cfg.return_width)
-    trial = TrialTargets(senses, *(np.zeros((t_len, w)) for w in widths), *np.zeros((3, t_len)))
+    trial = TrialTargets(senses, np.zeros((t_len, cfg.output_width)), np.zeros((t_len, 3)))
     batch = ReplayBatch(cfg, [trial])
     batch.forward(net)
     return batch.outputs[0], batch.hs[0, 1:].reshape(t_len, cfg.micro_steps, cfg.hidden_dim)
 
 
-def build_batch(trials, config) -> list[TrialTargets]:
-    """Replay entries for a list of stored trials, honoring current flags."""
-    return [build_targets(t, t.relevant, config) for t in trials]
+def build_batch(trials, config) -> ReplayBatch:
+    """The replay batch of a list of stored trials, honoring current flags."""
+    return ReplayBatch(config, [build_targets(t, t.relevant, config) for t in trials])
+
+
+def reference_build_targets(trial, relevant_now, config):
+    """One stored trial's replay arrays built term by term: senses, the
+    action, prediction and remaining-reward targets, and the three masks."""
+    cols = StoreDims.from_net_config(config).columns
+    rows = trial.timesteps
+    t_len = len(rows)
+    senses = rows[:, cols["in"].start : cols["r"].stop]
+    rewards = rows[:, cols["r"]]
+
+    pred_target = np.zeros_like(rows[:, cols["pred"]])
+    pred_target[:-1] = np.concatenate([rows[1:, cols["in"]], rewards[1:]], axis=1)
+    pred_mask = np.ones(t_len)
+    pred_mask[-1] = 0.0
+
+    tail = np.flip(np.cumsum(np.flip(rewards, 0), axis=0), 0)
+    tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
+    return_target = np.concatenate([tail, tail.sum(axis=1, keepdims=True)], axis=1)
+
+    cloned_mask = pred_mask.copy() if relevant_now else np.zeros(t_len)
+    return (senses, rows[:, cols["out"]], pred_target, return_target,
+            cloned_mask, pred_mask, cloned_mask.copy())

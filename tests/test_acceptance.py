@@ -27,7 +27,7 @@ from skillnet.evolve import Budget, EsConfig, SearchOutcome, try_solve_task
 from skillnet.metrics import validate_event
 from skillnet.network import (
     NetConfig,
-    batch_loss,
+    ReplayBatch,
     bptt_gradient,
     save_checkpoint,
 )
@@ -138,18 +138,11 @@ def random_small_config(rng):
 def random_replay_entry(cfg, t_len, rng):
     from skillnet.network import TrialTargets
 
-    pred_mask = np.ones(t_len)
-    pred_mask[-1] = 0.0
-    cloned = pred_mask.copy() if rng.random() < 0.7 else np.zeros(t_len)
-    return TrialTargets(
-        senses=rng.normal(size=(t_len, cfg.input_width)),
-        action_target=rng.normal(size=(t_len, cfg.action_dim)),
-        pred_target=rng.normal(size=(t_len, cfg.pred_width)),
-        return_target=rng.normal(size=(t_len, cfg.return_width)),
-        action_mask=cloned,
-        pred_mask=pred_mask,
-        return_mask=cloned.copy(),
-    )
+    cloned = float(rng.random() < 0.7)
+    mask = np.zeros((t_len, 3))
+    mask[:-1] = (cloned, 1.0, cloned)
+    return TrialTargets(senses=rng.normal(size=(t_len, cfg.input_width)),
+                        target=rng.normal(size=(t_len, cfg.output_width)), mask=mask)
 
 
 def test_criterion_01_gradient_correctness():
@@ -161,15 +154,15 @@ def test_criterion_01_gradient_correctness():
         cfg = random_small_config(rng)
         net, _ = init_network(cfg)
         t_len = int(rng.integers(1, 6))
-        batch = [random_replay_entry(cfg, t_len, rng)]
+        batch = ReplayBatch(cfg, [random_replay_entry(cfg, t_len, rng)])
         analytic, _ = bptt_gradient(net, batch)
         base = net.get_weights()
         for i in range(cfg.n_params):
             w_plus, w_minus = base.copy(), base.copy()
             w_plus[i] += eps
             w_minus[i] -= eps
-            lp, _ = batch_loss(Network(cfg, w_plus), batch)
-            lm, _ = batch_loss(Network(cfg, w_minus), batch)
+            lp = term_stats(Network(cfg, w_plus), batch)["total"]
+            lm = term_stats(Network(cfg, w_minus), batch)["total"]
             numeric = (lp - lm) / (2 * eps)
             denom = max(abs(numeric), 1e-7 / 1e-4)
             worst = max(worst, abs(analytic[i] - numeric) / denom)
@@ -255,10 +248,11 @@ def test_criterion_05_discard_rule():
                    ReplayPolicy(mode="recent", k=2)):
         batch = build_batch(store.sample_replay(policy), cfg)
         for entry in batch:
-            ok &= bool(np.all(entry.action_mask == 0.0))
-            ok &= bool(np.all(entry.return_mask == 0.0))
-            ok &= int((entry.pred_mask == 0.0).sum()) == 1
-            ok &= entry.pred_mask[-1] == 0.0
+            action_mask, pred_mask, return_mask = entry.mask.T
+            ok &= bool(np.all(action_mask == 0.0))
+            ok &= bool(np.all(return_mask == 0.0))
+            ok &= int((pred_mask == 0.0).sum()) == 1
+            ok &= pred_mask[-1] == 0.0
     report(5, "failed-only store: action and reward-prediction targets fully "
               "masked, prediction masked only at the final step", ok)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,17 @@ from skillnet.evolve import Budget, EsConfig, try_solve_task
 from skillnet.network import (
     NetConfig,
     Network,
-    ReplayBatch,
-    batch_loss,
     bptt_gradient,
     init_network,
 )
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
-from reference import build_batch, replay_forward
+from reference import (
+    VectorRewardChainSpec,
+    build_batch,
+    reference_build_targets,
+    replay_forward,
+)
 
 CFG = NetConfig(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2, hidden_dim=4, seed=3)
 
@@ -64,26 +69,24 @@ def store_with(trials):
 def test_failed_trial_masks():
     trial = make_trial([-0.01, -0.01, -0.01], success=False)
     entry = build_targets(trial, relevant_now=False, config=CFG)
-    assert np.array_equal(entry.action_mask, np.zeros(3))
-    assert np.array_equal(entry.return_mask, np.zeros(3))
-    assert np.array_equal(entry.pred_mask, np.array([1.0, 1.0, 0.0]))
+    assert np.array_equal(entry.mask, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_relevant_trial_masks_mirror_pred_mask():
     trial = make_trial([-0.01, -0.01, 1.0], success=True, relevant=True)
     entry = build_targets(trial, relevant_now=True, config=CFG)
-    assert np.array_equal(entry.action_mask, np.array([1.0, 1.0, 0.0]))
-    assert np.array_equal(entry.return_mask, entry.action_mask)
+    assert np.array_equal(entry.mask, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 def test_remaining_reward_targets():
     trial = make_trial([-0.01, -0.01, 1.0], success=True)
     entry = build_targets(trial, relevant_now=True, config=CFG)
+    return_target = entry.target[:, -CFG.return_width :]
     # after the first step the remaining reward is -0.01 + 1.0
-    assert entry.return_target[0, 0] == pytest.approx(0.99)
-    assert entry.return_target[0, 1] == pytest.approx(0.99)  # total column
-    assert entry.return_target[1, 0] == pytest.approx(1.0)
-    assert np.allclose(entry.return_target[2], 0.0)
+    assert return_target[0, 0] == pytest.approx(0.99)
+    assert return_target[0, 1] == pytest.approx(0.99)  # total column
+    assert return_target[1, 0] == pytest.approx(1.0)
+    assert np.allclose(return_target[2], 0.0)
 
 
 def test_prediction_targets_are_next_obs_and_reward():
@@ -91,16 +94,16 @@ def test_prediction_targets_are_next_obs_and_reward():
     entry = build_targets(trial, relevant_now=False, config=CFG)
     cols = StoreDims.from_net_config(CFG).columns
     expected = np.concatenate([trial.timesteps[1, cols["in"]], trial.timesteps[1, cols["r"]]])
-    assert np.array_equal(entry.pred_target[0], expected)
-    assert np.array_equal(entry.pred_target[1], np.zeros(CFG.pred_width))
+    pred_target = entry.target[:, CFG.action_dim : CFG.action_dim + CFG.pred_width]
+    assert np.array_equal(pred_target[0], expected)
+    assert np.array_equal(pred_target[1], np.zeros(CFG.pred_width))
 
 
 def test_single_step_trial_masks_everything():
     trial = make_trial([0.3], success=True)
     entry = build_targets(trial, relevant_now=True, config=CFG)
-    assert entry.pred_mask.sum() == 0
-    assert entry.action_mask.sum() == 0
-    assert entry.return_mask.sum() == 0
+    assert entry.mask.shape == (1, 3)
+    assert entry.mask.sum() == 0
 
 
 def test_vector_reward_remaining_sums_are_per_channel():
@@ -117,25 +120,70 @@ def test_vector_reward_remaining_sums_are_per_channel():
     trial = Trial(task_id="v", success=True, relevant=False, timesteps=rows,
                   final_return=float(rewards.sum()))
     entry = build_targets(trial, relevant_now=True, config=cfg)
-    assert np.allclose(entry.return_target[0], [-0.01, 1.0, 0.99])
-    assert np.allclose(entry.return_target[1], [0.0, 1.0, 1.0])
+    assert np.allclose(entry.target[0, -3:], [-0.01, 1.0, 0.99])
+    assert np.allclose(entry.target[1, -3:], [0.0, 1.0, 1.0])
+
+
+def stored_trials(spec, cfg):
+    """Trials of lengths 1-6, stored and read back: rollouts of random nets
+    under episode caps 1-5 (a trial has one row more than its env steps),
+    and one rollout's first row alone."""
+    store = TraceStore(StoreDims.from_net_config(cfg))
+    rng = np.random.default_rng(0)
+    for cap in range(1, 6):
+        task = TaskDescription(task_id="s", goal_index=0, criterion=SuccessCriterion(),
+                               env_spec=dataclasses.replace(spec, episode_cap=cap))
+        for seed in range(4):
+            net = Network(cfg, rng.uniform(-1.5, 1.5, cfg.n_params))
+            store.append(run_trial(net, task, seed=seed))
+    store.append(Trial(task_id="s", success=False, relevant=False,
+                       timesteps=store.trials[0].timesteps[:1], final_return=0.0))
+    assert {len(trial) for trial in store} == set(range(1, 7))
+    return store.trials
+
+
+@pytest.mark.parametrize("spec, cfg", [
+    pytest.param(GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(1, 1),
+                              step_reward=-0.25),
+                 NetConfig(obs_dim=9, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=3),
+                 id="maze-reward_dim-1"),
+    pytest.param(VectorRewardChainSpec(length=3),
+                 NetConfig(obs_dim=3, goal_dim=2, reward_dim=2, action_dim=2, hidden_dim=3),
+                 id="chain-reward_dim-2"),
+])
+def test_build_targets_matches_per_term_reference_bit_for_bit(spec, cfg):
+    # the targets are written straight into output column order; each column
+    # must hold the bits of the term-by-term construction, signed zeros too
+    o, pw = cfg.action_dim, cfg.pred_width
+    for trial in stored_trials(spec, cfg):
+        for relevant in (True, False):
+            entry = build_targets(trial, relevant, cfg)
+            (senses, action_target, pred_target, return_target,
+             action_mask, pred_mask, return_mask) = reference_build_targets(trial, relevant, cfg)
+            assert len(entry) == len(trial)
+            assert entry.senses.tobytes() == senses.tobytes()
+            assert entry.target.shape == (len(trial), cfg.output_width)
+            assert entry.target[:, :o].tobytes() == action_target.tobytes()
+            assert entry.target[:, o : o + pw].tobytes() == pred_target.tobytes()
+            assert entry.target[:, o + pw :].tobytes() == return_target.tobytes()
+            expected_mask = np.stack([action_mask, pred_mask, return_mask], axis=1)
+            assert entry.mask.tobytes() == expected_mask.tobytes()
 
 
 def test_term_stats_counts_each_terms_masked_steps():
     # relevant and failed trials of mixed lengths: each count is the sum of
-    # that term's per-trial masks, whether or not the batch is padded yet
+    # that term's per-trial masks
     rng = np.random.default_rng(9)
     trials = [make_trial(np.zeros(t_len), relevant=relevant, rng=rng)
               for t_len, relevant in ((4, True), (1, True), (6, False), (3, True), (2, False))]
-    entries = build_batch(trials, CFG)
+    batch = build_batch(trials, CFG)
     net, _ = init_network(CFG)
-    for batch in (entries, ReplayBatch(CFG, entries)):
-        stats = term_stats(net, batch)
-        for term in ("action", "pred", "return"):
-            expected = sum(getattr(entry, f"{term}_mask").sum() for entry in entries)
-            assert stats[f"{term}_steps"] == expected
-            assert type(stats[f"{term}_steps"]) is int
-        assert (stats["action_steps"], stats["pred_steps"], stats["return_steps"]) == (5, 11, 5)
+    stats = term_stats(net, batch)
+    for column, term in enumerate(("action", "pred", "return")):
+        expected = sum(entry.mask[:, column].sum() for entry in batch)
+        assert stats[f"{term}_steps"] == expected
+        assert type(stats[f"{term}_steps"]) is int
+    assert (stats["action_steps"], stats["pred_steps"], stats["return_steps"]) == (5, 11, 5)
 
 
 def test_replayed_senses_reproduce_recorded_outputs():
@@ -183,17 +231,6 @@ def test_consolidation_reduces_cloning_loss():
     assert report.final["action"] < report.initial["action"]
     assert report.final["total"] < report.initial["total"]
     assert not np.array_equal(new_weights, weights)
-
-
-def test_zero_budget_is_a_noop():
-    store = relevant_store()
-    _, weights = init_network(CFG)
-    new_weights, report = consolidate(
-        weights, store, ReplayPolicy(mode="all"), ConsolidationConfig(),
-        net_config=CFG, steps=0,
-    )
-    assert report.steps_run == 0
-    assert np.array_equal(new_weights, weights)
 
 
 def test_superseded_trials_train_prediction_only():
@@ -245,14 +282,14 @@ def test_one_gradient_step_decreases_loss_with_small_enough_lr():
     _, weights = init_network(CFG)
     policy = ReplayPolicy(mode="all")
     batch = build_batch(store.trials, CFG)
-    before, _ = batch_loss(Network(CFG, weights), batch)
+    before = term_stats(Network(CFG, weights), batch)["total"]
     lr = 0.1
     for _ in range(20):  # halve until descent; must terminate for smooth loss
         new_weights, _ = consolidate(
             weights, store, policy, ConsolidationConfig(base_lr=lr, momentum=0.0),
             net_config=CFG, steps=1,
         )
-        after, _ = batch_loss(Network(CFG, new_weights), batch)
+        after = term_stats(Network(CFG, new_weights), batch)["total"]
         if after <= before:
             break
         lr /= 2
@@ -271,9 +308,11 @@ def test_config_rejects_out_of_range_and_nan_settings(field, value):
 def test_budget_argument_validation():
     store = relevant_store()
     _, weights = init_network(CFG)
-    with pytest.raises(ValueError, match="steps must be >= 0"):
-        consolidate(weights, store, ReplayPolicy(mode="all"), ConsolidationConfig(),
-                    net_config=CFG, steps=-1)
+    # a dream runs at least one step
+    for steps in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            consolidate(weights, store, ReplayPolicy(mode="all"), ConsolidationConfig(),
+                        net_config=CFG, steps=steps)
 
 
 def test_no_environment_contact_during_consolidation():

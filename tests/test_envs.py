@@ -169,6 +169,25 @@ def test_non_finite_maze_rewards_rejected(field, value):
         GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=(2, 2), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["width", "height", "episode_cap"])
+def test_maze_spec_rejects_nan_sizes(field):
+    spec = {"width": 3, "height": 3, "start": (0, 0), "goal_cell": (2, 2), field: float("nan")}
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got nan$"):
+        GridMazeSpec(**spec)
+
+
+@pytest.mark.parametrize("field", ["min_success_trials", "max_steps_per_trial"])
+def test_success_criterion_rejects_nan(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got nan$"):
+        SuccessCriterion(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.float64("nan")])
+def test_task_description_rejects_nan_goal_index(value):
+    with pytest.raises(ValueError, match="^goal_index must be >= 0, got nan$"):
+        task_for(SPEC_3X3, goal_index=value)
+
+
 def test_determinism_same_seed_same_actions():
     spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 3), slip_prob=0.3)
     actions = [act("NEEN"[i % 4]) for i in range(10)]

@@ -59,10 +59,12 @@ def consolidation_event(**final_overrides):
             "initial_loss": loss, "final_loss": {**loss, **final_overrides}}
 
 
-def test_consolidation_losses_pass_and_may_be_null():
+def test_consolidation_losses_pass_and_null_is_rejected():
+    # a dream runs at least one step, so both losses are always measured
     validate_event(consolidation_event())
-    validate_event({**consolidation_event(), "steps": 0,
-                    "initial_loss": None, "final_loss": None})
+    for field in ("initial_loss", "final_loss"):
+        with pytest.raises(ValueError, match=f"^consolidation.{field}: must be an object$"):
+            validate_event({**consolidation_event(), field: None})
 
 
 @pytest.mark.parametrize("overrides, message", [

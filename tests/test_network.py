@@ -12,13 +12,13 @@ from skillnet.network import (
     Network,
     ReplayBatch,
     TrialTargets,
-    batch_loss,
     bptt_gradient,
     init_network,
     load_checkpoint,
     save_checkpoint,
     unpack_weights,
 )
+from skillnet.consolidate import term_stats
 from reference import pack_weights, replay_forward
 
 
@@ -31,18 +31,16 @@ def small_config(**overrides):
 def random_targets(cfg, t_len, rng, relevant=True):
     """Random replay entry with the standard mask shape (final step unmasked
     for prediction, action/return masks mirroring it when relevant)."""
-    pred_mask = np.ones(t_len)
-    pred_mask[-1] = 0.0
-    cloned = pred_mask if relevant else np.zeros(t_len)
-    return TrialTargets(
-        senses=rng.normal(size=(t_len, cfg.input_width)),
-        action_target=rng.normal(size=(t_len, cfg.action_dim)),
-        pred_target=rng.normal(size=(t_len, cfg.pred_width)),
-        return_target=rng.normal(size=(t_len, cfg.return_width)),
-        action_mask=cloned.copy(),
-        pred_mask=pred_mask,
-        return_mask=cloned.copy(),
-    )
+    mask = np.zeros((t_len, 3))
+    mask[:-1] = (relevant, 1.0, relevant)
+    return TrialTargets(senses=rng.normal(size=(t_len, cfg.input_width)),
+                        target=rng.normal(size=(t_len, cfg.output_width)), mask=mask)
+
+
+def loss_and_terms(net, batch):
+    """(total, per-term dict) of a replay batch's loss, read from term_stats."""
+    stats = term_stats(net, batch)
+    return stats["total"], {term: stats[term] for term in ("action", "pred", "return")}
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +209,8 @@ def test_all_zero_masks_give_zero_gradient_and_loss():
     net, _ = init_network(cfg)
     rng = np.random.default_rng(2)
     trial = random_targets(cfg, 4, rng)
-    trial.action_mask[:] = 0.0
-    trial.pred_mask[:] = 0.0
-    trial.return_mask[:] = 0.0
-    grad, loss = bptt_gradient(net, [trial])
+    trial.mask[:] = 0.0
+    grad, loss = bptt_gradient(net, ReplayBatch(cfg, [trial]))
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -224,8 +220,8 @@ def test_duplicated_trial_doubles_gradient():
     net, _ = init_network(cfg)
     rng = np.random.default_rng(4)
     trial = random_targets(cfg, 3, rng)
-    g1, l1 = bptt_gradient(net, [trial])
-    g2, l2 = bptt_gradient(net, [trial, trial])
+    g1, l1 = bptt_gradient(net, ReplayBatch(cfg, [trial]))
+    g2, l2 = bptt_gradient(net, ReplayBatch(cfg, [trial, trial]))
     assert l2 == pytest.approx(2 * l1)
     assert np.allclose(g2, 2 * g1, rtol=0, atol=1e-15)
 
@@ -235,8 +231,8 @@ def test_batch_gradient_is_sum_of_per_trial_gradients():
     net, _ = init_network(cfg)
     rng = np.random.default_rng(5)
     trials = [random_targets(cfg, t, rng) for t in (2, 3, 4)]
-    g_all, l_all = bptt_gradient(net, trials)
-    parts = [bptt_gradient(net, [t]) for t in trials]
+    g_all, l_all = bptt_gradient(net, ReplayBatch(cfg, trials))
+    parts = [bptt_gradient(net, ReplayBatch(cfg, [t])) for t in trials]
     assert np.allclose(g_all, sum(g for g, _ in parts), atol=1e-14)
     assert l_all == pytest.approx(sum(l for _, l in parts))
 
@@ -250,8 +246,8 @@ def finite_difference_gradient(net, batch, eps=1e-5):
         w_plus[i] += eps
         w_minus = base.copy()
         w_minus[i] -= eps
-        lp, _ = batch_loss(Network(net.config, w_plus), batch)
-        lm, _ = batch_loss(Network(net.config, w_minus), batch)
+        lp, _ = loss_and_terms(Network(net.config, w_plus), batch)
+        lm, _ = loss_and_terms(Network(net.config, w_minus), batch)
         grad[i] = (lp - lm) / (2 * eps)
     return grad
 
@@ -271,7 +267,7 @@ def test_bptt_matches_finite_differences(micro_steps, t_len, seed):
     assert cfg.n_params <= 50
     net, _ = init_network(cfg)
     rng = np.random.default_rng(seed + 100)
-    batch = [random_targets(cfg, t_len, rng)]
+    batch = ReplayBatch(cfg, [random_targets(cfg, t_len, rng)])
     analytic, _ = bptt_gradient(net, batch)
     numeric = finite_difference_gradient(net, batch)
     assert_gradients_close(analytic, numeric)
@@ -280,13 +276,15 @@ def test_bptt_matches_finite_differences(micro_steps, t_len, seed):
 def test_bptt_rejects_empty_batch_and_bad_shapes():
     cfg = small_config()
     net, _ = init_network(cfg)
-    with pytest.raises(ValueError):
-        bptt_gradient(net, [])
+    with pytest.raises(ValueError, match="empty"):
+        bptt_gradient(net, ReplayBatch(cfg, []))
     rng = np.random.default_rng(6)
-    trial = random_targets(cfg, 3, rng)
-    trial.pred_mask = trial.pred_mask[:-1]
-    with pytest.raises(ValueError):
-        bptt_gradient(net, [trial])
+    for name, cut in (("mask", np.s_[:-1]), ("mask", np.s_[:, :2]),
+                      ("target", np.s_[:, :-1]), ("senses", np.s_[:, 1:])):
+        trial = random_targets(cfg, 3, rng)
+        setattr(trial, name, getattr(trial, name)[cut])
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            bptt_gradient(net, ReplayBatch(cfg, [trial]))
 
 
 def test_replay_forward_matches_online_stepping():
@@ -310,7 +308,7 @@ def test_bptt_matches_finite_differences_sigmoid():
                     hidden_dim=3, micro_steps=2, activation="sigmoid", seed=8)
     net, _ = init_network(cfg)
     rng = np.random.default_rng(88)
-    batch = [random_targets(cfg, 4, rng)]
+    batch = ReplayBatch(cfg, [random_targets(cfg, 4, rng)])
     analytic, _ = bptt_gradient(net, batch)
     numeric = finite_difference_gradient(net, batch)
     assert_gradients_close(analytic, numeric)
@@ -338,9 +336,10 @@ def reference_forward_trial(net, senses):
 
 def reference_residuals(cfg, outputs, trial):
     o, pw = cfg.action_dim, cfg.pred_width
-    res_a = (outputs[:, :o] - trial.action_target) * trial.action_mask[:, None]
-    res_p = (outputs[:, o : o + pw] - trial.pred_target) * trial.pred_mask[:, None]
-    res_r = (outputs[:, o + pw :] - trial.return_target) * trial.return_mask[:, None]
+    a, p, r = slice(0, o), slice(o, o + pw), slice(o + pw, None)
+    res_a = (outputs[:, a] - trial.target[:, a]) * trial.mask[:, 0:1]
+    res_p = (outputs[:, p] - trial.target[:, p]) * trial.mask[:, 1:2]
+    res_r = (outputs[:, r] - trial.target[:, r]) * trial.mask[:, 2:3]
     losses = (float(np.sum(res_a * res_a)), float(np.sum(res_p * res_p)),
               float(np.sum(res_r * res_r)))
     return (res_a, res_p, res_r), losses
@@ -354,7 +353,10 @@ def reference_batch_loss(net, batch):
         per_term["action"] += la
         per_term["pred"] += lp
         per_term["return"] += lr
-    return sum(per_term.values()), per_term
+    total = 0.0  # not sum(), which compensates from Python 3.12
+    for loss in per_term.values():
+        total += loss
+    return total, per_term
 
 
 def reference_bptt_gradient(net, batch):
@@ -411,13 +413,10 @@ def replay_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     batch = []
     for t_len in lengths:
-        masks = [(rng.random(t_len) < 0.7).astype(float) for _ in range(3)]
         batch.append(TrialTargets(
             senses=rng.normal(size=(t_len, cfg.input_width)),
-            action_target=rng.normal(size=(t_len, cfg.action_dim)),
-            pred_target=rng.normal(size=(t_len, cfg.pred_width)),
-            return_target=rng.normal(size=(t_len, cfg.return_width)),
-            action_mask=masks[0], pred_mask=masks[1], return_mask=masks[2],
+            target=rng.normal(size=(t_len, cfg.output_width)),
+            mask=(rng.random((t_len, 3)) < 0.7).astype(float),  # arbitrary 0/1 masks
         ))
     return cfg, batch
 
@@ -429,14 +428,14 @@ def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
     net, _ = init_network(cfg)
     ref_grad, ref_loss = reference_bptt_gradient(net, batch)
     ref_total, ref_terms = reference_batch_loss(net, batch)
-    for given_batch in (batch, ReplayBatch(cfg, batch)):
-        grad, loss = bptt_gradient(net, given_batch)
-        assert np.array_equal(grad, ref_grad)
-        assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
-        assert loss == ref_loss
-        total, terms = batch_loss(net, given_batch)
-        assert total == ref_total
-        assert terms == ref_terms
+    replay = ReplayBatch(cfg, batch)
+    grad, loss = bptt_gradient(net, replay)
+    assert np.array_equal(grad, ref_grad)
+    assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
+    assert loss == ref_loss
+    total, terms = loss_and_terms(net, replay)
+    assert total == ref_total
+    assert terms == ref_terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,8 +454,8 @@ def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
         ref_grad, ref_loss = reference_bptt_gradient(net, batch)
         ref_loss_only = reference_batch_loss(net, batch)
         for _ in range(2):
-            assert batch_loss(net, reused) == ref_loss_only
-            assert batch_loss(net, ReplayBatch(cfg, batch)) == ref_loss_only
+            assert loss_and_terms(net, reused) == ref_loss_only
+            assert loss_and_terms(net, ReplayBatch(cfg, batch)) == ref_loss_only
             for given_batch in (reused, ReplayBatch(cfg, batch)):
                 grad, loss = bptt_gradient(net, given_batch)
                 assert grad.tobytes() == ref_grad.tobytes()
@@ -481,10 +480,11 @@ def test_batched_bptt_equals_per_trial_loop_at_workload_shapes(obs_dim, hidden_d
         batch = [random_targets(cfg, t_len, rng, relevant=rng.random() < 0.5)
                  for t_len in lengths]
         ref_grad, ref_loss = reference_bptt_gradient(net, batch)
-        grad, loss = bptt_gradient(net, batch)
+        replay = ReplayBatch(cfg, batch)
+        grad, loss = bptt_gradient(net, replay)
         assert grad.tobytes() == ref_grad.tobytes()  # signed zeros too
         assert loss == ref_loss
-        assert batch_loss(net, batch) == reference_batch_loss(net, batch)
+        assert loss_and_terms(net, replay) == reference_batch_loss(net, batch)
 
 
 def test_reused_batch_gradient_allocates_no_batch_sized_buffer():
@@ -540,8 +540,8 @@ def test_replay_batch_validates_every_trial():
     cfg = small_config()
     rng = np.random.default_rng(13)
     trials = [random_targets(cfg, 3, rng), random_targets(cfg, 2, rng)]
-    trials[1].action_target = trials[1].action_target[:, :1]
-    with pytest.raises(ValueError, match="action_target"):
+    trials[1].target = trials[1].target[:, :1]
+    with pytest.raises(ValueError, match="target"):
         ReplayBatch(cfg, trials)
     with pytest.raises(ValueError, match="empty"):
         ReplayBatch(cfg, [])

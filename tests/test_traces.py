@@ -198,6 +198,19 @@ def test_policy_validation():
         ReplayPolicy(mode="recent", k=0)
 
 
+@pytest.mark.parametrize("mode", ["uniform_sample", "recent"])
+def test_policy_rejects_nan_k(mode):
+    with pytest.raises(ValueError, match=f"^k must be >= 1 with mode '{mode}', got nan$"):
+        ReplayPolicy(mode=mode, k=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["obs_dim", "goal_dim", "reward_dim", "action_dim"])
+def test_store_dims_reject_nan(field):
+    widths = {"obs_dim": 1, "goal_dim": 1, "reward_dim": 1, "action_dim": 1, field: float("nan")}
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got nan$"):
+        StoreDims(**widths)
+
+
 def test_sampling_soundness_randomized():
     rng = np.random.default_rng(17)
     for round_no in range(10):
