@@ -246,10 +246,16 @@ class ReplayBatch:
 
     The work buffers are built with the batch and refilled by every
     `forward`, `losses` and `gradient` pass. The hidden states sit in one
-    zeroed array `hs` (B, T_max * k + 1, h) for k micro steps: hs[:, 0] is
-    the initial state and hs[:, 1 + t * k + j] micro step j of timestep t,
-    so hs[:, :-1] holds the state entering each micro step. A pass writes
-    only the rows still running, so rows past a trial's end stay zero.
+    zeroed array `hs`, indexed (B, T_max * k + 1, h) for k micro steps:
+    hs[:, 0] is the initial state and hs[:, 1 + t * k + j] micro step j of
+    timestep t, so hs[:, :-1] holds the state entering each micro step. A
+    pass writes only the rows still running, so rows past a trial's end stay
+    zero. The recurrent buffers (`hs`, `drive`, `from_out`, `d_act` and
+    d_z) are batch-major views of time-major memory, so the running rows of
+    a step are one contiguous (n, h) block for its stacked gemv; at h = 1
+    they are batch-major in memory, because there matmul and add.reduce
+    take other kernels for a trial's strided one-unit rows than the
+    per-trial loop does for its contiguous ones, and the bits would differ.
     Every product is the per-row gemv of `_matvec` on the operands of
     Network.step, so replay agrees bitwise with online stepping and with the
     per-trial loop. Where padded row 0 runs alone, the recurrent products
@@ -299,13 +305,20 @@ class ReplayBatch:
 
         k, h = config.micro_steps, config.hidden_dim
         live = self.live.tolist()
-        self.drive = np.empty((n_rows, t_max, h))
-        self.hs = hs = np.zeros((n_rows, t_max * k + 1, h))
+
+        def recurrent(steps, alloc=np.empty):
+            # a (B, steps, h) view of time-major memory; batch-major at h = 1
+            if h == 1:
+                return alloc((n_rows, steps, h))
+            return alloc((steps, n_rows, h)).transpose(1, 0, 2)
+
+        self.drive = recurrent(t_max)
+        self.hs = hs = recurrent(t_max * k + 1, np.zeros)
         self.last = hs[:, k::k]  # each timestep's final micro state
         self.outputs = np.empty((n_rows, t_max, config.output_width))
         self.d_y = np.empty_like(self.outputs)
-        self.from_out = np.empty((n_rows, t_max, h))
-        self.d_act = np.empty((n_rows, t_max * k, h))
+        self.from_out = recurrent(t_max)
+        self.d_act = recurrent(t_max * k)
         d_z = np.empty_like(self.d_act)
         self.d_state = np.empty((n_rows, h))
         # per loss term: its residual columns in d_y and their squares

@@ -1,14 +1,15 @@
 """Code the tests share and the package does not use: a vector-reward
 environment, weight packing, a one-trial replay pass, replay targets built
 from stored trials (and the plain per-term construction they are checked
-against), and the acceptance suite's Network with `get_weights`."""
+against), the acceptance suite's Network with `get_weights`, and the report
+of a fake consolidator."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from skillnet import network
-from skillnet.consolidate import build_targets
+from skillnet.consolidate import ConsolidationReport, build_targets
 from skillnet.envs import Observation, step_counter
 from skillnet.network import ReplayBatch, TrialTargets
 from skillnet.traces import StoreDims
@@ -114,3 +115,11 @@ def reference_build_targets(trial, relevant_now, config):
     cloned_mask = pred_mask.copy() if relevant_now else np.zeros(t_len)
     return (senses, rows[:, cols["out"]], pred_target, return_target,
             cloned_mask, pred_mask, cloned_mask.copy())
+
+
+def fake_report(steps: int) -> ConsolidationReport:
+    """A report of `steps` dream steps whose initial and final losses have
+    the fields of `term_stats`, so the events built from it validate."""
+    losses = {"total": 0.0, "action": 0.0, "pred": 0.0, "return": 0.0,
+              "action_steps": 0, "pred_steps": 0, "return_steps": 0}
+    return ConsolidationReport(steps_run=steps, initial=losses, final=dict(losses))

@@ -16,7 +16,6 @@ import pytest
 from skillnet.cli import main
 from skillnet.consolidate import (
     ConsolidationConfig,
-    ConsolidationReport,
     consolidate,
     retention_check,
     term_stats,
@@ -33,7 +32,7 @@ from skillnet.network import (
 )
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
-from reference import Network, build_batch, init_network
+from reference import Network, build_batch, fake_report, init_network
 
 MASTER_SEEDS = (1, 2, 3, 4, 5)
 
@@ -286,8 +285,7 @@ def test_criterion_06_budget_doubling():
         return solver, calls
 
     def consolidator(*, weights, store, steps):
-        return weights.copy(), ConsolidationReport(steps_run=steps, initial=None,
-                                                   final=None)
+        return weights.copy(), fake_report(steps)
 
     def run(threshold, max_total):
         solver, calls = make_solver(threshold)

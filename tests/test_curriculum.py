@@ -3,12 +3,14 @@ from itertools import takewhile
 import numpy as np
 import pytest
 
-from skillnet.consolidate import ConsolidationConfig, ConsolidationReport
+from skillnet.consolidate import ConsolidationConfig
 from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription
 from skillnet.evolve import EsConfig, SearchOutcome
+from skillnet.metrics import validate_event
 from skillnet.network import NetConfig
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore
+from reference import fake_report
 
 CFG = NetConfig(obs_dim=4, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=3)
 
@@ -53,8 +55,7 @@ class FakeConsolidator:
 
     def __call__(self, *, weights, store, steps):
         self.calls.append(steps)
-        report = ConsolidationReport(steps_run=steps, initial=None, final=None)
-        return weights.copy(), report
+        return weights.copy(), fake_report(steps)
 
 
 def run(tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None, **kw):
@@ -218,3 +219,5 @@ def test_on_event_callback_receives_all_events():
     )
     assert [e["event"] for e in seen] == ["task_attempt", "solve", "consolidation",
                                           "retention_check"]
+    for event in seen:  # as the metrics writer would check them
+        validate_event(event)

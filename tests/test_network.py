@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skillnet.network import (
@@ -421,8 +421,21 @@ def replay_cases(draw):
     return cfg, batch
 
 
+def one_unit_case(lengths, micro_steps):
+    """A net with hidden_dim 1, whose batch keeps its recurrent buffers
+    batch-major, and a batch of trials of the given lengths."""
+    cfg = NetConfig(obs_dim=2, goal_dim=1, reward_dim=1, action_dim=2, hidden_dim=1,
+                    micro_steps=micro_steps, seed=sum(lengths), init_scale=0.5)
+    rng = np.random.default_rng(micro_steps)
+    return cfg, [random_targets(cfg, t_len, rng) for t_len in lengths]
+
+
 @settings(max_examples=150, deadline=None)
 @given(replay_cases())
+@example(one_unit_case([3, 3], 1))
+@example(one_unit_case([3, 3], 2))
+@example(one_unit_case([1, 3], 1))
+@example(one_unit_case([1, 3], 2))
 def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
     cfg, batch = case
     net, _ = init_network(cfg)
@@ -440,6 +453,8 @@ def test_batched_bptt_equals_per_trial_loop_bit_for_bit(case):
 
 @settings(max_examples=60, deadline=None)
 @given(replay_cases(), st.integers(0, 2**16))
+@example(one_unit_case([1, 3], 1), 0)
+@example(one_unit_case([1, 3], 2), 0)
 def test_reused_batch_gives_the_same_bits_on_every_call(case, seed):
     # a ReplayBatch keeps its work buffers between calls; under new weights,
     # and with losses and gradients interleaved, every call must match a
@@ -516,6 +531,27 @@ def test_replay_batch_arrays_are_read_only():
     for name in ("order", "live", "senses", "target", "mask"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(batch, name)[0] = 0
+
+
+@pytest.mark.parametrize("micro_steps", [1, 2])
+def test_replay_batch_steps_running_trials_in_contiguous_blocks(micro_steps):
+    # the recurrent buffers lie time-major behind their (B, time, h) views,
+    # so each wide step's running rows are one C-contiguous (n, h) block;
+    # at h = 1 they stay batch-major
+    rng = np.random.default_rng(17)
+    for hidden_dim in (1, 2, 3, 16):
+        cfg = small_config(hidden_dim=hidden_dim, micro_steps=micro_steps)
+        batch = ReplayBatch(cfg, [random_targets(cfg, t, rng) for t in (2, 5, 3, 5, 1)])
+        if hidden_dim == 1:
+            assert batch.hs.flags.c_contiguous and batch.d_act.flags.c_contiguous
+            continue
+        assert batch.forward_wide and batch.backward_wide
+        for state_in, _, _, drive, state in batch.forward_wide:
+            assert state_in.flags.c_contiguous and drive.flags.c_contiguous
+            assert state.flags.c_contiguous
+        for _, _, from_out, d_act, dz, _ in batch.backward_wide:
+            assert d_act.flags.c_contiguous and dz.flags.c_contiguous
+            assert from_out is None or from_out.flags.c_contiguous
 
 
 def test_replay_batch_iterates_trials_in_order_and_pads_with_zero_masks():
