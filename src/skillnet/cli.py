@@ -6,10 +6,11 @@ Subcommands:
   eval            evaluate a checkpoint on one configured task
   transfer-probe  race a checkpoint against a fresh net on one task and
                   report both arms' budgets
-  traces          list, dump or export trials from a trace file
+  traces          list trials from a trace file, or dump one as JSON
 
 Exit codes: 0 success, 1 configuration/usage error (the message names the
-field), 2 runtime failure.
+field), 2 runtime failure, 141 stdout closed early (as `cat` in the same
+pipe).
 """
 
 from __future__ import annotations
@@ -71,18 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--task", required=True, help="task id from the config")
     probe_p.add_argument("--seed", type=int, default=None, help="override master_seed")
 
-    traces_p = sub.add_parser("traces", help="list, dump or export stored trials")
+    traces_p = sub.add_parser("traces", help="list stored trials or dump one")
     traces_p.add_argument("trace_file")
     traces_p.add_argument("--task", default=None, help="filter by task id")
     outcome = traces_p.add_mutually_exclusive_group()
     outcome.add_argument("--success", action="store_true", help="only successful trials")
     outcome.add_argument("--failed", action="store_true", help="only failed trials")
     traces_p.add_argument("--relevant", action="store_true", help="only relevant trials")
-    output = traces_p.add_mutually_exclusive_group()
-    output.add_argument("--dump", type=int, default=None, metavar="TRIAL_ID",
-                        help="print one trial's full v1 JSON")
-    output.add_argument("--export-v1", default=None, metavar="OUT",
-                        help="write the whole store to OUT as v1 JSON Lines")
+    traces_p.add_argument("--dump", type=int, default=None, metavar="TRIAL_ID",
+                          help="print one trial as JSON (takes no filter)")
     return parser
 
 
@@ -272,6 +270,10 @@ def cmd_transfer_probe(args) -> int:
 
 
 def cmd_traces(args) -> int:
+    filters = {"--task": args.task is not None, "--success": args.success,
+               "--failed": args.failed, "--relevant": args.relevant}
+    if args.dump is not None and any(filters.values()):
+        raise ConfigError(next(f for f, on in filters.items() if on), "not allowed with --dump")
     try:
         store = TraceStore.load(args.trace_file)
     except FileNotFoundError:
@@ -281,13 +283,6 @@ def cmd_traces(args) -> int:
     if store.torn_tail_offset is not None:
         print(f"warning: {args.trace_file}: dropped a torn last record at byte "
               f"{store.torn_tail_offset}", file=sys.stderr)
-    if args.export_v1 is not None:
-        try:
-            store.export_v1(args.export_v1)
-        except OSError as exc:
-            raise ConfigError("--export-v1", f"cannot write {args.export_v1}: "
-                                             f"{exc.strerror}") from None
-        return 0
     if args.dump is not None:
         try:
             trial = store.get(args.dump)
@@ -321,7 +316,12 @@ def main(argv=None) -> int:
         "traces": cmd_traces,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone, as after `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

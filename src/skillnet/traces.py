@@ -9,13 +9,13 @@ are applied at read time.
 
 A trial's timesteps are one read-only float64 array of shape
 (T, m+p+n+o+(m+n)+(n+1)): row t is the net's input [in | goal | r] followed by
-its output [out | pred | pr], in v1 JSON-key column order
-(`StoreDims.columns`). Every store keeps its rows only in a v2 file: its
-trials hold their fields and where their rows lie, and read the rows back on
-each access to `timesteps`. `TraceStore(dims)` streams to an unnamed
-temporary file, `create` to a named one, and `load` reads rows from the file
-it loaded. A closed or loaded store takes no new records. The file stays
-open while the store or any of its trials lives.
+its output [out | pred | pr], in `StoreDims.columns` order. Every store
+keeps its rows only in a v2 file: its trials hold their fields and where
+their rows lie, and read the rows back on each access to `timesteps`.
+`TraceStore(dims)` streams to an unnamed temporary file, `create` to a named
+one, and `load` reads rows from the file it loaded. A closed or loaded store
+takes no new records. The file stays open while the store or any of its
+trials lives.
 
 File format v2 (binary, append-only; what stores stream and `save`
 writes): the magic line ``SKILLNET-TRACES 2\n``, then a frame holding the
@@ -36,13 +36,6 @@ bytes are flushed.
 A file that ends partway through its last record (a writer killed
 mid-record) loads without that record; `torn_tail_offset` says where it
 began. Nothing in the file depends on the wall clock.
-
-File format v1 (JSON Lines, UTF-8; export only, written by `export_v1` and
-not read back): line 1 is a header object ``{"format_version": 1, "m": ...,
-"p": ..., "n": ..., "o": ...}``; each following line is one trial object
-with keys trial_id, task_id, success, relevant, final_cr and timesteps,
-where each timestep has keys in/goal/r/out/pred/pr. Floats are written at
-full round-trip precision, so both formats hold the rows bit-exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +54,6 @@ import numpy as np
 from .jsoncheck import fill, is_json_int
 from .network import NET, NetConfig, atomic_write
 
-V1_FORMAT_VERSION = 1
 MAGIC = b"SKILLNET-TRACES 2\n"
 TRIAL_RECORD, FLAG_RECORD = b"T", b"F"
 _FRAME_LEN = struct.Struct("<I")
@@ -76,7 +68,7 @@ FINAL_RETURN_TOL = 1e-9
 
 REPLAY_MODES = ("all", "relevant_only", "uniform_sample", "recent")
 
-# the header of both formats: the m, p, n and o rows of the checkpoint's table
+# the file header: the m, p, n and o rows of the checkpoint's table
 HEADER = {key: NET[key] for key in ("m", "p", "n", "o")}
 
 
@@ -210,8 +202,8 @@ class StoreDims:
 
     @cached_property
     def columns(self) -> dict[str, slice]:
-        """Each v1 JSON timestep key's column slice in a trial row, in key
-        order; built once per instance and shared, so not to be modified."""
+        """Each `--dump` JSON timestep key's column slice in a trial row, in
+        key order; built once per instance and shared, so not to be modified."""
         widths = (("in", self.obs_dim), ("goal", self.goal_dim), ("r", self.reward_dim),
                   ("out", self.action_dim), ("pred", self.pred_dim),
                   ("pr", self.return_pred_dim))
@@ -419,26 +411,17 @@ class TraceStore:
                 for part in _trial_record(trial.trial_id, trial, trial.timesteps):
                     fh.write(part)
 
-    def export_v1(self, path) -> None:
-        """Write the store as v1 JSON Lines, replacing `path` atomically."""
-        with atomic_write(path) as fh:
-            header = {"format_version": V1_FORMAT_VERSION, **_header(self.dims)}
-            fh.write(json.dumps(header) + "\n")
-            for trial in self._trials:
-                fh.write(json.dumps(trial_to_json(trial, self.dims)) + "\n")
-
     @classmethod
     def load(cls, path) -> "TraceStore":
         """Read a v2 trace file once, checking every record as `extend`
         checks a trial. The store keeps each trial's fields and where its
         rows lie, reads the rows from the file on each access, and takes no
-        new records. A v1 file does not load: v1 is export-only."""
+        new records."""
         fh = open(path, "rb")
         file = _TraceFile(fh, Path(path).resolve())  # closes fh once dropped
         data = fh.read()
         if not data.startswith(MAGIC):
-            raise TraceFormatError(0, "not a v2 trace file (v1 JSON Lines is export-only "
-                                      "and does not load)")
+            raise TraceFormatError(0, "not a v2 trace file")
         end = len(data)
         offset = len(MAGIC)
         try:
@@ -550,7 +533,8 @@ def _trial_fields(obj: dict) -> dict:
 
 
 def trial_to_json(trial: Trial, dims: StoreDims) -> dict:
-    """The v1 JSON object of a trial: each row split at `dims.columns`."""
+    """The JSON object of a trial that `skillnet traces --dump` prints: its
+    fields, and each row split at `dims.columns`."""
     columns = dims.columns.items()
     timesteps = [{key: row[cols] for key, cols in columns} for row in trial.timesteps.tolist()]
     return {

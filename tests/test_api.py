@@ -1,7 +1,9 @@
+import argparse
 import re
 from pathlib import Path
 
 import skillnet
+from skillnet.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +21,19 @@ def test_readme_library_use_imports_only_public_names():
     names = [name for name in names if name]
     assert names
     assert [name for name in names if name not in skillnet.__all__] == []
+
+
+def test_readme_cli_synopsis_lists_each_commands_options():
+    # an option removed from the parser must not linger in the synopsis
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```bash\n", 1)[1]
+    documented = {}
+    for line in block.split("\n```", 1)[0].splitlines():
+        if line.startswith("skillnet "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[\w-]+", line))
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: {opt for action in sub._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, sub in subparsers.choices.items()}
+    assert documented == options

@@ -21,7 +21,7 @@ from skillnet.curriculum import retention_event
 from skillnet.envs import step_counter
 from skillnet.metrics import read_metrics, validate_event
 from skillnet.network import NetConfig, init_network, load_checkpoint, save_checkpoint
-from skillnet.traces import MAGIC, StoreDims, TraceStore
+from skillnet.traces import MAGIC, StoreDims, TraceStore, Trial
 
 
 def write_config(tmp_path, **overrides):
@@ -380,21 +380,56 @@ def test_traces_dump_round_trips_trial_json(tmp_path, capsys):
     config_path = write_config(tmp_path)
     main(["run", "--config", str(config_path)])
     capsys.readouterr()
-    assert main(["traces", str(tmp_path / "traces.jsonl"), "--dump", "1"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["trial_id"] == 1
-    assert {"in", "goal", "r", "out", "pred", "pr"} <= set(obj["timesteps"][0])
+    store = TraceStore.load(tmp_path / "traces.jsonl")
+    columns = list(store.dims.columns)
+    for trial in store:
+        assert main(["traces", str(tmp_path / "traces.jsonl"), "--dump",
+                     str(trial.trial_id)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert ((obj["trial_id"], obj["task_id"], obj["success"], obj["relevant"],
+                 obj["final_cr"]) == (trial.trial_id, trial.task_id, trial.success,
+                                      trial.relevant, trial.final_return))
+        assert list(obj) == ["trial_id", "task_id", "success", "relevant", "final_cr",
+                             "timesteps"]
+        assert [list(ts) for ts in obj["timesteps"]] == [columns] * len(trial)
+        rows = [[v for key in columns for v in ts[key]] for ts in obj["timesteps"]]
+        assert np.array(rows).tobytes() == trial.timesteps.tobytes()
+
+
+def test_traces_dump_is_exact_json_text(tmp_path, capsys):
+    # pins the key order and the float text: round-trip repr, signed zero,
+    # the smallest subnormal
+    rows = np.array([
+        [0.1 + 0.2, -0.0, 1.0, 0.0, 0.0, 5e-324, -1.5, 0.5, 0.25, -0.0, 1e300, 2.0],
+        [0.0, 1.0, 1.0, 0.0, 1.0, 0.75, 0.0, 1.0, -2.0, 3.0, 0.0, -0.0],
+    ])
+    store = TraceStore(StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2))
+    store.append(Trial(task_id="g", success=True, relevant=True, timesteps=rows,
+                       final_return=1.0))
+    store.save(tmp_path / "traces.bin")
+    assert main(["traces", str(tmp_path / "traces.bin"), "--dump", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "".join(out.split()) == (
+        '{"trial_id":1,"task_id":"g","success":true,"relevant":true,"final_cr":1.0,'
+        '"timesteps":['
+        '{"in":[0.30000000000000004,-0.0],"goal":[1.0,0.0],"r":[0.0],'
+        '"out":[5e-324,-1.5],"pred":[0.5,0.25,-0.0],"pr":[1e+300,2.0]},'
+        '{"in":[0.0,1.0],"goal":[1.0,0.0],"r":[1.0],'
+        '"out":[0.75,0.0],"pred":[1.0,-2.0,3.0],"pr":[0.0,-0.0]}]}'
+    )
+    # and the layout: json's two-space indent, one value a line
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f2ecece26d013167446d176243df025ac7cc7eb5b8f7bb4a67d1f079c6d0357")
 
 
 def test_traces_v1_file_is_export_only(tmp_path, capsys):
-    config_path = write_config(tmp_path)
-    main(["run", "--config", str(config_path)])
+    # a JSON Lines trace file, in the v1 layout, is no trace file
     v1_path = tmp_path / "v1.jsonl"
-    assert main(["traces", str(tmp_path / "traces.jsonl"), "--export-v1", str(v1_path)]) == 0
-    capsys.readouterr()
+    v1_path.write_text('{"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2}\n'
+                       '{"trial_id": 1, "task_id": "g", "success": false, "relevant": false, '
+                       '"final_cr": 0.0, "timesteps": []}\n')
     assert main(["traces", str(v1_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: byte 0: not a v2 trace file") and "export-only" in err
+    assert capsys.readouterr().err == "error: byte 0: not a v2 trace file\n"
 
 
 def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
@@ -412,29 +447,42 @@ def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
     assert f"error: byte {len(MAGIC)}: header.m: must be an integer" in capsys.readouterr().err
 
 
-def test_run_export_v1_matches_recorded_trace_file(tmp_path, capsys):
-    """The v1 export of a run's trace file is byte for byte the trace file
-    that the same run wrote before the trace file became binary."""
+def test_run_trace_file_matches_recorded_run(tmp_path, capsys):
+    """A run's trace file is byte for byte the one the same run wrote when
+    its trajectory was first recorded."""
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path), "--seed", "3"]) == 0
-    out = tmp_path / "v1.jsonl"
-    assert main(["traces", str(tmp_path / "traces.jsonl"), "--export-v1", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "a48d50b9b16ec7a3dc9f3a34bba9e47e6893e5d5403a5a26c650ad6522aed6b0")
+    assert hashlib.sha256((tmp_path / "traces.jsonl").read_bytes()).hexdigest() == (
+        "06ac958000139a4931c06c9c5b94faec6dfa4c13b878b74982928974371141d4")
 
 
-@pytest.mark.parametrize("out", ["a_directory", "missing/out.jsonl"])
-def test_unwritable_export_v1_path_is_usage_error(tmp_path, capsys, out):
-    trace_file = tmp_path / "traces.bin"
-    store = TraceStore(StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2))
-    store.save(trace_file)
-    (tmp_path / "a_directory").mkdir()
-    before = sorted(tmp_path.rglob("*"))
-    out = tmp_path / out
-    assert main(["traces", str(trace_file), "--export-v1", str(out)]) == 1
-    assert f"error: --export-v1: cannot write {out}: " in capsys.readouterr().err
-    assert not out.is_file() and not out.with_name(out.name + ".tmp").exists()
-    assert sorted(tmp_path.rglob("*")) == before  # no parent directory made either
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags, first", [(["--dump", "1"], b"{"), ([], b"")],
+                         ids=["dump", "list"])
+def test_closed_stdout_exits_141_quietly(tmp_path, unbuffered, flags, first):
+    # a trial dump larger than a pipe buffer, whose reader goes after 1 byte,
+    # and a one-line listing whose reader goes before it is written
+    dims = StoreDims(obs_dim=2, goal_dim=2, reward_dim=1, action_dim=2)
+    store = TraceStore(dims)
+    store.append(Trial(task_id="g", success=False, relevant=False,
+                       timesteps=np.zeros((2000, dims.row_width)), final_return=0.0))
+    store.save(tmp_path / "traces.bin")
+    src = str(Path(skillnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "skillnet.cli", "traces", str(tmp_path / "traces.bin"), *flags],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.read(len(first)) == first
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+        child.stderr.close()
 
 
 def test_run_killed_outright_keeps_every_complete_record(tmp_path):
@@ -696,18 +744,21 @@ def test_usage_errors_exit_1(argv, capsys):
 
 @pytest.mark.parametrize("flags, named", [
     (["--success", "--failed"], "--failed: not allowed with argument --success"),
-    (["--dump", "1", "--export-v1", "OUT"], "--export-v1: not allowed with argument --dump"),
+    (["--dump", "1", "--task", "corner_nw"], "--task: not allowed with --dump"),
+    (["--success", "--dump", "1"], "--success: not allowed with --dump"),
+    (["--dump", "1", "--failed"], "--failed: not allowed with --dump"),
+    (["--relevant", "--dump", "1"], "--relevant: not allowed with --dump"),
 ])
 def test_traces_contradictory_flags_are_usage_errors(tmp_path, capsys, flags, named):
     config_path = write_config(tmp_path)
     main(["run", "--config", str(config_path)])
     capsys.readouterr()
-    flags = [str(tmp_path / "out.jsonl") if f == "OUT" else f for f in flags]
-    with pytest.raises(SystemExit) as exc:
-        main(["traces", str(tmp_path / "traces.jsonl"), *flags])
-    assert exc.value.code == 1
+    try:
+        code = main(["traces", str(tmp_path / "traces.jsonl"), *flags])
+    except SystemExit as exc:  # argparse's own exclusive group
+        code = exc.code
+    assert code == 1
     assert named in capsys.readouterr().err
-    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_final_sweep_reports_retention_without_running_episodes(tmp_path, monkeypatch):

@@ -569,10 +569,10 @@ def test_slip_race_with_several_trials_per_candidate_matches_recorded_run(tmp_pa
     store = TraceStore(StoreDims.from_net_config(cfg))
     outcome = try_solve_task(current, original, task, Budget("env_steps", 700),
                              EsConfig(population=4, sigma=0.5, seed=7), store, config=cfg)
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
+    path = tmp_path / "traces.bin"
+    store.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "685780f36cc923dba77b42b356f6bf5c9c751160bc4deb1d9f966cf46b4f64ed")
+        "cae5b7fec68e652e05d780e4a732fff5a558235fc0f1f5b89565198b274fcf34")
     assert (outcome.status, outcome.winner) == ("solved", "scratch")
     assert hashlib.sha256(outcome.final_weights.tobytes()).hexdigest() == (
         "4acab02daffa5f727a9040bece93710a9b3518d1520d10a1d7723eea892ec0fd")

@@ -306,9 +306,8 @@ def _store_with_a_trial():
 
 @pytest.mark.parametrize("write", [
     _save_a_checkpoint,
-    lambda path: _store_with_a_trial().export_v1(path),
     lambda path: _store_with_a_trial().save(path),
-], ids=["save_checkpoint", "export_v1", "save"])
+], ids=["save_checkpoint", "save"])
 def test_failed_replace_raises_and_leaves_no_temp_file(tmp_path, write):
     target = tmp_path / "out"
     target.mkdir()  # os.replace cannot put a file over a directory
@@ -337,30 +336,6 @@ def test_round_trip_extreme_finite_floats(tmp_path):
     store.save(path)
     loaded = TraceStore.load(path)
     assert loaded.get(1) == store.get(1)
-
-
-def test_saved_trial_line_is_exact_v1_text(tmp_path):
-    # pins the v1 key order and the float text: round-trip repr, signed zero,
-    # the smallest subnormal
-    rows = np.array([
-        [0.1 + 0.2, -0.0, 1.0, 0.0, 0.0, 5e-324, -1.5, 0.5, 0.25, -0.0, 1e300, 2.0],
-        [0.0, 1.0, 1.0, 0.0, 1.0, 0.75, 0.0, 1.0, -2.0, 3.0, 0.0, -0.0],
-    ])
-    store = TraceStore(DIMS)
-    store.append(Trial(task_id="g", success=True, relevant=True, timesteps=rows,
-                       final_return=1.0))
-    path = tmp_path / "traces.jsonl"
-    store.export_v1(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == '{"format_version": 1, "m": 2, "p": 2, "n": 1, "o": 2}'
-    assert lines[1] == (
-        '{"trial_id": 1, "task_id": "g", "success": true, "relevant": true, '
-        '"final_cr": 1.0, "timesteps": ['
-        '{"in": [0.30000000000000004, -0.0], "goal": [1.0, 0.0], "r": [0.0], '
-        '"out": [5e-324, -1.5], "pred": [0.5, 0.25, -0.0], "pr": [1e+300, 2.0]}, '
-        '{"in": [0.0, 1.0], "goal": [1.0, 0.0], "r": [1.0], '
-        '"out": [0.75, 0.0], "pred": [1.0, -2.0, 3.0], "pr": [0.0, -0.0]}]}'
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,17 +765,14 @@ def test_failed_write_adds_no_trial_and_ends_streaming(streamed):
     assert store.get(1) == TraceStore.load(path).get(1)
 
 
-def test_named_and_unnamed_stores_save_and_export_the_same_bytes(tmp_path, streamed):
+def test_named_and_unnamed_stores_save_the_same_bytes(tmp_path, streamed):
     named, _ = streamed()
     unnamed = TraceStore(DIMS)
     _three_generations(named, np.random.default_rng(34))
     _three_generations(unnamed, np.random.default_rng(34))
     for name, each in (("named", named), ("unnamed", unnamed)):
         each.save(tmp_path / f"{name}.bin")
-        each.export_v1(tmp_path / f"{name}.jsonl")
-    for suffix in (".bin", ".jsonl"):
-        assert ((tmp_path / f"named{suffix}").read_bytes()
-                == (tmp_path / f"unnamed{suffix}").read_bytes())
+    assert (tmp_path / "named.bin").read_bytes() == (tmp_path / "unnamed.bin").read_bytes()
     named.close()
     named.save(tmp_path / "closed.bin")
     assert (tmp_path / "closed.bin").read_bytes() == (tmp_path / "unnamed.bin").read_bytes()
@@ -863,30 +835,11 @@ def make_calls(store, calls):
 
 
 @settings(max_examples=60, deadline=None)
-@given(store_calls(), st.sampled_from(["v1", "v2"]))
-def test_save_load_save_is_exact(dims_calls, file_format):
+@given(store_calls())
+def test_save_load_save_is_exact(dims_calls):
     dims, calls = dims_calls
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
-        if file_format == "v1":
-            export = Path(tmp) / "v1.jsonl"
-            # v1 is export-only: every line parses back to the header and the
-            # trials, rows bit for bit in column order
-            store = TraceStore(dims)
-            make_calls(store, calls)
-            store.export_v1(export)
-            header, *objs = map(json.loads, export.read_text(encoding="utf-8").splitlines())
-            assert header == {"format_version": 1, "m": dims.obs_dim, "p": dims.goal_dim,
-                              "n": dims.reward_dim, "o": dims.action_dim}
-            assert len(objs) == len(store)
-            for obj, trial in zip(objs, store):
-                assert [list(ts) for ts in obj["timesteps"]] == [list(dims.columns)] * len(trial)
-                rows = [[v for key in dims.columns for v in ts[key]] for ts in obj["timesteps"]]
-                assert np.array(rows).tobytes() == trial.timesteps.tobytes()
-                assert ((obj["trial_id"], obj["task_id"], obj["success"], obj["relevant"],
-                         obj["final_cr"]) == (trial.trial_id, trial.task_id, trial.success,
-                                              trial.relevant, trial.final_return))
-            return
         # the streamed file, flag records and all, loads as the same store
         streamed = Path(tmp) / "streamed.bin"
         store = TraceStore.create(streamed, dims)
