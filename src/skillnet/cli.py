@@ -161,24 +161,11 @@ def cmd_run(args) -> int:
     net_config = config.net
     _, weights = init_network(net_config)
     writer, store = _open_outputs(config.paths, StoreDims.from_net_config(net_config))
-    last_checks: dict[str, dict] = {}  # each task's last after_dream retention_check
-
-    def emit(event: dict) -> None:
-        if event["event"] == "retention_check":
-            last_checks[event["task_id"]] = event
-        writer.emit(event)
 
     # every trial is on disk once it is appended, so a run that diverges, is
     # interrupted or is killed outright keeps every trial it already paid for
     with writer:
         try:
-            writer.emit({
-                "event": "run_start",
-                "master_seed": config.master_seed,
-                "task_ids": [t.task_id for t in config.tasks],
-                "budget_unit": config.budgets.unit,
-                "initial_budget": config.budgets.c0,
-            })
             final_weights, report = run_curriculum(
                 list(config.tasks), config.budgets.c0, config.budgets.dream_multiplier,
                 weights, store,
@@ -188,23 +175,8 @@ def cmd_run(args) -> int:
                 budget_unit=config.budgets.unit,
                 max_total_budget=config.budgets.max_total_budget,
                 seed=config.master_seed,
-                on_event=emit,
+                on_event=writer.emit,
             )
-            # the final sweep: the last after_dream block tested every solved
-            # task on these weights with this seed, so re-emit it, in config order
-            solved_ids = {r.task_id for r in report.solved}
-            for task in config.tasks:
-                if task.task_id in solved_ids:
-                    writer.emit({**last_checks[task.task_id], "pass_number": report.pass_count,
-                                 "phase": "final"})
-            writer.emit({
-                "event": "run_end",
-                "solved_task_ids": [r.task_id for r in report.solved],
-                "unsolved_task_ids": report.unsolved_task_ids,
-                "pass_count": report.pass_count,
-                "total_search_spent": report.total_search_spent,
-                "consolidations": report.consolidations,
-            })
         finally:
             store.save(config.paths.trace_file)
             store.close()

@@ -6,7 +6,8 @@ budget proportional to c) and leaves the list. If a whole pass solves
 nothing, c doubles; after any pass with progress, c resets to its original
 value. A total-budget guard makes unsolvable curricula terminate. After
 every dream, every task solved so far is re-tested on the new weights,
-whichever arm or solver found it.
+whichever arm or solver found it. Every metrics event of a run, from
+run_start to run_end, is emitted here.
 
 The network that accumulates everything is only changed by consolidation;
 search arms work on copies and contribute traces.
@@ -35,18 +36,14 @@ class SolveRecord:
     task_id: str
     pass_number: int
     budget_amount: float
-    winner: str
-    relevant_trial_ids: list[int]
 
 
 @dataclass
 class CurriculumReport:
+    """What a caller reads that no metrics event carries."""
+
     solved: list[SolveRecord]
-    unsolved_task_ids: list[str]
-    pass_count: int
     final_budget: float
-    total_search_spent: float
-    consolidations: int
 
 
 def _attempt_seed(seed: int, attempt: int) -> int:
@@ -75,7 +72,8 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
     dream_multiplier couples each consolidation's budget to the solve budget:
     a solve at budget c earns round(dream_multiplier * c) gradient steps of
     dreaming. The scratch arm of every attempt starts from initial_weights.
-    Every metrics event goes to on_event, in order.
+    Every metrics event of the run goes to on_event, in order: run_start
+    first, run_end last.
     """
     if not tasks:
         raise ValueError("curriculum needs at least one task")
@@ -98,23 +96,29 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                                net_config=net_config, steps=steps)
 
     emit = on_event if on_event is not None else (lambda event: None)
+    emit({
+        "event": "run_start",
+        "master_seed": seed,
+        "task_ids": [t.task_id for t in tasks],
+        "budget_unit": budget_unit,
+        "initial_budget": budget_c0,
+    })
 
     unsolved = list(tasks)
     solved: list[SolveRecord] = []
     solved_tasks: dict[str, TaskDescription] = {}
+    checks: dict[str, RetentionResult] = {}  # the last after_dream block
     budget_c = float(budget_c0)
+    limit = max_total_budget if max_total_budget is not None else np.inf
     pass_number = 0
     attempt_index = 0
     total_spent = 0.0
-    consolidations = 0
-    out_of_budget = False
 
-    while unsolved and not out_of_budget:
+    while unsolved and total_spent < limit:  # no pass starts once the budget is spent
         pass_number += 1
         solved_this_pass = 0
         for task in list(unsolved):
-            if max_total_budget is not None and total_spent >= max_total_budget:
-                out_of_budget = True
+            if total_spent >= limit:
                 break
             es = replace(es_config, seed=_attempt_seed(seed, attempt_index))
             attempt_index += 1
@@ -134,19 +138,14 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 "budget_spent_scratch": outcome.budget_spent["scratch"],
                 "evaluations_warm": outcome.evaluations["warm"],
                 "evaluations_scratch": outcome.evaluations["scratch"],
-                "trials_recorded": len(outcome.all_trial_ids),
+                "trials_recorded": outcome.trials_recorded,
                 "max_batch_cost": outcome.max_batch_cost,
             })
             if not outcome.solved:
                 continue
 
             solved_this_pass += 1
-            record = SolveRecord(
-                task_id=task.task_id, pass_number=pass_number,
-                budget_amount=budget_c, winner=outcome.winner,
-                relevant_trial_ids=list(outcome.relevant_trial_ids),
-            )
-            solved.append(record)
+            solved.append(SolveRecord(task.task_id, pass_number, budget_c))
             solved_tasks[task.task_id] = task
             unsolved.remove(task)
             emit({
@@ -161,7 +160,6 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
             dream_steps = max(1, round(dream_multiplier * budget_c))
             weights, report = consolidator(weights=weights, store=store,
                                            steps=dream_steps)
-            consolidations += 1
             emit({
                 "event": "consolidation",
                 "task_id": task.task_id,
@@ -171,33 +169,37 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 "final_loss": report.final,
             })
 
-            results = retention_check(
+            checks = retention_check(
                 weights, [solved_tasks[t] for t in sorted(solved_tasks)], net_config,
                 base_seed=seed,
             )
-            for task_id, res in results.items():
+            for task_id, res in checks.items():
                 emit(retention_event(task_id, res, pass_number=pass_number,
                                      phase="after_dream"))
+        else:  # a pass the budget guard did not cut short
+            if solved_this_pass == 0:
+                emit({
+                    "event": "budget_double",
+                    "pass_number": pass_number,
+                    "old_budget": budget_c,
+                    "new_budget": budget_c * 2,
+                })
+                budget_c *= 2
+            else:
+                budget_c = float(budget_c0)
 
-        if out_of_budget:
-            break
-        if solved_this_pass == 0:
-            emit({
-                "event": "budget_double",
-                "pass_number": pass_number,
-                "old_budget": budget_c,
-                "new_budget": budget_c * 2,
-            })
-            budget_c *= 2
-        else:
-            budget_c = float(budget_c0)
-
-    report = CurriculumReport(
-        solved=solved,
-        unsolved_task_ids=[t.task_id for t in unsolved],
-        pass_count=pass_number,
-        final_budget=budget_c,
-        total_search_spent=total_spent,
-        consolidations=consolidations,
-    )
-    return weights, report
+    # the final sweep: the last after_dream block tested every solved task on
+    # these weights with this seed, so re-report it, in task order
+    for task in tasks:
+        if task.task_id in checks:
+            emit(retention_event(task.task_id, checks[task.task_id],
+                                 pass_number=pass_number, phase="final"))
+    emit({
+        "event": "run_end",
+        "solved_task_ids": [r.task_id for r in solved],
+        "unsolved_task_ids": [t.task_id for t in unsolved],
+        "pass_count": pass_number,
+        "total_search_spent": total_spent,
+        "consolidations": len(solved),  # one dream per solve
+    })
+    return weights, CurriculumReport(solved=solved, final_budget=budget_c)

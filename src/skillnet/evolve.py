@@ -60,24 +60,21 @@ class EsConfig:
 
 @dataclass
 class SearchOutcome:
-    status: str                        # "solved" | "failed"
     winner: str                        # "warm" | "scratch" | "none"
-    final_weights: np.ndarray | None
     relevant_trial_ids: list[int]
-    all_trial_ids: list[int]
+    trials_recorded: int               # trials this search added to the store
     budget_spent: dict[str, float]     # per arm, in budget units
-    batch_costs: dict[str, list[float]]
-    best_fitness: dict[str, list[float]]
+    max_batch_cost: float              # the costliest generation of either arm
+    best_fitness: dict[str, list[float]]  # per arm, the incumbent's after each generation
     evaluations: dict[str, int]
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.winner != "none"
 
     @property
-    def max_batch_cost(self) -> float:
-        costs = self.batch_costs[WARM] + self.batch_costs[SCRATCH]
-        return max(costs) if costs else 0.0
+    def status(self) -> str:
+        return "solved" if self.solved else "failed"
 
     @property
     def total_spent(self) -> float:
@@ -110,7 +107,7 @@ class _Arm:
     parent_trials: list[Trial] = field(default_factory=list)
     parent_evaluated: bool = False
     spent: float = 0.0
-    batch_costs: list[float] = field(default_factory=list)
+    max_cost: float = 0.0
     best_fitness: list[float] = field(default_factory=list)
     evaluations: int = 0
 
@@ -142,7 +139,7 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
             seed_rng=np.random.default_rng(seed_ss),
         )
 
-    all_trial_ids: list[int] = []
+    trials_before = len(store)
     solved_arm: _Arm | None = None
 
     def run_batch(arm: _Arm) -> None:
@@ -158,7 +155,6 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                                       [seed + i for seed in seeds for i in range(n_trials)]))
         episodes = [store.get(i) for i in ids]  # the stored trials: the rollout's rows die here
         results = [episodes[c * n_trials : (c + 1) * n_trials] for c in range(len(candidates))]
-        all_trial_ids.extend(ids)
         arm.evaluations += len(candidates)
         if budget.unit == "env_steps":
             cost = float(sum(trial_env_steps(t) for t in episodes))
@@ -182,7 +178,7 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
                 arm.parent_trials = results[best_idx]
 
         arm.spent += cost
-        arm.batch_costs.append(cost)
+        arm.max_cost = max(arm.max_cost, cost)
         arm.best_fitness.append(arm.parent_fitness)
 
     while solved_arm is None:
@@ -204,13 +200,11 @@ def try_solve_task(current_weights: np.ndarray, original_weights: np.ndarray,
             relevant_ids.append(t.trial_id)
 
     return SearchOutcome(
-        status="solved" if solved_arm is not None else "failed",
         winner=solved_arm.name if solved_arm is not None else "none",
-        final_weights=solved_arm.parent.copy() if solved_arm is not None else None,
         relevant_trial_ids=relevant_ids,
-        all_trial_ids=all_trial_ids,
+        trials_recorded=len(store) - trials_before,
         budget_spent={name: arm.spent for name, arm in arms.items()},
-        batch_costs={name: arm.batch_costs for name, arm in arms.items()},
+        max_batch_cost=max(arm.max_cost for arm in arms.values()),
         best_fitness={name: arm.best_fitness for name, arm in arms.items()},
         evaluations={name: arm.evaluations for name, arm in arms.items()},
     )

@@ -1,8 +1,8 @@
 """Code the tests share and the package does not use: a vector-reward
 environment, weight packing, a one-trial replay pass, replay targets built
 from stored trials (and the plain per-term construction they are checked
-against), the acceptance suite's Network with `get_weights`, and the report
-of a fake consolidator."""
+against), the acceptance suite's Network with `get_weights`, and the results
+of a fake solver and a fake consolidator."""
 
 from dataclasses import dataclass
 
@@ -11,6 +11,7 @@ import numpy as np
 from skillnet import network
 from skillnet.consolidate import ConsolidationReport, build_targets
 from skillnet.envs import Observation, step_counter
+from skillnet.evolve import SearchOutcome
 from skillnet.network import ReplayBatch, TrialTargets
 from skillnet.traces import StoreDims
 
@@ -123,3 +124,17 @@ def fake_report(steps: int) -> ConsolidationReport:
     losses = {"total": 0.0, "action": 0.0, "pred": 0.0, "return": 0.0,
               "action_steps": 0, "pred_steps": 0, "return_steps": 0}
     return ConsolidationReport(steps_run=steps, initial=losses, final=dict(losses))
+
+
+def fake_outcome(solved: bool, spent: float) -> SearchOutcome:
+    """A one-generation search of one trial per arm that spent `spent` in
+    all, split evenly, and marked trial 1 relevant if it solved the task."""
+    return SearchOutcome(
+        winner="warm" if solved else "none",
+        relevant_trial_ids=[1] if solved else [],
+        trials_recorded=2,
+        budget_spent={"warm": spent / 2, "scratch": spent / 2},
+        max_batch_cost=spent / 2,
+        best_fitness={"warm": [0.0], "scratch": [0.0]},
+        evaluations={"warm": 1, "scratch": 1},
+    )

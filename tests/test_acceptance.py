@@ -22,7 +22,7 @@ from skillnet.consolidate import (
 )
 from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription, step_counter
-from skillnet.evolve import Budget, EsConfig, SearchOutcome, try_solve_task
+from skillnet.evolve import Budget, EsConfig, try_solve_task
 from skillnet.metrics import validate_event
 from skillnet.network import (
     NetConfig,
@@ -32,7 +32,7 @@ from skillnet.network import (
 )
 from skillnet.rollout import run_trial
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore, Trial
-from reference import Network, build_batch, fake_report, init_network
+from reference import Network, build_batch, fake_outcome, fake_report, init_network
 
 MASTER_SEEDS = (1, 2, 3, 4, 5)
 
@@ -270,17 +270,7 @@ def test_criterion_06_budget_doubling():
         def solver(*, current_weights, original_weights, task, budget, es, store):
             calls.append(budget.amount)
             solved = budget.amount >= threshold
-            return SearchOutcome(
-                status="solved" if solved else "failed",
-                winner="warm" if solved else "none",
-                final_weights=current_weights.copy() if solved else None,
-                relevant_trial_ids=[1] if solved else [],
-                all_trial_ids=[1],
-                budget_spent={"warm": 5.0, "scratch": 5.0},
-                batch_costs={"warm": [5.0], "scratch": [5.0]},
-                best_fitness={"warm": [0.0], "scratch": [0.0]},
-                evaluations={"warm": 1, "scratch": 1},
-            )
+            return fake_outcome(solved, 10.0)
 
         return solver, calls
 

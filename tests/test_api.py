@@ -4,6 +4,7 @@ from pathlib import Path
 
 import skillnet
 from skillnet.cli import _build_parser
+from skillnet.metrics import EVENT_SCHEMAS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +38,10 @@ def test_readme_cli_synopsis_lists_each_commands_options():
                       if opt not in ("-h", "--help")}
                for name, sub in subparsers.choices.items()}
     assert documented == options
+
+
+def test_readme_metrics_file_lists_each_event_of_the_schema():
+    # an event added to or removed from the schema must show in the list
+    paragraph = README.read_text(encoding="utf-8").split("**Metrics file (JSON Lines).**", 1)[1]
+    listed = re.split(r"discriminated by\s+`event`:", paragraph, maxsplit=1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(EVENT_SCHEMAS)

@@ -14,6 +14,7 @@ import pytest
 
 import skillnet
 import skillnet.cli
+import skillnet.curriculum
 from skillnet.cli import main
 from skillnet.config import load_config
 from skillnet.consolidate import retention_check
@@ -764,27 +765,38 @@ def test_traces_contradictory_flags_are_usage_errors(tmp_path, capsys, flags, na
 def test_final_sweep_reports_retention_without_running_episodes(tmp_path, monkeypatch):
     config_path = write_config(tmp_path)
     curriculum_end = {}
+    check_ends = []  # the step count as each of the curriculum's checks returns
     run_curriculum = skillnet.cli.run_curriculum
+    curriculum_check = skillnet.curriculum.retention_check
 
     def spy(*args, **kwargs):
         weights, report = run_curriculum(*args, **kwargs)
         curriculum_end.update(weights=weights, report=report, steps=step_counter.count)
         return weights, report
 
+    def check_spy(*args, **kwargs):
+        results = curriculum_check(*args, **kwargs)
+        check_ends.append(step_counter.count)
+        return results
+
     monkeypatch.setattr(skillnet.cli, "run_curriculum", spy)
+    monkeypatch.setattr(skillnet.curriculum, "retention_check", check_spy)
     assert main(["run", "--config", str(config_path)]) == 0
-    assert step_counter.count == curriculum_end["steps"]  # no episode after the curriculum
     events = read_metrics(tmp_path / "metrics.jsonl")
+    # one check per dream and none for the sweep, and no episode after the
+    # last dream's check: not in the sweep, not after the curriculum
+    assert len(check_ends) == sum(e["event"] == "consolidation" for e in events)
+    assert step_counter.count == curriculum_end["steps"] == check_ends[-1]
     final = [e for e in events if e["event"] == "retention_check" and e["phase"] == "final"]
     # what an explicit sweep on the final weights reports, in config order
     config = load_config(config_path)
-    report = curriculum_end["report"]
-    solved = {r.task_id for r in report.solved}
+    solved = {r.task_id for r in curriculum_end["report"].solved}
     results = retention_check(curriculum_end["weights"],
                               [t for t in config.tasks if t.task_id in solved],
                               config.net, base_seed=config.master_seed)
     assert len(final) == len(solved) == 2
-    assert final == [retention_event(task_id, res, pass_number=report.pass_count, phase="final")
+    assert final == [retention_event(task_id, res, pass_number=events[-1]["pass_count"],
+                                     phase="final")
                      for task_id, res in results.items()]
 
 

@@ -6,11 +6,11 @@ import pytest
 from skillnet.consolidate import ConsolidationConfig
 from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription
-from skillnet.evolve import EsConfig, SearchOutcome
+from skillnet.evolve import EsConfig
 from skillnet.metrics import validate_event
 from skillnet.network import NetConfig
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore
-from reference import fake_report
+from reference import fake_outcome, fake_report
 
 CFG = NetConfig(obs_dim=4, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=3)
 
@@ -20,20 +20,6 @@ SPEC = GridMazeSpec(width=2, height=2, start=(0, 0), goal_cell=(1, 1))
 def make_task(task_id, goal_index=0):
     return TaskDescription(task_id=task_id, goal_index=goal_index, env_spec=SPEC,
                            criterion=SuccessCriterion())
-
-
-def fake_outcome(solved, spent=10.0):
-    return SearchOutcome(
-        status="solved" if solved else "failed",
-        winner="warm" if solved else "none",
-        final_weights=np.zeros(CFG.n_params) if solved else None,
-        relevant_trial_ids=[1] if solved else [],
-        all_trial_ids=[1],
-        budget_spent={"warm": spent / 2, "scratch": spent / 2},
-        batch_costs={"warm": [spent / 2], "scratch": [spent / 2]},
-        best_fitness={"warm": [0.0], "scratch": [0.0]},
-        evaluations={"warm": 1, "scratch": 1},
-    )
 
 
 class FakeSolver:
@@ -46,7 +32,7 @@ class FakeSolver:
     def __call__(self, *, current_weights, original_weights, task, budget, es, store):
         self.calls.append((task.task_id, budget.amount))
         solvable = budget.amount >= self.thresholds.get(task.task_id, np.inf)
-        return fake_outcome(solvable, spent=min(budget.amount, 10.0))
+        return fake_outcome(solvable, min(budget.amount, 10.0))
 
 
 class FakeConsolidator:
@@ -74,14 +60,19 @@ def run(tasks, solver, consolidator=None, c0=100.0, lam=0.5, max_total=None, **k
     return final, report, consolidator
 
 
+def run_end(events):
+    assert events[-1]["event"] == "run_end"
+    return events[-1]
+
+
 def test_two_solvable_tasks_finish_in_first_pass():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": 0.0})
     events = []
     _, report, consolidator = run(tasks, solver, on_event=events.append)
     assert [r.task_id for r in report.solved] == ["a", "b"]
-    assert report.pass_count == 1
-    assert report.unsolved_task_ids == []
+    assert run_end(events)["pass_count"] == 1
+    assert run_end(events)["unsolved_task_ids"] == []
     assert len(consolidator.calls) == 2
     assert not any(e["event"] == "budget_double" for e in events)
     assert report.final_budget == 100.0
@@ -131,25 +122,29 @@ def test_budget_law_reset_only_after_progress():
 def test_solved_tasks_never_reattempted():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": np.inf})
-    _, report, _ = run(tasks, solver, max_total=100.0)
+    events = []
+    run(tasks, solver, max_total=100.0, on_event=events.append)
     attempted_a = [c for c in solver.calls if c[0] == "a"]
     assert len(attempted_a) == 1
-    assert report.unsolved_task_ids == ["b"]
+    assert run_end(events)["unsolved_task_ids"] == ["b"]
 
 
 def test_every_solve_followed_by_exactly_one_consolidation_with_lam_c_budget():
     tasks = [make_task("a"), make_task("b", goal_index=1)]
     solver = FakeSolver({"a": 0.0, "b": 0.0})
-    _, report, consolidator = run(tasks, solver, c0=80.0, lam=0.5)
+    events = []
+    _, _, consolidator = run(tasks, solver, c0=80.0, lam=0.5, on_event=events.append)
     assert consolidator.calls == [40, 40]  # round(0.5 * 80) per solve
-    assert report.consolidations == 2
+    assert [e["steps"] for e in events if e["event"] == "consolidation"] == [40, 40]
+    assert run_end(events)["consolidations"] == 2
 
 
 def test_max_total_budget_terminates_unsolvable_curriculum():
     solver = FakeSolver({})
-    _, report, _ = run([make_task("a")], solver, max_total=35.0)
-    assert report.unsolved_task_ids == ["a"]
-    assert report.total_search_spent >= 35.0
+    events = []
+    run([make_task("a")], solver, max_total=35.0, on_event=events.append)
+    assert run_end(events)["unsolved_task_ids"] == ["a"]
+    assert run_end(events)["total_search_spent"] >= 35.0
     assert len(solver.calls) == 4  # 10 spent per attempt
 
 
@@ -158,22 +153,19 @@ def test_events_are_ordered_attempt_then_solve_then_consolidation():
     events = []
     run([make_task("a")], solver, on_event=events.append)
     kinds = [e["event"] for e in events]
-    assert kinds == ["task_attempt", "solve", "consolidation", "retention_check"]
+    assert kinds == ["run_start", "task_attempt", "solve", "consolidation",
+                     "retention_check", "retention_check", "run_end"]
+    assert [e["phase"] for e in events if e["event"] == "retention_check"] == [
+        "after_dream", "final"]
 
 
 def test_every_solved_task_retested_after_every_dream():
-    # the winner is the unchanged current net, as when an arm's unperturbed
-    # parent already passes; it is re-tested all the same
-    def parent_wins(*, current_weights, original_weights, task, budget, es, store):
-        outcome = fake_outcome(budget.amount >= thresholds[task.task_id])
-        if outcome.solved:
-            outcome.final_weights = current_weights.copy()
-        return outcome
-
-    thresholds = {"c": 0.0, "a": 0.0, "b": 200.0}
+    # every task solved so far is re-tested on the dreamed net, whichever
+    # solver found it
+    solver = FakeSolver({"c": 0.0, "a": 0.0, "b": 200.0})
     tasks = [make_task("c"), make_task("a", goal_index=1), make_task("b", goal_index=1)]
     events = []
-    _, _, consolidator = run(tasks, parent_wins, c0=100.0, on_event=events.append)
+    _, _, consolidator = run(tasks, solver, c0=100.0, on_event=events.append)
     assert len(consolidator.calls) == 3
     solved = []
     for i, event in enumerate(events):
@@ -181,12 +173,43 @@ def test_every_solved_task_retested_after_every_dream():
             solved.append(event["task_id"])
         if event["event"] != "consolidation":
             continue
-        checks = list(takewhile(lambda e: e["event"] == "retention_check",
-                                events[i + 1:]))
+        checks = list(takewhile(lambda e: e["event"] == "retention_check"
+                                and e["phase"] == "after_dream", events[i + 1:]))
         assert [c["task_id"] for c in checks] == sorted(solved)
-        assert all(c["phase"] == "after_dream" for c in checks)
         assert all(c["pass_number"] == event["pass_number"] for c in checks)
     assert solved == ["c", "a", "b"]
+
+
+def test_final_sweep_re_reports_the_last_checks_in_task_order():
+    attempts = []
+
+    def b_second_time(*, current_weights, original_weights, task, budget, es, store):
+        attempts.append(task.task_id)
+        return fake_outcome(task.task_id == "a" or attempts.count("b") == 2, 10.0)
+
+    events = []
+    run([make_task("b", goal_index=1), make_task("a")], b_second_time,
+        on_event=events.append)
+    solves = [(e["task_id"], e["pass_number"]) for e in events if e["event"] == "solve"]
+    assert solves == [("a", 1), ("b", 2)]  # solve order and id order are both a, b
+    checks = [e for e in events if e["event"] == "retention_check"]
+    after_dream = [c for c in checks if c["phase"] == "after_dream"]
+    assert [c["task_id"] for c in after_dream] == ["a", "a", "b"]  # id order
+    final = [c for c in checks if c["phase"] == "final"]
+    assert [c["task_id"] for c in final] == ["b", "a"]  # task (config) order
+    assert events[-1 - len(final):-1] == final
+    last_block = {c["task_id"]: c for c in after_dream[-2:]}
+    assert final == [{**last_block[c["task_id"]], "pass_number": 2, "phase": "final"}
+                     for c in final]
+
+
+def test_no_pass_starts_once_the_total_budget_is_spent():
+    solver = FakeSolver({})  # never solvable, 10 spent per attempt
+    events = []
+    run([make_task("a")], solver, c0=100.0, max_total=20.0, on_event=events.append)
+    passes = [e["pass_number"] for e in events if e["event"] == "task_attempt"]
+    assert passes == [1, 2]
+    assert run_end(events)["pass_count"] == max(passes)
 
 
 def test_empty_curriculum_rejected():
@@ -217,7 +240,8 @@ def test_on_event_callback_receives_all_events():
         replay_policy=ReplayPolicy(mode="all"),
         solver=solver, consolidator=FakeConsolidator(), on_event=seen.append,
     )
-    assert [e["event"] for e in seen] == ["task_attempt", "solve", "consolidation",
-                                          "retention_check"]
+    assert [e["event"] for e in seen] == ["run_start", "task_attempt", "solve",
+                                          "consolidation", "retention_check",
+                                          "retention_check", "run_end"]
     for event in seen:  # as the metrics writer would check them
         validate_event(event)
