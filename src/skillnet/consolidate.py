@@ -87,53 +87,75 @@ def term_stats(net: Network, batch: ReplayBatch) -> dict:
 
 
 @dataclass
+class DreamState:
+    """What a dream carries from one consolidate call to the next: the replay
+    rng, target cache and latest selection (keys, batch), the probe batch and
+    its last term_stats, the momentum and the gradient steps run so far."""
+
+    rng: np.random.Generator
+    target_cache: dict  # (trial_id, relevant) -> TrialTargets
+    keys: tuple | None = None
+    batch: ReplayBatch | None = None
+    probe_batch: ReplayBatch | None = None
+    loss: dict | None = None
+    velocity: np.ndarray | None = None
+    step_index: int = 0
+
+    def select(self, store: TraceStore, policy: ReplayPolicy, net_config: NetConfig) -> ReplayBatch:
+        """The next replay selection's batch, rebuilt only when its trials change."""
+        trials = store.sample_replay(policy, rng=self.rng)
+        if not trials:
+            raise ValueError(f"replay policy {policy.mode!r} selected no trials")
+        keys = tuple((trial.trial_id, trial.relevant) for trial in trials)
+        if keys != self.keys:
+            for trial, key in zip(trials, keys):
+                if key not in self.target_cache:
+                    self.target_cache[key] = build_targets(trial, trial.relevant, net_config)
+            self.keys = keys
+            self.batch = ReplayBatch(net_config, [self.target_cache[key] for key in keys])
+        return self.batch
+
+
+@dataclass
 class ConsolidationReport:
     steps_run: int
-    initial: dict  # term_stats on the probe batch before training
+    initial: dict  # term_stats on the probe batch before this call's steps
     final: dict    # ... and after
+    state: DreamState | None = None  # hand it to the next call to resume the dream
 
 
 def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
-                config: ConsolidationConfig, *, net_config: NetConfig, steps: int):
+                config: ConsolidationConfig, *, net_config: NetConfig, steps: int,
+                state: DreamState | None = None):
     """Dream phase: `steps` >= 1 gradient steps on replayed traces, no environment.
 
     Returns (new_weights, report); the report's initial/final losses are
-    measured on a fixed probe batch (the first replay selection).
+    measured on a fixed probe batch (the dream's first replay selection).
+    Handing the report's state and the returned weights to the next call
+    resumes the dream: chunks of N then M steps give the bits of one N+M
+    call, and a resumed call builds no batch and takes its initial loss from
+    the state. The store must not change during a dream. A non-finite loss or
+    weight raises RuntimeError.
     """
     if not steps >= 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
-    rng = np.random.default_rng(policy.rng_seed)
     net = Network(net_config, weights)
     weights = net.weights  # a copy, updated in place; the net's matrices are views of it
-    target_cache: dict[tuple[int, bool], TrialTargets] = {}
-    # the latest selection's (trial_id, relevant) keys and its padded batch
-    cached_keys, cached = None, None
-
-    def select_batch() -> ReplayBatch:
-        nonlocal cached_keys, cached
-        trials = store.sample_replay(policy, rng=rng)
-        if not trials:
-            raise ValueError(f"replay policy {policy.mode!r} selected no trials")
-        keys = tuple((trial.trial_id, trial.relevant) for trial in trials)
-        if keys != cached_keys:
-            for trial, key in zip(trials, keys):
-                if key not in target_cache:
-                    target_cache[key] = build_targets(trial, trial.relevant, net_config)
-            cached_keys = keys
-            cached = ReplayBatch(net_config, [target_cache[key] for key in keys])
-        return cached
-
-    probe_batch = batch = select_batch()
-    initial = term_stats(net, probe_batch)
+    if state is None:
+        state = DreamState(np.random.default_rng(policy.rng_seed), {},
+                           velocity=np.zeros_like(weights))
+        state.probe_batch = state.select(store, policy, net_config)
+        state.loss = term_stats(net, state.probe_batch)
+    initial = state.loss
     resample = policy.mode == "uniform_sample"  # the store is fixed during a dream
 
-    velocity = np.zeros_like(weights)
+    velocity = state.velocity
     step = np.empty_like(weights)
-    for step_idx in range(steps):
+    for step_idx in range(state.step_index, state.step_index + steps):
         if resample and step_idx > 0:
-            batch = select_batch()
-        grad, loss = bptt_gradient(net, batch)
+            state.select(store, policy, net_config)
+        grad, loss = bptt_gradient(net, state.batch)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"consolidation diverged: non-finite loss at gradient step {step_idx}"
@@ -145,11 +167,13 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
             raise RuntimeError(
                 f"consolidation diverged: non-finite weights at gradient step {step_idx}"
             )
+    state.step_index += steps
 
-    final = term_stats(net, probe_batch)
+    final = term_stats(net, state.probe_batch)
     if not all(map(math.isfinite, final.values())):
         raise RuntimeError("consolidation diverged: non-finite loss after the last gradient step")
-    return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final)
+    state.loss = final
+    return weights, ConsolidationReport(steps_run=steps, initial=initial, final=final, state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@ Each pass walks the unsolved task list giving every task the same search
 budget c. A solved task is immediately consolidated into the network (dream
 budget proportional to c) and leaves the list. If a whole pass solves
 nothing, c doubles; after any pass with progress, c resets to its original
-value. A total-budget guard makes unsolvable curricula terminate. After
-every dream, every task solved so far is re-tested on the new weights,
-whichever arm or solver found it. Every metrics event of a run, from
-run_start to run_end, is emitted here.
+value. A total-budget guard makes unsolvable curricula terminate.
+
+A dream is verified in PowerPlay style: it runs in chunks of DREAM_CHUNK
+steps, each one consolidate call and one consolidation event, and after
+every chunk each task solved so far is re-tested on the new weights,
+whichever arm or solver found it. The dream stops at the first chunk after
+which all of them pass, or once its granted steps have run. The last
+chunk's checks are the dream's after_dream verdicts. Every metrics event of
+a run, from run_start to run_end, is emitted here.
 
 The network that accumulates everything is only changed by consolidation;
 search arms work on copies and contribute traces.
@@ -29,6 +34,8 @@ from .envs import TaskDescription
 from .evolve import Budget, EsConfig, try_solve_task
 from .network import NetConfig
 from .traces import ReplayPolicy, TraceStore
+
+DREAM_CHUNK = 50  # dream steps between two retention checks
 
 
 @dataclass
@@ -91,9 +98,9 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                                   es, store, config=net_config)
 
     if consolidator is None:
-        def consolidator(*, weights, store, steps):
+        def consolidator(*, weights, store, steps, state):
             return consolidate(weights, store, replay_policy, consolidation_config,
-                               net_config=net_config, steps=steps)
+                               net_config=net_config, steps=steps, state=state)
 
     emit = on_event if on_event is not None else (lambda event: None)
     emit({
@@ -103,6 +110,43 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         "budget_unit": budget_unit,
         "initial_budget": budget_c0,
     })
+
+    consolidations = 0  # consolidation events, one per consolidate call
+
+    def dream(task_id: str, pass_number: int, granted: int) -> dict[str, RetentionResult]:
+        """One solve's verified dream, in chunks (see the module docstring);
+        returns the after_dream verdicts."""
+        nonlocal weights, consolidations
+        solved_now = [solved_tasks[t] for t in sorted(solved_tasks)]
+        # a chunk that may not be the last checks at seeds past every
+        # verdict's, so a task with slip is not stopped on its own test; a
+        # deterministic task runs the same episodes at any seed
+        check_seed = seed + max(t.criterion.min_success_trials for t in solved_now)
+        state, done = None, 0
+        while True:
+            steps = min(DREAM_CHUNK, granted - done)
+            weights, report = consolidator(weights=weights, store=store, steps=steps,
+                                           state=state)
+            state, done = report.state, done + steps
+            checks = retention_check(weights, solved_now, net_config,
+                                     base_seed=seed if done >= granted else check_seed)
+            verified = sum(res.passed for res in checks.values())
+            consolidations += 1
+            emit({
+                "event": "consolidation",
+                "task_id": task_id,
+                "pass_number": pass_number,
+                "steps": steps,
+                "initial_loss": report.initial,
+                "final_loss": report.final,
+                "verified": verified,
+            })
+            if verified == len(solved_now) or done >= granted:
+                break
+        stochastic = [t for t in solved_now if not getattr(t.env_spec, "deterministic", True)]
+        if done < granted and stochastic:
+            checks.update(retention_check(weights, stochastic, net_config, base_seed=seed))
+        return checks
 
     unsolved = list(tasks)
     solved: list[SolveRecord] = []
@@ -157,22 +201,8 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 "relevant_trial_ids": list(outcome.relevant_trial_ids),
             })
 
-            dream_steps = max(1, round(dream_multiplier * budget_c))
-            weights, report = consolidator(weights=weights, store=store,
-                                           steps=dream_steps)
-            emit({
-                "event": "consolidation",
-                "task_id": task.task_id,
-                "pass_number": pass_number,
-                "steps": report.steps_run,
-                "initial_loss": report.initial,
-                "final_loss": report.final,
-            })
-
-            checks = retention_check(
-                weights, [solved_tasks[t] for t in sorted(solved_tasks)], net_config,
-                base_seed=seed,
-            )
+            checks = dream(task.task_id, pass_number,
+                           max(1, round(dream_multiplier * budget_c)))
             for task_id, res in checks.items():
                 emit(retention_event(task_id, res, pass_number=pass_number,
                                      phase="after_dream"))
@@ -200,6 +230,6 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         "unsolved_task_ids": [t.task_id for t in unsolved],
         "pass_count": pass_number,
         "total_search_spent": total_spent,
-        "consolidations": len(solved),  # one dream per solve
+        "consolidations": consolidations,
     })
     return weights, CurriculumReport(solved=solved, final_budget=budget_c)

@@ -71,6 +71,7 @@ EVENT_SCHEMAS: dict[str, dict] = {
         "steps": INT,
         "initial_loss": LOSSES,
         "final_loss": LOSSES,
+        "verified": INT,   # solved tasks that pass the retention check after this chunk
     },
     "retention_check": {
         "event": STRING,

@@ -120,7 +120,8 @@ def reference_build_targets(trial, relevant_now, config):
 
 def fake_report(steps: int) -> ConsolidationReport:
     """A report of `steps` dream steps whose initial and final losses have
-    the fields of `term_stats`, so the events built from it validate."""
+    the fields of `term_stats`, so the events built from it validate; it
+    carries no dream state, so the next chunk of a fake dream gets None."""
     losses = {"total": 0.0, "action": 0.0, "pred": 0.0, "return": 0.0,
               "action_steps": 0, "pred_steps": 0, "return_steps": 0}
     return ConsolidationReport(steps_run=steps, initial=losses, final=dict(losses))

@@ -274,7 +274,7 @@ def test_criterion_06_budget_doubling():
 
         return solver, calls
 
-    def consolidator(*, weights, store, steps):
+    def consolidator(*, weights, store, steps, state):
         return weights.copy(), fake_report(steps)
 
     def run(threshold, max_total):

@@ -450,11 +450,16 @@ def test_traces_bad_header_dimension_is_format_error(tmp_path, capsys):
 
 def test_run_trace_file_matches_recorded_run(tmp_path, capsys):
     """A run's trace file is byte for byte the one the same run wrote when
-    its trajectory was first recorded."""
+    its trajectory was first recorded; each dream stops at its first chunk
+    of 50 steps after which every solved task passes."""
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path), "--seed", "3"]) == 0
     assert hashlib.sha256((tmp_path / "traces.jsonl").read_bytes()).hexdigest() == (
-        "06ac958000139a4931c06c9c5b94faec6dfa4c13b878b74982928974371141d4")
+        "7cad150c82c15de1f912e6cd4b870d03a4da26c67b85ff252cf4c0f28697ad2e")
+    events = read_metrics(tmp_path / "metrics.jsonl")
+    assert [(e["task_id"], e["steps"], e["verified"]) for e in events
+            if e["event"] == "consolidation"] == [
+        ("corner_ne", 50, 0), ("corner_ne", 50, 1), ("corner_nw", 50, 2)]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillnet.consolidate import (
     ConsolidationConfig,
@@ -407,6 +410,47 @@ def test_dream_loop_matches_plain_loop_bit_for_bit(policy, micro_steps, activati
                                                         net_config=net_config, steps=20)
     assert new_weights.tobytes() == ref_weights.tobytes()
     assert report.initial == initial and report.final == final
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=st.sampled_from(POLICIES), n=st.integers(1, 9), m=st.integers(1, 9))
+def test_dream_in_two_chunks_matches_one_call_bit_for_bit(policy, n, m):
+    store = mixed_store()
+    config = ConsolidationConfig(base_lr=0.05)
+    _, weights = init_network(CFG)
+    whole, whole_report = consolidate(weights, store, policy, config, net_config=CFG,
+                                      steps=n + m)
+    first, first_report = consolidate(weights, store, policy, config, net_config=CFG, steps=n)
+    state = first_report.state
+    second, second_report = consolidate(first, store, policy, config, net_config=CFG,
+                                        steps=m, state=state)
+    assert second.tobytes() == whole.tobytes()
+    assert second_report.final == whole_report.final
+    assert first_report.initial == whole_report.initial
+    assert second_report.initial == first_report.final  # taken from the state
+    assert second_report.state is state and state.step_index == n + m
+    assert state.velocity.tobytes() == whole_report.state.velocity.tobytes()
+
+
+def test_chunked_relevant_only_dream_builds_its_batch_once(monkeypatch):
+    # a resumed call reuses the carried batch and pays one term_stats, after
+    # its steps; the first call pays one more, before them
+    consolidate_module = importlib.import_module("skillnet.consolidate")  # not the function
+    built, stats = [], []
+    batch_cls, term_stats_fn = consolidate_module.ReplayBatch, consolidate_module.term_stats
+    monkeypatch.setattr(consolidate_module, "ReplayBatch",
+                        lambda *args: built.append(1) or batch_cls(*args))
+    monkeypatch.setattr(consolidate_module, "term_stats",
+                        lambda *args: stats.append(1) or term_stats_fn(*args))
+    store = mixed_store()
+    policy, config = ReplayPolicy(mode="relevant_only"), ConsolidationConfig(base_lr=0.05)
+    weights, state = init_network(CFG)[1], None
+    for chunk in range(4):
+        weights, report = consolidate(weights, store, policy, config, net_config=CFG,
+                                      steps=5, state=state)
+        state = report.state
+        assert len(built) == 1 and len(stats) == chunk + 2
+    assert state.step_index == 20
 
 
 @pytest.mark.parametrize("base_lr, message", [

@@ -3,12 +3,13 @@ from itertools import takewhile
 import numpy as np
 import pytest
 
+from skillnet import curriculum
 from skillnet.consolidate import ConsolidationConfig
 from skillnet.curriculum import run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription
 from skillnet.evolve import EsConfig
 from skillnet.metrics import validate_event
-from skillnet.network import NetConfig
+from skillnet.network import NetConfig, init_network
 from skillnet.traces import ReplayPolicy, StoreDims, TraceStore
 from reference import fake_outcome, fake_report
 
@@ -39,7 +40,7 @@ class FakeConsolidator:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, *, weights, store, steps):
+    def __call__(self, *, weights, store, steps, state):
         self.calls.append(steps)
         return weights.copy(), fake_report(steps)
 
@@ -166,12 +167,13 @@ def test_every_solved_task_retested_after_every_dream():
     tasks = [make_task("c"), make_task("a", goal_index=1), make_task("b", goal_index=1)]
     events = []
     _, _, consolidator = run(tasks, solver, c0=100.0, on_event=events.append)
-    assert len(consolidator.calls) == 3
+    # the fake dream never passes a check, so b's 100 granted steps run as two chunks
+    assert consolidator.calls == [50, 50, 50, 50]
     solved = []
     for i, event in enumerate(events):
         if event["event"] == "solve":
             solved.append(event["task_id"])
-        if event["event"] != "consolidation":
+        if event["event"] != "consolidation" or events[i + 1]["event"] == "consolidation":
             continue
         checks = list(takewhile(lambda e: e["event"] == "retention_check"
                                 and e["phase"] == "after_dream", events[i + 1:]))
@@ -245,3 +247,122 @@ def test_on_event_callback_receives_all_events():
                                           "retention_check", "run_end"]
     for event in seen:  # as the metrics writer would check them
         validate_event(event)
+
+
+# ---------------------------------------------------------------------------
+# verified dreaming, on real searches and dreams
+
+MAZE_CFG = NetConfig(obs_dim=9, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=8, seed=1)
+
+
+def maze_task(task_id, goal_index, goal_cell, slip_prob=0.0, criterion=None):
+    spec = GridMazeSpec(width=3, height=3, start=(0, 0), goal_cell=goal_cell,
+                        slip_prob=slip_prob)
+    return TaskDescription(task_id=task_id, goal_index=goal_index, env_spec=spec,
+                           criterion=criterion or SuccessCriterion())
+
+
+def real_run(tasks, seed, dream_multiplier, base_lr, on_event=None):
+    """A run of the default solver and consolidator at budget c0 = 20000:
+    dream_multiplier * c0 granted dream steps per solve."""
+    events = []
+    weights, _ = run_curriculum(
+        tasks, 20000.0, dream_multiplier, init_network(MAZE_CFG)[1],
+        TraceStore(StoreDims.from_net_config(MAZE_CFG)),
+        net_config=MAZE_CFG, es_config=EsConfig(population=4),
+        consolidation_config=ConsolidationConfig(base_lr=base_lr), replay_policy=ReplayPolicy(),
+        seed=seed, on_event=lambda e: (events.append(e), on_event and on_event(e)),
+    )
+    return weights, events
+
+
+def dreams(events):
+    """Each dream's consolidation events and the after_dream block after them."""
+    out = []
+    for i, event in enumerate(events):
+        if event["event"] == "solve":
+            chunks = list(takewhile(lambda e: e["event"] == "consolidation", events[i + 1:]))
+            rest = events[i + 1 + len(chunks):]
+            block = list(takewhile(lambda e: e["event"] == "retention_check"
+                                   and e["phase"] == "after_dream", rest))
+            out.append((chunks, block))
+    return out
+
+
+def test_each_dream_chunk_is_one_consolidate_call_and_one_event(monkeypatch):
+    # the benchmark wraps the module global, as here, and pairs each
+    # consolidate call with one consolidation event
+    calls = []
+    original = curriculum.consolidate
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs["steps"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curriculum, "consolidate", wrapper)
+    # 200 granted steps, four chunks of 50; at this learning rate the
+    # dreams run two and three chunks
+    _, events = real_run([maze_task("ne", 0, (2, 2)), maze_task("nw", 1, (0, 2))], seed=1,
+                         dream_multiplier=0.01, base_lr=0.001)
+    chunks = [e for e in events if e["event"] == "consolidation"]
+    assert calls == [e["steps"] for e in chunks]
+    assert run_end(events)["consolidations"] == len(chunks)
+    solved = run_end(events)["solved_task_ids"]
+    assert len(dreams(events)) == len(solved) == 2
+    assert any(len(dream) >= 2 for dream, _ in dreams(events))
+    n_checked = 0
+    for dream, block in dreams(events):
+        n_checked += 1
+        assert len({e["initial_loss"]["pred_steps"] for e in dream}) == 1
+        assert all(a["final_loss"] == b["initial_loss"] for a, b in zip(dream, dream[1:]))
+        assert len(block) == n_checked  # one block per dream, every solved task once
+        assert dream[-1]["verified"] == sum(c["passed"] for c in block)
+        # a dream stops at its first fully verified chunk, or at its granted steps
+        assert all(e["verified"] < n_checked for e in dream[:-1])
+        assert all(e["steps"] == curriculum.DREAM_CHUNK for e in dream)
+        assert dream[-1]["verified"] == n_checked or len(dream) == 4
+    after_dream = [e for e in events if e.get("phase") == "after_dream"]
+    assert len(after_dream) == sum(len(block) for _, block in dreams(events))
+
+
+def test_a_dream_that_never_verifies_runs_its_grant_and_ends_on_a_short_chunk():
+    # 130 granted steps; at this learning rate no check of the first dream passes
+    _, events = real_run([maze_task("ne", 0, (2, 2)), maze_task("nw", 1, (0, 2))], seed=2,
+                         dream_multiplier=0.0065, base_lr=0.0005)
+    dream, block = dreams(events)[0]
+    assert [(e["steps"], e["verified"]) for e in dream] == [(50, 0), (50, 0), (30, 0)]
+    assert [c["passed"] for c in block] == [False]
+
+
+def test_chunk_checks_of_a_slip_task_use_other_seeds_than_its_verdict(monkeypatch):
+    log = []  # retention_check calls and events, in order
+    original = curriculum.retention_check
+
+    def wrapper(weights, tasks, net_config, **kwargs):
+        results = original(weights, tasks, net_config, **kwargs)
+        log.append((kwargs["base_seed"], [t.task_id for t in tasks], results))
+        return results
+
+    monkeypatch.setattr(curriculum, "retention_check", wrapper)
+    k = 3
+    slip = maze_task("slip", 1, (0, 2), slip_prob=0.2,
+                     criterion=SuccessCriterion(min_success_trials=k, success_rate_threshold=0.6))
+    seed = 3
+    # 100 granted steps; each dream passes every check after its first chunk of 50
+    _, events = real_run([maze_task("ne", 0, (2, 2)), slip], seed=seed, dream_multiplier=0.005,
+                         base_lr=0.005, on_event=log.append)
+    checks = [entry for entry in log if isinstance(entry, tuple) and "slip" in entry[1]]
+    # a chunk check runs seeds disjoint from the verdict's seed .. seed + k - 1
+    assert all(base_seed == seed or base_seed >= seed + k for base_seed, _, _ in checks)
+    assert any(base_seed != seed for base_seed, _, _ in checks)
+    # a dream that stopped early on the chunk checks runs the slip verdict again
+    assert any(base_seed == seed and ids == ["slip"] for base_seed, ids, _ in checks)
+    verdicts = 0
+    for i, entry in enumerate(log):
+        if isinstance(entry, dict) and entry.get("phase") == "after_dream" \
+                and entry["task_id"] == "slip":
+            base_seed, _, results = next(e for e in reversed(log[:i]) if e in checks)
+            assert base_seed == seed
+            assert {key: entry[key] for key in vars(results["slip"])} == vars(results["slip"])
+            verdicts += 1
+    assert verdicts >= 1 and run_end(events)["solved_task_ids"] == ["ne", "slip"]

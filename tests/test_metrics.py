@@ -56,7 +56,8 @@ def consolidation_event(**final_overrides):
     loss = {"total": 3.5, "action": 1.0, "pred": 1.5, "return": 1.0,
             "action_steps": 8, "pred_steps": 8, "return_steps": 8}
     return {"event": "consolidation", "task_id": "a", "pass_number": 1, "steps": 1,
-            "initial_loss": loss, "final_loss": {**loss, **final_overrides}}
+            "initial_loss": loss, "final_loss": {**loss, **final_overrides},
+            "verified": 1}
 
 
 def test_consolidation_losses_pass_and_null_is_rejected():
