@@ -13,7 +13,7 @@ from .consolidate import (
     consolidate,
     retention_check,
 )
-from .curriculum import CurriculumReport, SolveRecord, run_curriculum
+from .curriculum import BudgetsConfig, CurriculumReport, run_curriculum
 from .envs import (
     GridMaze,
     GridMazeSpec,
@@ -43,6 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
+    "BudgetsConfig",
     "ConsolidationConfig",
     "ConsolidationReport",
     "CurriculumReport",
@@ -55,7 +56,6 @@ __all__ = [
     "ReplayBatch",
     "ReplayPolicy",
     "SearchOutcome",
-    "SolveRecord",
     "StoreDims",
     "SuccessCriterion",
     "TaskDescription",

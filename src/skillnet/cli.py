@@ -167,13 +167,10 @@ def cmd_run(args) -> int:
     with writer:
         try:
             final_weights, report = run_curriculum(
-                list(config.tasks), config.budgets.c0, config.budgets.dream_multiplier,
-                weights, store,
+                list(config.tasks), config.budgets, weights, store,
                 net_config=net_config, es_config=config.es,
                 consolidation_config=config.consolidation,
                 replay_policy=config.replay,
-                budget_unit=config.budgets.unit,
-                max_total_budget=config.budgets.max_total_budget,
                 seed=config.master_seed,
                 on_event=writer.emit,
             )

@@ -1,14 +1,17 @@
 """Experiment configuration: a single JSON file with nested sections.
 
 Required sections: master_seed, net, tasks, budgets, paths; es and
-consolidation are optional. Each section is read through one table (JSON key
--> dataclass field and accepted JSON type) by `jsoncheck.fill`, which also
-reads the checkpoint and trace-file headers: the keys present are
-type-checked and passed to the dataclass, so an omitted key takes the
-dataclass's own default (net.seed defaults to master_seed). Validation errors
-always name the offending field by its dotted path (e.g. "net.h"); a key the
-table does not have is an error too, so a misspelt field never silently means
-its default. Relative paths resolve against the config file's directory.
+consolidation are optional. Each section fills a dataclass that lives with
+the code it configures (`curriculum.BudgetsConfig` for budgets); only
+`PathsConfig` and `ExperimentConfig` live here. Each is read through one
+table (JSON key -> dataclass field and accepted JSON type) by
+`jsoncheck.fill`, which also reads the checkpoint and trace-file headers:
+the keys present are type-checked and passed to the dataclass, so an omitted
+key takes the dataclass's own default (net.seed defaults to master_seed).
+Validation errors always name the offending field by its dotted path (e.g.
+"net.h"); a key the table does not have is an error too, so a misspelt field
+never silently means its default. Relative paths resolve against the config
+file's directory.
 
 See the README for the full schema and a worked example.
 """
@@ -21,27 +24,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .consolidate import ConsolidationConfig
+from .curriculum import BudgetsConfig
 from .envs import GridMazeSpec, SuccessCriterion, TaskDescription
-from .evolve import BUDGET_UNITS, EsConfig
+from .evolve import EsConfig
 from .jsoncheck import BOOL, INT, NUMBER, SEED, STRING, ConfigError, fill, is_json_int, join, known
 from .network import NET, NetConfig
 from .traces import ReplayPolicy
-
-
-@dataclass(frozen=True)
-class BudgetsConfig:
-    c0: float
-    dream_multiplier: float
-    unit: str = "env_steps"
-    max_total_budget: float | None = None
-
-    def __post_init__(self):
-        for name in ("c0", "dream_multiplier", "max_total_budget"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < float("inf"):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.unit not in BUDGET_UNITS:
-            raise ValueError(f"unit must be one of {BUDGET_UNITS}")
 
 
 FINAL_CHECKPOINT = "final.ckpt"

@@ -4,7 +4,8 @@ Each pass walks the unsolved task list giving every task the same search
 budget c. A solved task is immediately consolidated into the network (dream
 budget proportional to c) and leaves the list. If a whole pass solves
 nothing, c doubles; after any pass with progress, c resets to its original
-value. A total-budget guard makes unsolvable curricula terminate.
+value. A total-budget guard makes unsolvable curricula terminate. These
+settings are one `BudgetsConfig`, the config file's `budgets` section.
 
 A dream is verified in PowerPlay style: it runs in chunks of DREAM_CHUNK
 steps, each one consolidate call and one consolidation event, and after
@@ -31,25 +32,38 @@ from .consolidate import (
     retention_check,
 )
 from .envs import TaskDescription
-from .evolve import Budget, EsConfig, try_solve_task
+from .evolve import BUDGET_UNITS, Budget, EsConfig, try_solve_task
 from .network import NetConfig
 from .traces import ReplayPolicy, TraceStore
 
 DREAM_CHUNK = 50  # dream steps between two retention checks
 
 
-@dataclass
-class SolveRecord:
-    task_id: str
-    pass_number: int
-    budget_amount: float
+@dataclass(frozen=True)
+class BudgetsConfig:
+    """A solve at search budget c earns round(dream_multiplier * c) dream
+    steps; no pass starts once max_total_budget (None: no cap) is spent."""
+
+    c0: float
+    dream_multiplier: float
+    unit: str = "env_steps"
+    max_total_budget: float | None = None
+
+    def __post_init__(self):
+        for name in ("c0", "dream_multiplier", "max_total_budget"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.unit not in BUDGET_UNITS:
+            raise ValueError(f"unit must be one of {BUDGET_UNITS}")
 
 
 @dataclass
 class CurriculumReport:
-    """What a caller reads that no metrics event carries."""
+    """The solved task ids in solve order (run_end's solved_task_ids) and
+    the search budget c the run ended at, which no event carries."""
 
-    solved: list[SolveRecord]
+    solved: list[str]
     final_budget: float
 
 
@@ -65,29 +79,22 @@ def retention_event(task_id: str, result: RetentionResult, *, pass_number: int,
             "phase": phase, **asdict(result)}
 
 
-def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
-                   initial_weights: np.ndarray, store: TraceStore, *,
+def run_curriculum(tasks, budgets: BudgetsConfig, initial_weights: np.ndarray,
+                   store: TraceStore, *,
                    net_config: NetConfig, es_config: EsConfig,
                    consolidation_config: ConsolidationConfig,
                    replay_policy: ReplayPolicy,
-                   budget_unit: str = "env_steps",
-                   max_total_budget: float | None = None,
                    seed: int = 0,
                    solver=None, consolidator=None, on_event=None):
     """Run the whole curriculum; returns (final_weights, CurriculumReport).
 
-    dream_multiplier couples each consolidation's budget to the solve budget:
-    a solve at budget c earns round(dream_multiplier * c) gradient steps of
-    dreaming. The scratch arm of every attempt starts from initial_weights.
+    `budgets` sets every attempt's search budget and every solve's dream
+    steps. The scratch arm of every attempt starts from initial_weights.
     Every metrics event of the run goes to on_event, in order: run_start
     first, run_end last.
     """
     if not tasks:
         raise ValueError("curriculum needs at least one task")
-    for name, value in (("budget_c0", budget_c0), ("dream_multiplier", dream_multiplier),
-                        ("max_total_budget", max_total_budget)):
-        if value is not None and not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     weights = np.asarray(initial_weights, dtype=np.float64).copy()
     original = weights.copy()
@@ -107,8 +114,8 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         "event": "run_start",
         "master_seed": seed,
         "task_ids": [t.task_id for t in tasks],
-        "budget_unit": budget_unit,
-        "initial_budget": budget_c0,
+        "budget_unit": budgets.unit,
+        "initial_budget": budgets.c0,
     })
 
     consolidations = 0  # consolidation events, one per consolidate call
@@ -149,11 +156,10 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
         return checks
 
     unsolved = list(tasks)
-    solved: list[SolveRecord] = []
-    solved_tasks: dict[str, TaskDescription] = {}
+    solved_tasks: dict[str, TaskDescription] = {}  # in solve order
     checks: dict[str, RetentionResult] = {}  # the last after_dream block
-    budget_c = float(budget_c0)
-    limit = max_total_budget if max_total_budget is not None else np.inf
+    budget_c = float(budgets.c0)
+    limit = budgets.max_total_budget or np.inf
     pass_number = 0
     attempt_index = 0
     total_spent = 0.0
@@ -168,7 +174,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
             attempt_index += 1
             outcome = solver(
                 current_weights=weights, original_weights=original, task=task,
-                budget=Budget(budget_unit, budget_c), es=es, store=store,
+                budget=Budget(budgets.unit, budget_c), es=es, store=store,
             )
             total_spent += outcome.total_spent
             emit({
@@ -189,7 +195,6 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 continue
 
             solved_this_pass += 1
-            solved.append(SolveRecord(task.task_id, pass_number, budget_c))
             solved_tasks[task.task_id] = task
             unsolved.remove(task)
             emit({
@@ -202,7 +207,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
             })
 
             checks = dream(task.task_id, pass_number,
-                           max(1, round(dream_multiplier * budget_c)))
+                           max(1, round(budgets.dream_multiplier * budget_c)))
             for task_id, res in checks.items():
                 emit(retention_event(task_id, res, pass_number=pass_number,
                                      phase="after_dream"))
@@ -216,7 +221,7 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                 })
                 budget_c *= 2
             else:
-                budget_c = float(budget_c0)
+                budget_c = float(budgets.c0)
 
     # the final sweep: the last after_dream block tested every solved task on
     # these weights with this seed, so re-report it, in task order
@@ -226,10 +231,10 @@ def run_curriculum(tasks, budget_c0: float, dream_multiplier: float,
                                  pass_number=pass_number, phase="final"))
     emit({
         "event": "run_end",
-        "solved_task_ids": [r.task_id for r in solved],
+        "solved_task_ids": list(solved_tasks),
         "unsolved_task_ids": [t.task_id for t in unsolved],
         "pass_count": pass_number,
         "total_search_spent": total_spent,
         "consolidations": consolidations,
     })
-    return weights, CurriculumReport(solved=solved, final_budget=budget_c)
+    return weights, CurriculumReport(solved=list(solved_tasks), final_budget=budget_c)

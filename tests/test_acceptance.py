@@ -20,7 +20,7 @@ from skillnet.consolidate import (
     retention_check,
     term_stats,
 )
-from skillnet.curriculum import run_curriculum
+from skillnet.curriculum import BudgetsConfig, run_curriculum
 from skillnet.envs import GridMazeSpec, SuccessCriterion, TaskDescription, step_counter
 from skillnet.evolve import Budget, EsConfig, try_solve_task
 from skillnet.metrics import validate_event
@@ -282,23 +282,23 @@ def test_criterion_06_budget_doubling():
         task = TaskDescription(task_id="mock", goal_index=0, env_spec=spec,
                                criterion=SuccessCriterion())
         store = TraceStore(StoreDims.from_net_config(cfg))
+        events = []
         _, rep = run_curriculum(
-            [task], 100.0, 0.5, np.zeros(cfg.n_params), store,
+            [task], BudgetsConfig(c0=100.0, dream_multiplier=0.5, max_total_budget=max_total),
+            np.zeros(cfg.n_params), store,
             net_config=cfg, es_config=EsConfig(),
             consolidation_config=ConsolidationConfig(),
             replay_policy=ReplayPolicy(mode="all"),
-            max_total_budget=max_total, solver=solver, consolidator=consolidator,
+            solver=solver, consolidator=consolidator, on_event=events.append,
         )
-        return rep, calls
+        return rep, calls, [e for e in events if e["event"] == "solve"]
 
-    rep_fail, calls_fail = run(threshold=np.inf, max_total=25.0)
+    rep_fail, calls_fail, _ = run(threshold=np.inf, max_total=25.0)
     unsolvable_ok = calls_fail[:3] == [100.0, 200.0, 400.0]
 
-    rep_solve, calls_solve = run(threshold=400.0, max_total=1000.0)
-    solve_rec = rep_solve.solved[0]
+    rep_solve, calls_solve, solves = run(threshold=400.0, max_total=1000.0)
     solvable_ok = (calls_solve == [100.0, 200.0, 400.0]
-                   and solve_rec.pass_number == 3
-                   and solve_rec.budget_amount == 400.0
+                   and [(e["pass_number"], e["budget"]) for e in solves] == [(3, 400.0)]
                    and rep_solve.final_budget == 100.0)
     report(6, "failed passes double the budget exactly; a solve resets it",
            unsolvable_ok and solvable_ok,

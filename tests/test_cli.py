@@ -356,6 +356,34 @@ def test_traces_listing_and_filters(tmp_path, capsys):
     ne_rows = capsys.readouterr().out.strip().splitlines()
     assert all("corner_ne" in row for row in ne_rows)
 
+    assert main(["traces", trace_file, "--success"]) == 0
+    success_rows = capsys.readouterr().out.strip().splitlines()
+    assert main(["traces", trace_file, "--failed"]) == 0
+    failed_rows = capsys.readouterr().out.strip().splitlines()
+    assert failed_rows and all("\tsuccess=False\t" in row for row in failed_rows)
+    assert sorted(success_rows + failed_rows) == sorted(all_rows)
+
+
+def test_traces_warns_of_a_torn_last_record_and_lists_the_rest(tmp_path, capsys):
+    from skillnet.traces import StoreDims, TraceStore
+
+    path = tmp_path / "traces.bin"
+    config_path = write_config(tmp_path)
+    main(["run", "--config", str(config_path)])
+    capsys.readouterr()
+    complete = TraceStore.load(tmp_path / "traces.jsonl")
+    trials = complete.trials
+    store = TraceStore.create(path, StoreDims(9, 4, 1, 4))
+    store.extend(trials[:-1])
+    start = path.stat().st_size
+    store.append(trials[-1])
+    store.close()
+    path.write_bytes(path.read_bytes()[:-3])  # killed while writing the last rows
+    assert main(["traces", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"warning: {path}: dropped a torn last record at byte {start}\n"
+    assert len(out.strip().splitlines()) == len(trials) - 1
+
 
 def test_traces_empty_store_lists_nothing(tmp_path, capsys):
     from skillnet.traces import StoreDims, TraceStore
@@ -795,7 +823,7 @@ def test_final_sweep_reports_retention_without_running_episodes(tmp_path, monkey
     final = [e for e in events if e["event"] == "retention_check" and e["phase"] == "final"]
     # what an explicit sweep on the final weights reports, in config order
     config = load_config(config_path)
-    solved = {r.task_id for r in curriculum_end["report"].solved}
+    solved = set(curriculum_end["report"].solved)
     results = retention_check(curriculum_end["weights"],
                               [t for t in config.tasks if t.task_id in solved],
                               config.net, base_seed=config.master_seed)

@@ -148,9 +148,10 @@ def test_non_positive_budgets_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["c0", "dream_multiplier", "max_total_budget"])
-@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
 def test_budgets_config_rejects_non_positive_and_non_finite(field, value):
-    # the loader's finite-number check, for a library caller too
+    # the loader's finite-number check, for a library caller too (a NaN
+    # passes every `x <= 0` check, and a NaN budget used to double forever)
     settings = {"c0": 1.0, "dream_multiplier": 1.0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
         BudgetsConfig(**settings)
@@ -204,6 +205,43 @@ def test_type_errors_named(tmp_path):
     config = base_config()
     config["tasks"][0]["maze"]["start"] = [0]
     expect_error(tmp_path, config, "start")
+
+
+def _second_task(task_id="b", goal_index=1):
+    return {"task_id": task_id, "goal_index": goal_index,
+            "maze": {"width": 3, "height": 3, "start": [0, 0], "goal_cell": [0, 2]}}
+
+
+@pytest.mark.parametrize("edit, fieldpath, message", [
+    (lambda c: [c], "", "config root must be a JSON object"),
+    (lambda c: {**c, "net": [9, 4, 1, 4, 8]}, "net", "must be an object"),
+    (lambda c: {**c, "budgets": "cheap"}, "budgets", "must be an object"),
+    (lambda c: {**c, "tasks": ["a"]}, "tasks[0]", "must be an object"),
+    (lambda c: {**c, "tasks": [c["tasks"][0], 7]}, "tasks[1]", "must be an object"),
+    (lambda c: {**c, "tasks": [{**c["tasks"][0], "maze": None}]}, "tasks[0].maze",
+     "missing required section"),
+    (lambda c: {**c, "tasks": [{**c["tasks"][0], "maze": [3, 3]}]}, "tasks[0].maze",
+     "must be an object"),
+    (lambda c: {**c, "tasks": []}, "tasks", "must be a non-empty list"),
+    (lambda c: {**c, "tasks": {"a": c["tasks"][0]}}, "tasks", "must be a non-empty list"),
+    (lambda c: {**c, "tasks": [c["tasks"][0], _second_task("a")]}, "tasks",
+     "task_id values must be unique"),
+    (lambda c: {**c, "net": {**c["net"], "n": 2}}, "net.n", "scalar reward"),
+    (lambda c: {**c, "net": {**c["net"], "o": 3}}, "net.o", "at least 4 action units"),
+    (lambda c: {**c, "tasks": [{**c["tasks"][0], "task_id": 7}]}, "tasks[0].task_id",
+     "must be a string"),
+    (lambda c: {**c, "budgets": {**c["budgets"], "unit": 1}}, "budgets.unit",
+     "must be a string"),
+    (lambda c: {**c, "paths": {**c["paths"], "trace_file": 0}}, "paths.trace_file",
+     "must be a string"),
+], ids=["root", "net", "budgets", "task", "second_task", "null_maze", "maze", "no_tasks",
+        "tasks_object", "repeated_task_id", "net_n", "net_o", "task_id_number",
+        "unit_number", "path_number"])
+def test_malformed_structure_named_by_field(tmp_path, edit, fieldpath, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, edit(base_config())))
+    assert exc.value.fieldpath == fieldpath
+    assert message in str(exc.value)
 
 
 def test_with_seed_overrides_master_and_net_seed(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,4 +151,21 @@ def test_read_metrics_reports_bad_line(tmp_path):
     path.write_text('{"event": "budget_double", "pass_number": 1, '
                     '"old_budget": 1, "new_budget": 2}\nnot json\n')
     with pytest.raises(ValueError, match="line 2"):
+        read_metrics(path)
+
+
+BUDGET_DOUBLE = '{"event": "budget_double", "pass_number": 1, "old_budget": 1, "new_budget": 2}'
+
+
+def test_read_metrics_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"\n{BUDGET_DOUBLE}\n   \n\n{BUDGET_DOUBLE}\n")
+    assert read_metrics(path) == [json.loads(BUDGET_DOUBLE)] * 2
+
+
+@pytest.mark.parametrize("line", ['["budget_double"]', '"budget_double"', "7", "null"])
+def test_read_metrics_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{BUDGET_DOUBLE}\n\n{line}\n")
+    with pytest.raises(ValueError, match="^line 3: metrics event must be an object"):
         read_metrics(path)

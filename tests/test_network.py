@@ -278,6 +278,11 @@ def test_bptt_rejects_empty_batch_and_bad_shapes():
     net, _ = init_network(cfg)
     with pytest.raises(ValueError, match="empty"):
         bptt_gradient(net, ReplayBatch(cfg, []))
+    empty_trial = random_targets(cfg, 3, np.random.default_rng(5))
+    empty_trial.senses, empty_trial.target, empty_trial.mask = (
+        empty_trial.senses[:0], empty_trial.target[:0], empty_trial.mask[:0])
+    with pytest.raises(ValueError, match="^trial has no timesteps$"):
+        ReplayBatch(cfg, [random_targets(cfg, 2, np.random.default_rng(4)), empty_trial])
     rng = np.random.default_rng(6)
     for name, cut in (("mask", np.s_[:-1]), ("mask", np.s_[:, :2]),
                       ("target", np.s_[:, :-1]), ("senses", np.s_[:, 1:])):
@@ -663,6 +668,26 @@ def test_checkpoint_weights_checked_not_coerced(tmp_path, value, message):
     path.write_text("\n".join([lines[0], json.dumps(body), *tail]) + "\n")
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_of_one_line_is_truncated(tmp_path):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, cfg, w)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match=f"^checkpoint {path} is truncated$"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_rejects_weights_of_the_wrong_shape(tmp_path):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    path = tmp_path / "net.ckpt"
+    for bad in (w[:-1], w.reshape(1, -1)):
+        with pytest.raises(ValueError, match=r"weights shape \(.*\) does not match config"):
+            save_checkpoint(path, cfg, bad)
+    assert not path.exists()
 
 
 def test_checkpoint_weights_count_checked(tmp_path):

@@ -547,12 +547,12 @@ def test_bad_flag_record_is_format_error(tmp_path, flag, match):
     assert exc.value.offset == start
 
 
-def _edit_head(data, start, **changes):
+def _edit_head(data, start, drop=(), **changes):
     """The file `data` with the frame of the trial record at `start` changed:
-    `changes` set in its JSON head."""
+    the keys in `drop` removed from its JSON head and `changes` set."""
     (length,) = struct.unpack_from("<I", data, start + 1)
     body = start + 5 + length
-    head = json.loads(data[start + 5:body])
+    head = {k: v for k, v in json.loads(data[start + 5:body]).items() if k not in drop}
     return data[:start + 1] + frame({**head, **changes}) + data[body:]
 
 
@@ -577,6 +577,21 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
     with pytest.raises(TraceFormatError, match=f"header.{key}: ") as exc:
         TraceStore.load(path)
     assert exc.value.offset == len(MAGIC)
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"T": 0}, "T must be an int >= 1, got 0"),
+    ({"drop": ("success",)}, "record is missing field 'success'"),
+], ids=["no_rows", "no_success"])
+def test_trial_frame_with_no_rows_or_no_success_names_its_offset(tmp_path, edit, match):
+    trial = make_trial("b", rng=np.random.default_rng(12))
+    data, start = _second_record(tmp_path, lambda s: s.append(trial))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_edit_head(data, start, **edit))
+    with pytest.raises(TraceFormatError, match=match) as exc:
+        TraceStore.load(path)
+    assert exc.value.offset == start
+    assert str(exc.value).startswith(f"byte {start}: ")
 
 
 @pytest.mark.parametrize("key, value", [
