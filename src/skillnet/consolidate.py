@@ -179,6 +179,8 @@ def consolidate(weights: np.ndarray, store: TraceStore, policy: ReplayPolicy,
 # ---------------------------------------------------------------------------
 # retention
 
+EVAL_BLOCK = 64  # episodes per run_trials call, so a long evaluation's memory stays bounded
+
 
 @dataclass
 class RetentionResult:
@@ -201,13 +203,16 @@ def retention_check(weights: np.ndarray, tasks, net_config: NetConfig, *,
         if k < 1:
             raise ValueError(f"n_trials must be >= 1, got {k}")
         bar = threshold if threshold is not None else task.criterion.success_rate_threshold
-        trials = run_trials(net_config, np.tile(weights, (k, 1)), task,
-                            range(base_seed, base_seed + k))
-        rate = sum(t.success for t in trials) / k
+        seeds = range(base_seed, base_seed + k)
+        blocks = (seeds[i:i + EVAL_BLOCK] for i in range(0, k, EVAL_BLOCK))
+        successes, returns, lengths = zip(*(  # each episode's figures, not its rows
+            (t.success, t.final_return, trial_env_steps(t)) for block in blocks
+            for t in run_trials(net_config, np.tile(weights, (len(block), 1)), task, block)))
+        rate = sum(successes) / k
         results[task.task_id] = RetentionResult(
             passed=rate >= bar,
             success_rate=rate,
-            mean_return=float(np.mean([t.final_return for t in trials])),
-            mean_length=float(np.mean([trial_env_steps(t) for t in trials])),
+            mean_return=float(np.mean(returns)),
+            mean_length=float(np.mean(lengths)),
         )
     return results

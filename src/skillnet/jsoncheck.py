@@ -1,7 +1,8 @@
-"""The checks of every JSON object read from a file (config sections,
-checkpoint and trace-file headers, metrics events). A check returns the value
-or raises ConfigError naming its dotted path; it never coerces. Imports
-nothing from skillnet, so every module can use it.
+"""The checks of every JSON object skillnet reads or writes (config sections,
+checkpoint and trace-file headers, trace records, metrics events). A check
+returns the value or raises ConfigError naming its dotted path; it never
+coerces. A writer runs its reader's check through `plain`. Imports nothing
+from skillnet, so every module can use it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,26 @@ def known(section: dict, path: str, keys) -> None:
     for key in section:
         if key not in keys:
             raise ConfigError(join(path, key), "unknown field")
+
+
+def exact(obj, path: str, table: dict):
+    """`obj`, if an object with exactly the keys of `table` (key -> check of its value)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
+    known(obj, path, table)
+    for key, check in table.items():
+        if key not in obj:
+            raise ConfigError(join(path, key), "missing required field")
+        check(obj[key], join(path, key))
+    return obj
+
+
+def plain(check, *args):
+    """check(*args), its ConfigError raised as a plain ValueError (a program fault)."""
+    try:
+        return check(*args)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def fill(cls, section, path: str, table: dict, **given):

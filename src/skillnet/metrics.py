@@ -10,27 +10,15 @@ from __future__ import annotations
 
 import json
 
-from .jsoncheck import BOOL, INT, NUMBER, STRING, ConfigError, join, known, typed
+from .jsoncheck import BOOL, INT, NUMBER, STRING, exact, plain, typed
 
 LIST = typed(lambda v: isinstance(v, list), "a list")
 LOSS_FIELDS = {"total": NUMBER, "action": NUMBER, "pred": NUMBER, "return": NUMBER,
                "action_steps": INT, "pred_steps": INT, "return_steps": INT}
 
 
-def _fields(obj, fieldpath: str, schema: dict):
-    """`obj`, if an object with exactly the fields of `schema`, each checked."""
-    if not isinstance(obj, dict):
-        raise ConfigError(fieldpath, "must be an object")
-    known(obj, fieldpath, schema)
-    for key, check in schema.items():
-        if key not in obj:
-            raise ConfigError(join(fieldpath, key), "missing required field")
-        check(obj[key], join(fieldpath, key))
-    return obj
-
-
 def LOSSES(value, fieldpath: str):
-    return _fields(value, fieldpath, LOSS_FIELDS)
+    return exact(value, fieldpath, LOSS_FIELDS)
 
 
 # event name -> {field: check of its JSON value}
@@ -123,10 +111,7 @@ def validate_event(obj: dict) -> None:
     schema = EVENT_SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None:
         raise ValueError(f"unknown event type {name!r}")
-    try:
-        _fields(obj, "", schema)
-    except ConfigError as exc:  # a bad event is a program fault, not a config error
-        raise ValueError(f"{name}.{exc}") from None
+    plain(exact, obj, name, schema)
 
 
 class MetricsWriter:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsoncheck import INT, NUMBER, SEED, STRING, ConfigError, fill, known, versioned
+from .jsoncheck import INT, NUMBER, SEED, STRING, ConfigError, fill, known, plain, versioned
 
 ACTIVATIONS = ("tanh", "sigmoid")
 
@@ -474,15 +474,18 @@ def save_checkpoint(path, config: NetConfig, weights: np.ndarray) -> None:
     """Write a two-line checkpoint: a topology header, then the flat weights.
 
     Floats are serialized at full round-trip precision, so reloads are
-    bit-exact. The file is replaced atomically.
+    bit-exact. The file is replaced atomically, and only if load_checkpoint
+    would accept it: otherwise a ValueError, before any file is opened.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (config.n_params,):
         raise ValueError(f"weights shape {weights.shape} does not match config")
-    header = {"format_version": CHECKPOINT_VERSION,
-              **{key: getattr(config, field) for key, (field, _) in NET.items()}}
+    for i in np.flatnonzero(~np.isfinite(weights)):
+        plain(NUMBER, float(weights[i]), f"weights[{i}]")
+    header = {key: getattr(config, field) for key, (field, _) in NET.items()}
+    plain(fill, NetConfig, header, "header", NET)
     with atomic_write(path) as fh:
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps({"format_version": CHECKPOINT_VERSION, **header}) + "\n")
         fh.write(json.dumps({"weights": weights.tolist()}) + "\n")
 
 

@@ -23,15 +23,17 @@ header JSON ``{"m": ..., "p": ..., "n": ..., "o": ...}``, then records. A
 frame is a little-endian uint32 byte count followed by that many bytes of
 UTF-8 JSON. Each record is one type byte and a frame:
 
-  * ``T`` trial: the frame holds trial_id, task_id, success, relevant,
-    final_cr and T, and is followed by the trial's T x row_width rows as
-    little-endian float64, row-major;
+  * ``T`` trial: the frame holds exactly trial_id, task_id, success,
+    relevant, final_cr and T, and is followed by the trial's T x row_width
+    rows as little-endian float64, row-major;
   * ``F`` flag: the frame holds one flag change, ``{"mark_relevant": id}``
     or ``{"supersede_task": task_id}``, applied in file order on load.
 
 `append` writes one trial's record and `extend` a whole ES generation's,
 each flushing the file once per call and adding the trials only once their
-bytes are flushed.
+bytes are flushed. Each record kind has one check, a `jsoncheck` table
+(`HEADER`, `TRIAL`, `FLAG`), run on write and on load: a store writes only
+what `load` accepts.
 
 A file that ends partway through its last record (a writer killed
 mid-record) loads without that record; `torn_tail_offset` says where it
@@ -51,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsoncheck import fill, is_json_int
+from .jsoncheck import BOOL, INT, NUMBER, STRING, exact, fill, known, plain
 from .network import NET, NetConfig, atomic_write
 
 MAGIC = b"SKILLNET-TRACES 2\n"
@@ -70,6 +72,10 @@ REPLAY_MODES = ("all", "relevant_only", "uniform_sample", "recent")
 
 # the file header: the m, p, n and o rows of the checkpoint's table
 HEADER = {key: NET[key] for key in ("m", "p", "n", "o")}
+# a trial record's frame, and a flag record's one change
+TRIAL = {"trial_id": INT, "task_id": STRING, "success": BOOL, "relevant": BOOL,
+         "final_cr": NUMBER, "T": INT}
+FLAG = {"mark_relevant": INT, "supersede_task": STRING}
 
 
 class TraceFormatError(ValueError):
@@ -137,15 +143,14 @@ class _TraceFile:
 
 
 class _StoredTrial(Trial):
-    """A stored trial: its fields and where its rows lie in its store's
-    file. `timesteps` reads the rows back, a fresh read-only array on each
-    access; `len` does not read."""
+    """A stored trial: the fields of its record's checked frame `head` and
+    where its rows lie in its store's file. `timesteps` reads the rows back,
+    a fresh read-only array on each access; `len` does not read."""
 
-    def __init__(self, file: _TraceFile, offset: int, shape: tuple[int, int], *,
-                 task_id: str, success: bool, relevant: bool, final_return: float,
-                 trial_id: int):
-        self.task_id, self.success, self.relevant = task_id, success, relevant
-        self.final_return, self.trial_id = final_return, trial_id
+    def __init__(self, file: _TraceFile, offset: int, head: dict, shape: tuple[int, int]):
+        self.task_id, self.success = head["task_id"], head["success"]
+        self.relevant, self.trial_id = head["relevant"], head["trial_id"]
+        self.final_return = float(head["final_cr"])
         self._file, self._offset, self._shape = file, offset, shape
 
     @property
@@ -184,9 +189,10 @@ class StoreDims:
     action_dim: int
 
     def __post_init__(self):
-        for name in ("obs_dim", "goal_dim", "reward_dim", "action_dim"):
+        for name, check in HEADER.values():
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            plain(check, getattr(self, name), name)
 
     @classmethod
     def from_net_config(cls, cfg: NetConfig) -> "StoreDims":
@@ -327,9 +333,9 @@ class TraceStore:
 
     def extend(self, trials) -> list[int]:
         """Persist trials in order and return their assigned ids. Every
-        trial is checked before any is written, so a bad one leaves the
-        store and its file unchanged. Every record is written and flushed
-        once, and then each trial's fields and row offset are added."""
+        trial and its record are checked before any is written, so a bad one
+        leaves the store and its file unchanged. Every record is written and
+        flushed once, and then each trial's fields and row offset are added."""
         self._check_open()
         trials = list(trials)
         rows = [np.asarray(t.timesteps, np.float64) for t in trials]
@@ -338,12 +344,10 @@ class TraceStore:
         ids = range(self._next_id, self._next_id + len(trials))
         records = [_trial_record(i, t, r) for i, t, r in zip(ids, trials, rows)]
         offset = self._size
-        self._write(*(part for record in records for part in record))
-        for trial_id, t, (kind, head, trial_rows) in zip(ids, trials, records):
-            offset += len(kind) + len(head)
-            self._add(_StoredTrial(self._file, offset, trial_rows.shape, task_id=t.task_id,
-                                   success=t.success, relevant=t.relevant,
-                                   final_return=float(t.final_return), trial_id=trial_id))
+        self._write(*(part for _, parts in records for part in parts))
+        for head, (kind, frame, trial_rows) in records:
+            offset += len(kind) + len(frame)
+            self._add(_StoredTrial(self._file, offset, head, trial_rows.shape))
             offset += trial_rows.nbytes
         return list(ids)
 
@@ -362,8 +366,9 @@ class TraceStore:
         self._change_flags("mark_relevant", trial_id)
 
     def _change_flags(self, op: str, arg) -> int:
-        """Apply one flag change, writing its record first while the store
-        streams; returns how many trials it changed."""
+        """Apply one flag change, checked as `load` checks it, writing its
+        record first while the store streams; returns how many it changed."""
+        plain(_flag_change, {op: arg})
         if op == "mark_relevant":
             changed, relevant = [self.get(arg)], True
             if not changed[0].success:
@@ -408,7 +413,7 @@ class TraceStore:
         with atomic_write(path, "wb") as fh:
             fh.write(MAGIC + _frame(_header(self.dims)))
             for trial in self._trials:
-                for part in _trial_record(trial.trial_id, trial, trial.timesteps):
+                for part in _trial_record(trial.trial_id, trial, trial.timesteps)[1]:
                     fh.write(part)
 
     @classmethod
@@ -445,14 +450,13 @@ class TraceStore:
                     store.torn_tail_offset = start
                     break
                 if kind == TRIAL_RECORD:
-                    fields = _trial_fields(head)
-                    t_len = head["T"]
-                    if not is_json_int(t_len) or t_len < 1:
+                    t_len = exact(head, "", TRIAL)["T"]
+                    if t_len < 1:
                         raise ValueError(f"T must be an int >= 1, got {t_len!r}")
                     if offset + t_len * width * _ROW_DTYPE.itemsize > end:
                         store.torn_tail_offset = start
                         break
-                    trial = _StoredTrial(file, offset, (t_len, width), **fields)
+                    trial = _StoredTrial(file, offset, head, (t_len, width))
                     rows = np.frombuffer(data, _ROW_DTYPE, t_len * width, offset)
                     offset += rows.nbytes
                     store._validate(trial, rows.reshape(t_len, width))
@@ -461,23 +465,13 @@ class TraceStore:
                                          f"got {trial.trial_id}")
                     store._add(trial)
                 else:
-                    store._apply_flag(head)
-            except KeyError as exc:
-                raise TraceFormatError(start, f"record is missing field {exc}") from exc
+                    op, arg = _flag_change(head)
+                    if op == "mark_relevant" and arg not in store._by_id:
+                        raise ValueError(f"flag names unknown trial {arg}")
+                    store._change_flags(op, arg)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(start, str(exc)) from exc
         return store
-
-    def _apply_flag(self, head) -> None:
-        if not isinstance(head, dict) or len(head) != 1:
-            raise ValueError(f"flag record must hold one flag change, got {head!r}")
-        (op, arg), = head.items()
-        if op == "mark_relevant" and is_json_int(arg):
-            if arg not in self._by_id:
-                raise ValueError(f"flag names unknown trial {arg}")
-        elif op != "supersede_task" or not isinstance(arg, str):
-            raise ValueError(f"unknown flag change {head!r}")
-        self._change_flags(op, arg)
 
 
 def _header(dims: StoreDims) -> dict:
@@ -505,31 +499,22 @@ def _read_frame(data: bytes, offset: int):
         raise ValueError(f"invalid JSON in frame: {exc}") from exc
 
 
-def _trial_record(trial_id: int, trial: Trial, rows) -> tuple[bytes, bytes, np.ndarray]:
-    """A trial's record as parts to write in order; the rows go out as the
-    buffer of a C-contiguous little-endian array, not as a bytes copy."""
+def _trial_record(trial_id: int, trial: Trial, rows) -> tuple[dict, tuple]:
+    """A trial's checked record frame and the record's parts to write in order;
+    the rows go out as the buffer of a C-contiguous little-endian array."""
     head = {"trial_id": trial_id, "task_id": trial.task_id, "success": trial.success,
             "relevant": trial.relevant, "final_cr": float(trial.final_return), "T": len(rows)}
-    return TRIAL_RECORD, _frame(head), np.ascontiguousarray(rows, _ROW_DTYPE)
+    plain(exact, head, "", TRIAL)
+    return head, (TRIAL_RECORD, _frame(head), np.ascontiguousarray(rows, _ROW_DTYPE))
 
 
-def _trial_fields(obj: dict) -> dict:
-    """Trial's scalar fields from a trial object, checked, not coerced:
-    trial_id must be an int, task_id a string, success and relevant JSON
-    booleans and final_cr a number."""
-    if not is_json_int(obj["trial_id"]):
-        raise ValueError(f"trial_id must be an int, got {obj['trial_id']!r}")
-    if not isinstance(obj["task_id"], str):
-        raise ValueError(f"task_id must be a string, got {obj['task_id']!r}")
-    for key in ("success", "relevant"):
-        if not isinstance(obj[key], bool):
-            raise ValueError(f"{key} must be a JSON boolean, got {obj[key]!r}")
-    final_cr = obj["final_cr"]
-    if isinstance(final_cr, bool) or not isinstance(final_cr, (int, float)):
-        raise ValueError(f"final_cr must be a number, got {final_cr!r}")
-    return {"trial_id": obj["trial_id"], "task_id": obj["task_id"],
-            "success": obj["success"], "relevant": obj["relevant"],
-            "final_return": float(final_cr)}
+def _flag_change(record) -> tuple[str, object]:
+    """(op, arg) of a flag record's JSON object, which holds one change of `FLAG`."""
+    if not isinstance(record, dict) or len(record) != 1:
+        raise ValueError(f"flag record must hold one flag change, got {record!r}")
+    known(record, "", FLAG)
+    (op, arg), = record.items()
+    return op, FLAG[op](arg, op)
 
 
 def trial_to_json(trial: Trial, dims: StoreDims) -> dict:

@@ -163,6 +163,21 @@ def test_compare_names_a_pool_seed_only_one_file_holds(tmp_path, monkeypatch, ca
     assert "cannot read nowhere.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bench_file", [
+    {}, [], {"workloads": []}, {"workloads": {"w": {}}}, {"workloads": {"w": {"seeds": []}}},
+    {"workloads": {"w": {"seeds": {"1": "digests"}}}},
+], ids=["empty", "list", "workload_list", "no_seeds", "seed_list", "seed_string"])
+def test_compare_of_a_file_that_is_no_bench_file_is_an_error(tmp_path, monkeypatch, capsys,
+                                                             bench_file):
+    write_results(tmp_path)
+    assert collect(tmp_path, monkeypatch) == 0
+    (tmp_path / "bad.json").write_text(json.dumps(bench_file))
+    capsys.readouterr()
+    for argv in (["BENCH_t.json", "bad.json"], ["bad.json", "BENCH_t.json"]):
+        assert bench.main(["--compare", *argv]) == 2
+        assert capsys.readouterr().err.startswith("bench: bad.json is not a BENCH file")
+
+
 @pytest.mark.parametrize("argv", [[], ["t", "--compare", "a", "b"]])
 def test_a_tag_or_compare_is_required(argv):
     with pytest.raises(SystemExit) as exc:

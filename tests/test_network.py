@@ -690,6 +690,24 @@ def test_save_checkpoint_rejects_weights_of_the_wrong_shape(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("nan_weight", r"^weights\[3\]: must be a finite number, got nan$"),
+    ("negative_seed", r"^header\.seed: must be >= 0, got -1$"),
+], ids=["nan_weight", "negative_seed"])
+def test_save_checkpoint_writes_only_what_load_checkpoint_accepts(tmp_path, bad, message):
+    cfg = small_config()
+    _, w = init_network(cfg)
+    if bad == "nan_weight":
+        w[3] = np.nan
+    else:
+        cfg = small_config(seed=-1)  # NetConfig takes it; the reader's SEED check does not
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(ValueError, match=message) as exc:
+        save_checkpoint(path, cfg, w)
+    assert type(exc.value) is ValueError  # a program fault, not a ConfigError
+    assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its .tmp
+
+
 def test_checkpoint_weights_count_checked(tmp_path):
     cfg = small_config()
     _, w = init_network(cfg)

@@ -1,6 +1,7 @@
 """Lockstep rollouts (`run_trials`) against the single-episode loop they
 replace, which lives on here as `reference_run_trial`."""
 
+import importlib
 import itertools
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillnet.consolidate import retention_check
+from skillnet.consolidate import EVAL_BLOCK, retention_check
 from skillnet.envs import (
     DIRECTIONS,
     GridMazeBatch,
@@ -22,7 +23,7 @@ from skillnet.envs import (
     step_counter,
 )
 from skillnet.network import ACTIVATIONS, NetConfig, Network, init_network
-from skillnet.rollout import run_trial, run_trials
+from skillnet.rollout import run_trial, run_trials, trial_env_steps
 from skillnet.traces import StoreDims, TraceStore, Trial
 from reference import VectorRewardChainSpec, pack_weights
 
@@ -424,3 +425,26 @@ def test_retention_check_on_slip_maze_matches_recorded_values():
     result = retention_check(weights, [task], cfg, n_trials=4, base_seed=5)["slip"]
     assert (result.success_rate, result.mean_return, result.mean_length) == \
         (0.25, -0.3625000000000003, 61.5)
+
+
+@pytest.mark.parametrize("n_trials", [1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 3])
+def test_retention_check_runs_its_episodes_in_blocks_as_each_runs_alone(monkeypatch, n_trials):
+    cfg = NetConfig(obs_dim=16, goal_dim=2, reward_dim=1, action_dim=4, hidden_dim=6, seed=3)
+    spec = GridMazeSpec(width=4, height=4, start=(0, 0), goal_cell=(3, 2), slip_prob=0.3)
+    task = TaskDescription(task_id="slip", goal_index=1, env_spec=spec,
+                           criterion=SuccessCriterion(min_success_trials=3))
+    _, weights = init_network(cfg)
+    calls = []
+
+    def spy(config, stack, task, seeds):
+        calls.append(len(seeds))
+        return run_trials(config, stack, task, seeds)
+
+    consolidate_module = importlib.import_module("skillnet.consolidate")  # not the function
+    monkeypatch.setattr(consolidate_module, "run_trials", spy)
+    result = retention_check(weights, [task], cfg, n_trials=n_trials, base_seed=5)["slip"]
+    assert max(calls) <= EVAL_BLOCK and sum(calls) == n_trials
+    alone = [run_trial(Network(cfg, weights), task, seed) for seed in range(5, 5 + n_trials)]
+    assert result.success_rate == sum(t.success for t in alone) / n_trials
+    assert result.mean_return == float(np.mean([t.final_return for t in alone]))
+    assert result.mean_length == float(np.mean([trial_env_steps(t) for t in alone]))

@@ -474,6 +474,33 @@ def test_one_extend_writes_the_bytes_of_appends_one_at_a_time(streamed):
     assert one.trials == each.trials
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.append(make_trial(5)), r"^task_id: must be a string$"),
+    (lambda s: s.extend([make_trial("b"), make_trial("b", success=1)]),
+     r"^success: must be a boolean$"),
+    (lambda s: s.mark_relevant(True), r"^mark_relevant: must be an integer$"),
+    (lambda s: s.supersede_task(1), r"^supersede_task: must be a string$"),
+], ids=["task_id", "success", "mark_relevant", "supersede_task"])
+def test_store_writes_only_what_load_accepts(streamed, call, message):
+    store, path = streamed()
+    store.append(make_trial("a", success=True, rng=np.random.default_rng(23)))
+    trials, data = [(t.trial_id, t.relevant) for t in store], path.read_bytes()
+    with pytest.raises(ValueError, match=message) as exc:
+        call(store)
+    assert type(exc.value) is ValueError  # a program fault, not a ConfigError
+    assert [(t.trial_id, t.relevant) for t in store] == trials
+    assert path.read_bytes() == data
+    assert TraceStore.load(path).trials == store.trials
+
+
+@pytest.mark.parametrize("value", [2.0, True, 2**63])
+def test_store_dims_take_only_what_the_header_reader_takes(tmp_path, value):
+    with pytest.raises(ValueError, match="^obs_dim: must") as exc:
+        TraceStore.create(tmp_path / "traces.bin", StoreDims(value, 1, 1, 1))
+    assert type(exc.value) is ValueError
+    assert list(tmp_path.iterdir()) == []
+
+
 def _second_record(tmp_path, second):
     """A streamed file of one failed trial, then `second` (a store call);
     returns (file bytes, offset of the second record)."""
@@ -534,8 +561,8 @@ def test_frame_that_is_not_plain_utf8_names_its_offset(tmp_path, encode):
 @pytest.mark.parametrize("flag, match", [
     ({"mark_relevant": 9}, "unknown trial 9"),
     ({"mark_relevant": 1}, "not successful"),
-    ({"mark_relevant": True}, "unknown flag change"),
-    ({"supersede_task": 3}, "unknown flag change"),
+    ({"mark_relevant": True}, "mark_relevant: must be an integer"),
+    ({"supersede_task": 3}, "supersede_task: must be a string"),
     ({"mark_relevant": 1, "supersede_task": "a"}, "one flag change"),
 ])
 def test_bad_flag_record_is_format_error(tmp_path, flag, match):
@@ -581,7 +608,7 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, key, value):
 
 @pytest.mark.parametrize("edit, match", [
     ({"T": 0}, "T must be an int >= 1, got 0"),
-    ({"drop": ("success",)}, "record is missing field 'success'"),
+    ({"drop": ("success",)}, "success: missing required field"),
 ], ids=["no_rows", "no_success"])
 def test_trial_frame_with_no_rows_or_no_success_names_its_offset(tmp_path, edit, match):
     trial = make_trial("b", rng=np.random.default_rng(12))
@@ -603,6 +630,7 @@ def test_trial_frame_with_no_rows_or_no_success_names_its_offset(tmp_path, edit,
     ("task_id", 7),
     ("final_cr", True),
     ("final_cr", "0.5"),
+    ("note", "an unknown key"),
 ])
 def test_trial_field_types_checked_not_coerced(tmp_path, key, value):
     trial = make_trial("b", rng=np.random.default_rng(11))
@@ -869,3 +897,40 @@ def test_save_load_save_is_exact(dims_calls):
         assert list(loaded) == list(store)
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# any JSON-ish value a caller might pass where a record field goes
+ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-2, 2**64), st.floats(),
+                      st.text(max_size=3))
+
+
+@st.composite
+def loose_calls(draw):
+    """Store calls whose fields and arguments may be of any type."""
+    calls = []
+    for i in range(draw(st.integers(1, 5))):
+        rows = np.random.default_rng(i).normal(size=(draw(st.integers(1, 3)), DIMS.row_width))
+        success = draw(st.one_of(st.booleans(), ANY_VALUE))
+        trial = Trial(task_id=draw(st.one_of(st.sampled_from(["a", "b"]), ANY_VALUE)),
+                      success=success, relevant=draw(st.one_of(st.booleans(), ANY_VALUE)),
+                      timesteps=rows, final_return=float(rows[:, DIMS.columns["r"]].sum()))
+        name = draw(st.sampled_from(["mark_relevant", "supersede_task"]))
+        arg = draw(st.one_of(st.integers(0, i + 1), st.sampled_from(["a", "b"]), ANY_VALUE))
+        calls += [("extend", [trial]), (name, arg)]
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(loose_calls())
+def test_whatever_the_store_accepts_loads_back_equal(calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "streamed.bin"
+        store = TraceStore.create(path, DIMS)
+        for name, arg in calls:
+            data = path.read_bytes()
+            try:
+                getattr(store, name)(arg)
+            except (KeyError, ValueError):
+                assert path.read_bytes() == data
+        store.close()
+        assert TraceStore.load(path).trials == store.trials

@@ -17,7 +17,8 @@ dream steps. A pool seed that ran twice with other outputs, a pool seed that
 never ran and a result file that reports failed checks are errors.
 
 --compare lists the pool seeds whose digests differ between two BENCH files
-(or that only one of them holds) and exits 1 if there are any.
+(or that only one of them holds) and exits 1 if there are any; a file that
+is not a BENCH file (an object of workloads with `seeds`) is an error.
 
 Exit codes: 0 done, 1 digests differ, 2 an error (the message says which).
 """
@@ -113,10 +114,20 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def _read_bench(path: str) -> dict:
+    """A BENCH file: an object whose `workloads` are objects, each with an
+    object of per-seed objects under `seeds`."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        bench = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise BenchError(f"cannot read {path}: {exc}") from None
+    workloads = bench.get("workloads") if isinstance(bench, dict) else None
+    if not isinstance(workloads, dict) or not all(
+            isinstance(w, dict) and isinstance(w.get("seeds"), dict)
+            and all(isinstance(seed, dict) for seed in w["seeds"].values())
+            for w in workloads.values()):
+        raise BenchError(f"{path} is not a BENCH file: it needs an object of workloads, "
+                         f"each an object with an object of seed records under 'seeds'")
+    return bench
 
 
 def main(argv=None) -> int:
