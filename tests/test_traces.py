@@ -561,8 +561,12 @@ def test_frame_that_is_not_plain_utf8_names_its_offset(tmp_path, encode):
 @pytest.mark.parametrize("flag, match", [
     ({"mark_relevant": 9}, "unknown trial 9"),
     ({"mark_relevant": 1}, "not successful"),
-    ({"mark_relevant": True}, "mark_relevant: must be an integer"),
-    ({"supersede_task": 3}, "supersede_task: must be a string"),
+    # ids kept from when both read "unknown flag change"; the flag table now
+    # names the key and the type it wants
+    pytest.param({"mark_relevant": True}, "mark_relevant: must be an integer",
+                 id="flag2-unknown flag change"),
+    pytest.param({"supersede_task": 3}, "supersede_task: must be a string",
+                 id="flag3-unknown flag change"),
     ({"mark_relevant": 1, "supersede_task": "a"}, "one flag change"),
 ])
 def test_bad_flag_record_is_format_error(tmp_path, flag, match):
